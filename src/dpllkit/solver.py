@@ -1,8 +1,13 @@
 """Measure-decreasing DPLL search producing models or refutation trees.
 
-The recursion works on a triple (g, d, t): the current valuation, the working
+The search state is a triple (g, d, t): the current valuation, the working
 formula, and the clean clauses (clauses sharing no variable with the
-valuation, on which only a split can act).  Witness mode builds an
+valuation, on which only a split can act).  Each step takes the head clause
+of ``d`` and applies one rule: Elim, Conflict, Unit, Red, or a move of the
+clause to ``t``; an empty ``d`` ends in a model or a Split on ``t``.  The
+steps run in one loop: ``d`` is a list read through a cursor, ``t`` a list
+that moves append to, and an explicit stack holds the open Splits, so the
+search needs no recursion however long it runs.  Witness mode builds an
 ``Assignment`` or a ``DpllDerivation``; decide mode runs the identical
 control flow with evidence construction elided.
 """
@@ -12,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
-from ._util import deep_recursion
 from .cnf import (
     Assignment,
     Formula,
@@ -20,7 +24,6 @@ from .cnf import (
     Valuation,
     canonical_formula,
     canonical_valuation,
-    formula_union,
     is_consistent,
     measure,
     vars_of,
@@ -33,7 +36,7 @@ class InvariantViolation(Exception):
 
 
 class MeasureViolation(InvariantViolation):
-    """A recursive call failed to decrease the lexicographic measure."""
+    """A search step failed to decrease the lexicographic measure."""
 
 
 class InconsistentValuation(ValueError):
@@ -80,11 +83,9 @@ def solve(d, cfg: SolverConfig = SolverConfig()) -> Union[Verdict, bool]:
     Witness mode returns a ``Verdict`` carrying a model or a derivation;
     decide mode returns only the satisfiability boolean.
     """
-    formula = canonical_formula(d)
     witness = cfg.mode == "witness"
     log: Optional[list[str]] = [] if (cfg.trace and witness) else None
-    with deep_recursion():
-        v = _solve((), set(), formula, (), witness, cfg.assert_measure, None, log)
+    v = _search((), canonical_formula(d), (), witness, cfg.assert_measure, log)
     if not witness:
         return v.satisfiable
     if log is not None:
@@ -95,88 +96,145 @@ def solve(d, cfg: SolverConfig = SolverConfig()) -> Union[Verdict, bool]:
 def solve_aux(g: Valuation, d, t=(), cfg: SolverConfig = SolverConfig()) -> Verdict:
     """Search from an intermediate state: valuation ``g``, working formula
     ``d``, clean clauses ``t``.  Always returns a full witness Verdict."""
-    g = canonical_valuation(g)
-    with deep_recursion():
-        return _solve(g, set(g), canonical_formula(d), canonical_formula(t),
-                      True, cfg.assert_measure, None, None)
+    return _search(canonical_valuation(g), canonical_formula(d), canonical_formula(t),
+                   True, cfg.assert_measure, None)
 
 
-def _solve(g: Valuation, gset: set[Lit], d: Formula, t: Formula, witness: bool,
-           check: bool, prev: Optional[tuple[int, int]], log: Optional[list[str]]) -> Verdict:
-    if check:
-        if any(not c for c in t):
-            raise InvariantViolation("empty clause among clean clauses")
-        if not is_consistent(g):
-            raise InvariantViolation(f"inconsistent valuation: {g}")
-        if vars_of(g) & vars_of(t):
-            raise InvariantViolation("clean clauses share variables with the valuation")
-        cur = (measure(g, d, t), len(d))
-        if prev is not None and not cur < prev:
-            raise MeasureViolation(f"measure did not decrease: {prev} -> {cur}")
-        prev = cur
+@dataclass
+class _Split:
+    """An open Split: the state to restart from for the right branch, and
+    what to build once both branches are refuted."""
 
-    if not d:
-        if not t:
+    lit: Lit
+    g: Valuation  # valuation before the split
+    t: Formula  # clean clauses: the working formula of both branches
+    wrappers: list  # the enclosing segment's Elim/Unit/Red wrappers
+    prev: Optional[tuple[int, int]]
+    left: Optional[DpllDerivation] = None
+    in_right: bool = False
+
+
+def _check_state(g, d, t, prev: Optional[tuple[int, int]]) -> tuple[int, int]:
+    """Debug-mode invariants of a search state; returns its measure, which
+    must be below ``prev``, the measure of the state it came from."""
+    if any(not c for c in t):
+        raise InvariantViolation("empty clause among clean clauses")
+    if not is_consistent(g):
+        raise InvariantViolation(f"inconsistent valuation: {g}")
+    if vars_of(g) & vars_of(t):
+        raise InvariantViolation("clean clauses share variables with the valuation")
+    cur = (measure(g, d, t), len(d))
+    if prev is not None and not cur < prev:
+        raise MeasureViolation(f"measure did not decrease: {prev} -> {cur}")
+    return cur
+
+
+def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
+            log: Optional[list[str]]) -> Verdict:
+    # g is a list with the set gset beside it.  The working formula is
+    # d[i:], and live is its clause set; t is a list with the set tset.
+    # wrappers holds the (rule, args) of the Elim, Unit and Red steps taken
+    # since the last Split began, outermost first; a refuted leaf is wrapped
+    # in them, innermost first.
+    g, gset = list(g0), set(g0)
+    d, i, live = list(d0), 0, set(d0)
+    t, tset = list(t0), set(t0)
+    wrappers: list = []
+    splits: list[_Split] = []
+    prev = None
+    while True:
+        if check:
+            prev = _check_state(g, d[i:], t, prev)
+
+        if i == len(d):
+            if not t:
+                if log is not None:
+                    log.append("model")
+                return Verdict(True, complete_model(g)) if witness else _SAT_DECIDED
+            lit = choose_split(t)
             if log is not None:
-                log.append("model")
-            return Verdict(True, complete_model(g)) if witness else _SAT_DECIDED
-        lit = choose_split(t)
-        if log is not None:
-            log.append("split")
-        left = _solve(g + (lit,), gset | {lit}, t, (), witness, check, prev, log)
-        if left.satisfiable:
-            return left
-        right = _solve(g + (-lit,), gset | {-lit}, t, (), witness, check, prev, log)
-        if right.satisfiable:
-            return right
-        if not witness:
-            return _UNSAT_DECIDED
-        return Verdict(False, proof=Split(lit, left.proof, right.proof))
+                log.append("split")
+            splits.append(_Split(lit, tuple(g), tuple(t), wrappers, prev))
+            g.append(lit)
+            gset.add(lit)
+            d, i, live = t, 0, tset
+            t, tset, wrappers = [], set(), []
+            continue
 
-    c, rest = d[0], d[1:]
-    common = next((l for l in c if l in gset), None)
-    if common is not None:
-        # the clause is already satisfied by the valuation
-        if log is not None:
-            log.append("elim")
-        r = _solve(g, gset, rest, t, witness, check, prev, log)
-        if r.satisfiable or not witness:
-            return r
-        return Verdict(False, proof=Elim(c, common, r.proof))
+        c = d[i]
+        i += 1
+        live.discard(c)
+        if not gset.isdisjoint(c):
+            # the clause is already satisfied by the valuation
+            if log is not None:
+                log.append("elim")
+            if witness:
+                wrappers.append((Elim, (c, next(l for l in c if l in gset))))
+            continue
 
-    if not c:
-        if log is not None:
-            log.append("conflict")
-        return Verdict(False, proof=CONFLICT) if witness else _UNSAT_DECIDED
-
-    if len(c) == 1:
-        lit = c[0]
-        if -lit in gset:
+        if not c:
+            if log is not None:
+                log.append("conflict")
+            leaf = CONFLICT
+        elif len(c) == 1:
+            lit = c[0]
+            if -lit in gset:
+                if log is not None:
+                    log.append("red")
+                    log.append("conflict")
+                leaf = Red(c, -lit, CONFLICT)
+            else:
+                if log is not None:
+                    log.append("unit")
+                if witness:
+                    wrappers.append((Unit, (lit,)))
+                g.append(lit)
+                gset.add(lit)
+                # the clean clauses rejoin the working formula behind it
+                d, i = d[i:], 0
+                d.extend(x for x in t if x not in live)
+                live.update(tset)
+                t, tset = [], set()
+                continue
+        else:
+            for falsified in c:
+                if -falsified in gset:
+                    break
+            else:
+                # no variable of c is decided: move it to the clean clauses
+                if log is not None:
+                    log.append("move")
+                if c not in tset:
+                    t.append(c)
+                    tset.add(c)
+                continue
             if log is not None:
                 log.append("red")
-                log.append("conflict")
-            if not witness:
-                return _UNSAT_DECIDED
-            return Verdict(False, proof=Red(c, -lit, CONFLICT))
-        if log is not None:
-            log.append("unit")
-        r = _solve(g + (lit,), gset | {lit}, formula_union(rest, t), (),
-                   witness, check, prev, log)
-        if r.satisfiable or not witness:
-            return r
-        return Verdict(False, proof=Unit(lit, r.proof))
+            if witness:
+                wrappers.append((Red, (c, -falsified)))
+            reduct = tuple(x for x in c if x != falsified)
+            if reduct not in live:
+                d.append(reduct)
+                live.add(reduct)
+            continue
 
-    falsified = next((l for l in c if -l in gset), None)
-    if falsified is not None:
-        if log is not None:
-            log.append("red")
-        reduct = tuple(x for x in c if x != falsified)
-        r = _solve(g, gset, formula_union(rest, (reduct,)), t, witness, check, prev, log)
-        if r.satisfiable or not witness:
-            return r
-        return Verdict(False, proof=Red(c, -falsified, r.proof))
-
-    # no variable of c is decided: move it to the clean clauses
-    if log is not None:
-        log.append("move")
-    return _solve(g, gset, rest, formula_union(t, (c,)), witness, check, prev, log)
+        # The branch is refuted: wrap the leaf, then either start the right
+        # branch of the innermost open Split or close it and keep unwinding.
+        proof = leaf
+        while True:
+            if witness:
+                for rule, args in reversed(wrappers):
+                    proof = rule(*args, proof)
+            if not splits:
+                return Verdict(False, proof=proof) if witness else _UNSAT_DECIDED
+            s = splits[-1]
+            if not s.in_right:
+                s.left, s.in_right = proof, True
+                g = [*s.g, -s.lit]
+                gset = set(g)
+                d, i, live = list(s.t), 0, set(s.t)
+                t, tset, wrappers, prev = [], set(), [], s.prev
+                break
+            splits.pop()
+            proof = Split(s.lit, s.left, proof) if witness else None
+            wrappers = s.wrappers

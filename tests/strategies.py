@@ -32,3 +32,14 @@ def random_formula(rng: random.Random, max_var: int = 8, max_clauses: int = 12,
             clause.append(v if rng.random() < 0.5 else -v)
         clauses.append(clause)
     return canonical_formula(clauses)
+
+
+def random_3sat(rng: random.Random, n: int, m: int):
+    """``m`` clauses over three distinct variables of ``1..n``, random signs."""
+    return tuple(tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
+                 for _ in range(m))
+
+
+def horn_chain(n: int, unsat: bool):
+    """``1``, ``-i | i+1`` for i < n, and ``-n`` when ``unsat``."""
+    return ((1,),) + tuple((-i, i + 1) for i in range(1, n)) + (((-n,),) if unsat else ())

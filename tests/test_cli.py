@@ -4,6 +4,8 @@ from dpllkit.cli import main
 from dpllkit.dimacs import emit_dimacs, parse_dimacs
 from dpllkit.php import PhpSpec, gen_php
 
+from strategies import horn_chain
+
 
 @pytest.fixture
 def php21_file(tmp_path):
@@ -93,6 +95,16 @@ def test_bench(capsys):
         dpll_sz, res_sz = row[3], row[4]
         if dpll_sz != "-" and res_sz != "-":
             assert int(res_sz) <= int(dpll_sz)
+
+
+@pytest.mark.parametrize("unsat, code", [(False, 10), (True, 20)])
+def test_solve_deep_horn_chain(unsat, code, tmp_path, capsys):
+    path = tmp_path / "horn.cnf"
+    path.write_text(emit_dimacs(horn_chain(1000, unsat)))
+    assert main(["solve", str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out.startswith("s UNSATISFIABLE" if unsat else "s SATISFIABLE")
+    assert "Traceback" not in captured.err
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,4 +1,8 @@
+import hashlib
+import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +11,7 @@ from dpllkit.cnf import Assignment, evaluate
 from dpllkit.dpll_proof import CONFLICT, Conflict, Red, Unit, check_dpll, dpll_size
 from dpllkit.oracle import brute_force_sat, compatible
 from dpllkit.php import PhpSpec, gen_php
+from dpllkit.proof_text import serialize_dpll
 from dpllkit.solver import (
     InvariantViolation,
     SolverConfig,
@@ -17,7 +22,7 @@ from dpllkit.solver import (
     solve_aux,
 )
 
-from strategies import formulas, random_formula
+from strategies import formulas, horn_chain, random_3sat, random_formula
 
 PHP21 = gen_php(PhpSpec(2, 1))
 GOLDEN_PHP21_PROOF = Unit(1, Unit(2, Red((-1, -2), 1, Red((-2,), 2, CONFLICT))))
@@ -131,6 +136,27 @@ def test_measure_assertion_clean_on_php():
         solve(gen_php(PhpSpec(n, m)), cfg)
 
 
+@pytest.mark.parametrize("unsat", [False, True])
+def test_measure_assertion_clean_on_horn_chain(unsat):
+    # long runs of moves between units: the measure is checked at every one
+    v = solve(horn_chain(200, unsat), SolverConfig(assert_measure=True))
+    assert v.satisfiable == (not unsat)
+
+
+@pytest.mark.parametrize("unsat", [False, True])
+def test_deep_horn_chain_needs_no_recursion(unsat):
+    # about n*n/2 search steps: far more than the default recursion limit
+    assert sys.getrecursionlimit() <= 1000
+    d = horn_chain(1000, unsat)
+    assert solve(d, SolverConfig(mode="decide")) == (not unsat)
+    v = solve(d)
+    assert v.satisfiable == (not unsat)
+    if v.satisfiable:
+        assert evaluate(v.model, d)
+    else:
+        assert check_dpll((), d, v.proof).valid
+
+
 def test_precondition_violations_raise_in_debug_mode():
     cfg = SolverConfig(assert_measure=True)
     with pytest.raises(InvariantViolation):
@@ -139,3 +165,57 @@ def test_precondition_violations_raise_in_debug_mode():
         solve_aux((), (), ((),), cfg)
     with pytest.raises(InvariantViolation):
         solve_aux((1,), (), ((1, 2),), cfg)
+
+
+# Derivation identity.  tests/data/solver_digests.json records, for a fixed
+# corpus, what the search produced when the file was made: verdict, evidence,
+# rule log and decide verdict.  Any change to the search that alters one of
+# them fails the test below; a change made on purpose regenerates the file
+# with ``python tests/test_solver.py`` (``src`` on PYTHONPATH).
+
+DIGESTS = Path(__file__).parent / "data" / "solver_digests.json"
+
+
+def digest_corpus():
+    """(name, formula) pairs: PHP, Horn chains, random 3-SAT at the threshold
+    and small random CNFs, all generated from fixed seeds."""
+    corpus = []
+    for k in range(1, 6):
+        for n in (k, k + 1):
+            corpus.append((f"php-{n}-{k}", gen_php(PhpSpec(n, k))))
+    for n in (50, 200):
+        for unsat in (False, True):
+            corpus.append((f"horn-{'unsat' if unsat else 'sat'}-{n}", horn_chain(n, unsat)))
+    rng = random.Random(1)
+    corpus += [(f"rand3-{i}", random_3sat(rng, 40, 170)) for i in range(10)]
+    rng = random.Random(2)
+    corpus += [(f"random-{i}", random_formula(rng)) for i in range(300)]
+    return corpus
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def solver_digest(d):
+    v = solve(d, SolverConfig(trace=True))
+    if v.satisfiable:
+        evidence = repr(sorted(v.model.values.items()))
+    else:
+        evidence = serialize_dpll(v.proof)
+    return {"sat": v.satisfiable, "evidence": _sha(evidence), "trace": _sha(" ".join(v.trace)),
+            "decide": solve(d, SolverConfig(mode="decide"))}
+
+
+def test_derivations_match_recorded_digests():
+    recorded = json.loads(DIGESTS.read_text())
+    corpus = digest_corpus()
+    assert [name for name, _ in corpus] == list(recorded)
+    for name, d in corpus:
+        assert solver_digest(d) == recorded[name], name
+
+
+if __name__ == "__main__":
+    digests = {name: solver_digest(d) for name, d in digest_corpus()}
+    DIGESTS.write_text(json.dumps(digests, indent=1) + "\n")
+    print(f"wrote {len(digests)} digests to {DIGESTS}", file=sys.stderr)
