@@ -34,22 +34,21 @@ from .proof_text import parse_dpll, parse_res, serialize_dpll, serialize_res
 from .resolution import (
     Res,
     ResDerivation,
-    ResVerdict,
     Sub,
     check_res,
     dpll_to_res,
-    lift_clause,
-    refute,
     res_conclusion,
     res_size,
 )
 from .solver import (
     InvariantViolation,
     MeasureViolation,
+    ResVerdict,
     SolverConfig,
     Verdict,
     choose_split,
     complete_model,
+    refute,
     solve,
     solve_aux,
 )

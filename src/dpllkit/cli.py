@@ -1,7 +1,7 @@
 """Command line interface.
 
 Exit codes: 10 satisfiable, 20 unsatisfiable (solve); 0 valid / 2 invalid
-(check); 0 success (convert, gen, bench); 1 usage or input errors.
+(check, convert); 0 success (gen, bench); 1 usage or input errors.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .dimacs import DimacsError, emit_dimacs, parse_dimacs
 from .dpll_proof import check_dpll, dpll_size
 from .php import PhpSpec, gen_php, php_comment_lines
 from .proof_text import ProofParseError, parse_dpll, parse_res, serialize_dpll, serialize_res
-from .resolution import check_res, dpll_to_res, res_size
+from .resolution import InvalidDerivation, check_res, dpll_to_res, res_size
 from .solver import SolverConfig, solve
 
 EXIT_SAT = 10
@@ -111,6 +111,10 @@ def _cmd_check(args) -> int:
     if report.valid:
         print("valid")
         return 0
+    return _invalid(report)
+
+
+def _invalid(report) -> int:
     print(f"invalid: {report.reason} at path {list(report.path)}", file=sys.stderr)
     return EXIT_INVALID
 
@@ -118,7 +122,10 @@ def _cmd_check(args) -> int:
 def _cmd_convert(args) -> int:
     formula = parse_dimacs(_read(args.input))
     proof = parse_dpll(_read(args.proof))
-    res_proof = dpll_to_res((), formula, proof)
+    try:
+        res_proof = dpll_to_res((), formula, proof)
+    except InvalidDerivation as e:
+        return _invalid(e.report)
     n, m = dpll_size(proof), res_size(res_proof)
     assert m <= n, f"translation grew the proof: {m} > {n}"
     print(f"dpll_size={n} res_size={m}")

@@ -11,34 +11,19 @@ valuation, never larger than the DPLL derivation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .cnf import (
-    Assignment,
     Clause,
     Formula,
     Lit,
     Valuation,
     canonical_clause,
     canonical_formula,
-    canonical_valuation,
     clause_remove,
-    formula_remove,
-    formula_union,
 )
-from .dpll_proof import (
-    CheckReport,
-    Conflict,
-    DpllDerivation,
-    Elim,
-    Red,
-    Split,
-    Unit,
-    VALID,
-    check_dpll,
-)
+from .dpll_proof import CheckReport, DpllDerivation, Elim, Red, Split, Unit, VALID, walk
 from ._util import deep_recursion
-from .solver import SolverConfig, solve
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,13 +41,6 @@ class Res:
 
 
 ResDerivation = Union[Sub, Res]
-
-
-@dataclass(frozen=True)
-class ResVerdict:
-    satisfiable: bool
-    model: Optional[Assignment] = None
-    proof: Optional[ResDerivation] = None
 
 
 class InvalidDerivation(ValueError):
@@ -151,34 +129,41 @@ def _res(pivot: Lit, left: _Node, right: _Node) -> _Res:
     return _Res(pivot, left, right, conclusion, left.premises | right.premises)
 
 
-def _translate(gset: set[Lit], d: Formula, node: DpllDerivation) -> _Node:
-    if isinstance(node, Conflict):
+class _Translation:
+    """The DPLL-to-resolution translation as a fold over the checking walk
+    (``dpll_proof.walk``): each method builds a node's internal resolution
+    tree from its children's, whose conclusions are subsets of the negated
+    valuation at that node."""
+
+    def conflict(self) -> _Node:
         return _sub((), ())
-    if isinstance(node, Unit):
-        unit = (node.lit,)
-        r = _translate(gset | {node.lit}, formula_remove(d, unit), node.sub)
+
+    def unit(self, node: Unit, r: _Node) -> _Node:
         if -node.lit not in r.conclusion:
             return r
+        unit = (node.lit,)
         return _res(node.lit, r, _sub(unit, unit))
-    if isinstance(node, Elim):
+
+    def elim(self, node: Elim, r: _Node) -> _Node:
         # pure weakening: a derivation from the smaller premise set stands as is
-        return _translate(gset, formula_remove(d, node.clause), node.sub)
-    if isinstance(node, Red):
-        rest = formula_remove(d, node.clause)
-        reduct = clause_remove(node.clause, -node.lit)
-        r = _translate(gset, formula_union(rest, (reduct,)), node.sub)
-        if reduct in rest:
+        return r
+
+    def red(self, node: Red, r: _Node, fresh: bool) -> _Node:
+        # a reduct that was already a premise needs no lift
+        if not fresh:
             return r
-        return _lift(r, reduct, node.clause, -node.lit)
-    if isinstance(node, Split):
-        left = _translate(gset | {node.lit}, d, node.left)
-        if -node.lit not in left.conclusion:
-            return left
-        right = _translate(gset | {-node.lit}, d, node.right)
+        return _lift(r, clause_remove(node.clause, -node.lit), node.clause, -node.lit)
+
+    def needs_right(self, node: Split, left: _Node) -> bool:
+        return -node.lit in left.conclusion
+
+    def split(self, node: Split, left: _Node, right: _Node) -> _Node:
         if node.lit not in right.conclusion:
             return right
         return _res(node.lit, left, right)
-    raise TypeError(f"not a DPLL derivation node: {node!r}")
+
+
+_TRANSLATION = _Translation()
 
 
 def _lift(node: _Node, old: Clause, new: Clause, added: Lit) -> _Node:
@@ -204,48 +189,13 @@ def _index(node: _Node, positions: dict) -> ResDerivation:
 def dpll_to_res(g: Valuation, d0: Formula, p: DpllDerivation) -> ResDerivation:
     """Translate a valid DPLL derivation of ``g |- d0`` into a resolution
     derivation from ``d0`` whose conclusion is a subset of the negated
-    valuation and whose size never exceeds the DPLL size."""
-    g = canonical_valuation(g)
+    valuation and whose size never exceeds the DPLL size.  The derivation is
+    checked in the same walk that translates it; an invalid one raises
+    ``InvalidDerivation`` with the report ``check_dpll`` gives."""
     d0 = canonical_formula(d0)
-    report = check_dpll(g, d0, p)
-    if not report.valid:
-        raise InvalidDerivation(report)
     with deep_recursion():
-        internal = _translate(set(g), d0, p)
+        report, internal = walk(g, d0, p, _TRANSLATION)
+        if not report.valid:
+            raise InvalidDerivation(report)
         positions = {c: i + 1 for i, c in enumerate(d0)}
         return _index(internal, positions)
-
-
-def lift_clause(d: ResDerivation, premises: Formula, old: Clause, new: Clause,
-                added: Lit) -> ResDerivation:
-    """Re-point a derivation at a weakened premise: ``old`` (at its position
-    in ``premises``) is replaced by ``new = old + {added}``.  Size is
-    preserved; the conclusion gains at most ``added``."""
-    if canonical_clause(new) != canonical_clause(old + (added,)):
-        raise ValueError("new clause must be old plus the added literal")
-    index = canonical_formula(premises).index(canonical_clause(old)) + 1
-    return _lift_indexed(d, index, canonical_clause(new), added)
-
-
-def _lift_indexed(d: ResDerivation, index: int, new: Clause, added: Lit) -> ResDerivation:
-    if isinstance(d, Sub):
-        if d.premise_index != index:
-            return d
-        return Sub(index, canonical_clause(d.conclusion + (added,)))
-    left = _lift_indexed(d.left, index, new, added)
-    right = _lift_indexed(d.right, index, new, added)
-    if left is d.left and right is d.right:
-        return d
-    conclusion = canonical_clause(
-        clause_remove(left.conclusion, -d.pivot) + clause_remove(right.conclusion, d.pivot))
-    return Res(d.pivot, left, right, conclusion)
-
-
-def refute(d0) -> ResVerdict:
-    """Solve and, when unsatisfiable, emit a resolution refutation of size
-    bounded by the DPLL derivation's."""
-    d0 = canonical_formula(d0)
-    v = solve(d0, SolverConfig(mode="witness"))
-    if v.satisfiable:
-        return ResVerdict(True, model=v.model)
-    return ResVerdict(False, proof=dpll_to_res((), d0, v.proof))

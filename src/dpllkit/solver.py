@@ -29,6 +29,7 @@ from .cnf import (
     vars_of,
 )
 from .dpll_proof import CONFLICT, DpllDerivation, Elim, Red, Split, Unit
+from .resolution import ResDerivation, dpll_to_res
 
 
 class InvariantViolation(Exception):
@@ -56,6 +57,13 @@ class Verdict:
     model: Optional[Assignment] = None
     proof: Optional[DpllDerivation] = None
     trace: Optional[tuple[str, ...]] = None
+
+
+@dataclass(frozen=True)
+class ResVerdict:
+    satisfiable: bool
+    model: Optional[Assignment] = None
+    proof: Optional[ResDerivation] = None
 
 
 _SAT_DECIDED = Verdict(True)
@@ -98,6 +106,16 @@ def solve_aux(g: Valuation, d, t=(), cfg: SolverConfig = SolverConfig()) -> Verd
     ``d``, clean clauses ``t``.  Always returns a full witness Verdict."""
     return _search(canonical_valuation(g), canonical_formula(d), canonical_formula(t),
                    True, cfg.assert_measure, None)
+
+
+def refute(d0) -> ResVerdict:
+    """Solve and, when unsatisfiable, emit a resolution refutation of size
+    bounded by the DPLL derivation's."""
+    d0 = canonical_formula(d0)
+    v = solve(d0, SolverConfig(mode="witness"))
+    if v.satisfiable:
+        return ResVerdict(True, model=v.model)
+    return ResVerdict(False, proof=dpll_to_res((), d0, v.proof))
 
 
 @dataclass

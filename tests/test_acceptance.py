@@ -17,23 +17,14 @@ from pathlib import Path
 
 from dpllkit.cnf import evaluate
 from dpllkit.dimacs import emit_dimacs, parse_dimacs
-from dpllkit.dpll_proof import (
-    CONFLICT,
-    Conflict,
-    Elim,
-    Red,
-    Split,
-    Unit,
-    check_dpll,
-    dpll_size,
-)
+from dpllkit.dpll_proof import Conflict, Red, Unit, check_dpll, dpll_size
 from dpllkit.oracle import brute_force_sat, compatible
 from dpllkit.php import PhpSpec, gen_php
 from dpllkit.proof_text import parse_dpll, parse_res, serialize_dpll, serialize_res
 from dpllkit.resolution import Res, Sub, check_res, dpll_to_res, res_size
 from dpllkit.solver import SolverConfig, solve
 
-from strategies import random_formula
+from strategies import clause_mutants, dpll_nodes, dpll_put, mutate_dpll, random_formula
 
 DATA = Path(__file__).parent / "data"
 
@@ -170,53 +161,6 @@ def test_criterion_5_soundness_cross_check():
 
 # ------------------------------------------------- criterion 6 mutation kit
 
-def _dpll_nodes(p, path=()):
-    yield path, p
-    if isinstance(p, Split):
-        yield from _dpll_nodes(p.left, path + (0,))
-        yield from _dpll_nodes(p.right, path + (1,))
-    elif not isinstance(p, Conflict):
-        yield from _dpll_nodes(p.sub, path + (0,))
-
-
-def _dpll_put(p, path, new):
-    if not path:
-        return new
-    if isinstance(p, Split):
-        if path[0] == 0:
-            return replace(p, left=_dpll_put(p.left, path[1:], new))
-        return replace(p, right=_dpll_put(p.right, path[1:], new))
-    return replace(p, sub=_dpll_put(p.sub, path[1:], new))
-
-
-def _bump(lit):
-    return lit + 1 if lit != -1 else 1
-
-
-def _clause_mutants(c, rng):
-    out = []
-    if c:
-        i = rng.randrange(len(c))
-        out.append(tuple(l for j, l in enumerate(c) if j != i))
-        out.append(tuple(-l if j == i else l for j, l in enumerate(c)))
-    out.append(c + (9,))
-    return out
-
-
-def _mutate_dpll(node, rng):
-    if isinstance(node, Conflict):
-        return Unit(rng.choice((1, -1, 2)), CONFLICT)
-    if isinstance(node, Unit):
-        return replace(node, lit=rng.choice((-node.lit, _bump(node.lit))))
-    if isinstance(node, Split):
-        return rng.choice((replace(node, lit=-node.lit),
-                           Split(node.lit, node.right, node.left)))
-    # Elim or Red: perturb the literal or the clause payload
-    if rng.random() < 0.5:
-        return replace(node, lit=rng.choice((-node.lit, _bump(node.lit))))
-    return replace(node, clause=rng.choice(_clause_mutants(node.clause, rng)))
-
-
 def _res_nodes(p, path=()):
     yield path, p
     if isinstance(p, Res):
@@ -237,11 +181,11 @@ def _mutate_res(node, rng, npremises):
         if rng.random() < 0.5:
             idx = rng.choice((0, npremises + 1, node.premise_index % npremises + 1))
             return replace(node, premise_index=idx)
-        return replace(node, conclusion=rng.choice(_clause_mutants(node.conclusion, rng)))
+        return replace(node, conclusion=rng.choice(clause_mutants(node.conclusion, rng)))
     return rng.choice((
         replace(node, pivot=-node.pivot),
         Res(node.pivot, node.right, node.left, node.conclusion),
-        replace(node, conclusion=rng.choice(_clause_mutants(node.conclusion, rng))),
+        replace(node, conclusion=rng.choice(clause_mutants(node.conclusion, rng))),
     ))
 
 
@@ -260,9 +204,9 @@ def test_criterion_6_checker_robustness():
         rejected = accepted = 0
         for _ in range(100):
             d, p = rng.choice(pool)
-            spots = list(_dpll_nodes(p))
+            spots = list(dpll_nodes(p))
             path, node = rng.choice(spots)
-            mutant = _dpll_put(p, path, _mutate_dpll(node, rng))
+            mutant = dpll_put(p, path, mutate_dpll(node, rng))
             r = check_dpll((), d, mutant)
             if r.valid:
                 accepted += 1

@@ -73,6 +73,17 @@ def test_check_invalid_proof(php21_file, tmp_path, capsys):
     assert "unit-clause-missing" in capsys.readouterr().err
 
 
+def test_convert_invalid_proof(php21_file, tmp_path, capsys):
+    proof = tmp_path / "bad.dpll"
+    proof.write_text("(unit 1 (unit -2 conflict))")
+    assert main(["check", "dpll", php21_file, str(proof)]) == 2
+    checked = capsys.readouterr().err
+    assert main(["convert", "dpll2res", php21_file, str(proof)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == checked == "invalid: unit-clause-missing at path [0]\n"
+    assert captured.out == ""
+
+
 def test_convert_dpll2res(php21_file, tmp_path, capsys):
     proof = tmp_path / "p.dpll"
     main(["solve", "--proof", "dpll", "--out", str(proof), php21_file])

@@ -1,3 +1,9 @@
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
@@ -13,8 +19,11 @@ from dpllkit.dpll_proof import (
 )
 from dpllkit.oracle import compatible
 from dpllkit.php import PhpSpec, gen_php
+from dpllkit.proof_text import serialize_res
+from dpllkit.resolution import InvalidDerivation, dpll_to_res
+from dpllkit.solver import solve, solve_aux
 
-from strategies import formulas
+from strategies import dpll_nodes, dpll_put, formulas, mutate_dpll, random_formula
 
 PHP21 = gen_php(PhpSpec(2, 1))
 
@@ -110,8 +119,35 @@ def test_red_reduct_enables_conflict():
     assert check_dpll((1,), d0, Red((-1,), 1, CONFLICT)).valid
 
 
+def _unit_chain(n, last):
+    """``Unit(1, Unit(2, ... Unit(last, Red((-n,), n, CONFLICT))))``."""
+    proof = Red((-n,), n, CONFLICT)
+    proof = Unit(last, proof)
+    for i in range(n - 1, 0, -1):
+        proof = Unit(i, proof)
+    return proof
+
+
+def test_deep_unit_chain_checks_without_recursion():
+    assert sys.getrecursionlimit() <= 1000
+    n = 100_000
+    d = tuple((i,) for i in range(1, n + 1)) + ((-n,),)
+    assert check_dpll((), d, _unit_chain(n, n)).valid
+    r = check_dpll((), d, _unit_chain(n, n + 1))
+    assert r.reason == "unit-clause-missing"
+    assert len(r.path) == n - 1
+
+
 def test_checker_is_solver_independent():
     import dpllkit.dpll_proof as mod
+
+    imports = [line for line in open(mod.__file__)
+               if line.startswith(("import", "from"))]
+    assert not any("solver" in line for line in imports)
+
+
+def test_resolution_is_solver_independent():
+    import dpllkit.resolution as mod
 
     imports = [line for line in open(mod.__file__)
                if line.startswith(("import", "from"))]
@@ -128,3 +164,78 @@ def test_valid_refutations_imply_incompatibility(d):
     if not v.satisfiable:
         assert check_dpll((), d, v.proof).valid
         assert not compatible((), d).satisfiable
+
+
+# Report identity.  tests/data/checker_digests.json records, for a fixed
+# corpus of solver refutations and seeded single-node mutants of them, the
+# SHA-256 of repr(check_dpll(...)) (validity, path, reason and the failing
+# context) and, for valid derivations, of serialize_res(dpll_to_res(...)).
+# A change to the checker or the translator that alters any of them fails
+# the test below; a change made on purpose regenerates the file with
+# ``python tests/test_dpll_proof.py`` (``src`` on PYTHONPATH).
+
+CHECKER_DIGESTS = Path(__file__).parent / "data" / "checker_digests.json"
+
+
+def checker_corpus():
+    """(name, valuation, formula, derivation) entries, all from fixed seeds:
+    refutations of PHP(k+1,k) for k <= 4, of 200 random unsatisfiable CNFs
+    and of 100 random CNFs under nonempty valuations, then 400 mutants of the
+    PHP proofs and 2000 of the others."""
+    sources = []
+    for k in range(1, 5):
+        d = gen_php(PhpSpec(k + 1, k))
+        sources.append((f"php-{k + 1}-{k}", (), d, solve(d).proof))
+    rng = random.Random(31)
+    while len(sources) < 4 + 200:
+        d = random_formula(rng, max_var=8, max_clauses=20, max_clause_len=3)
+        v = solve(d)
+        if not v.satisfiable:
+            sources.append((f"unsat-{len(sources) - 4}", (), d, v.proof))
+    while len(sources) < 4 + 200 + 100:
+        g = tuple(dict.fromkeys(v if rng.random() < 0.5 else -v
+                                for v in rng.sample(range(1, 9), rng.randint(1, 4))))
+        d = random_formula(rng)
+        v = solve_aux(g, d)
+        if not v.satisfiable:
+            sources.append((f"aux-{len(sources) - 204}", g, d, v.proof))
+    corpus = list(sources)
+    for i in range(2400):
+        name, g, d, p = sources[i % 4] if i < 400 else rng.choice(sources[4:])
+        path, node = rng.choice(list(dpll_nodes(p)))
+        corpus.append((f"{name}~{i}", g, d, dpll_put(p, path, mutate_dpll(node, rng))))
+    return corpus
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def checker_digest(g, d, p):
+    report = check_dpll(g, d, p)
+    out = {"check": _sha(repr(report))}
+    if report.valid:
+        out["res"] = _sha(serialize_res(dpll_to_res(g, d, p)))
+    return out
+
+
+def test_reports_and_translations_match_recorded_digests():
+    recorded = json.loads(CHECKER_DIGESTS.read_text())
+    corpus = checker_corpus()
+    assert [name for name, *_ in corpus] == list(recorded)
+    rejected = 0
+    for name, g, d, p in corpus:
+        assert checker_digest(g, d, p) == recorded[name], name
+        report = check_dpll(g, d, p)
+        if not report.valid:
+            rejected += 1
+            with pytest.raises(InvalidDerivation) as err:
+                dpll_to_res(g, d, p)
+            assert err.value.report == report, name
+    assert rejected >= 2000
+
+
+if __name__ == "__main__":
+    digests = {name: checker_digest(g, d, p) for name, g, d, p in checker_corpus()}
+    CHECKER_DIGESTS.write_text(json.dumps(digests, indent=1) + "\n")
+    print(f"wrote {len(digests)} digests to {CHECKER_DIGESTS}", file=sys.stderr)

@@ -11,14 +11,16 @@ from dpllkit.resolution import (
     InvalidDerivation,
     Res,
     Sub,
+    _index,
+    _lift,
+    _res,
+    _sub,
     check_res,
     dpll_to_res,
-    lift_clause,
-    refute,
     res_conclusion,
     res_size,
 )
-from dpllkit.solver import solve, solve_aux
+from dpllkit.solver import refute, solve, solve_aux
 
 from strategies import consistent_valuations, formulas, random_formula
 
@@ -99,32 +101,27 @@ def test_dpll_to_res_rejects_invalid_input():
         dpll_to_res((), PHP21, Unit(-1, CONFLICT))
 
 
-def test_lift_clause_repoints_matching_leaf():
-    premises = ((-21,),)
-    d = Sub(1, (-21,))
-    lifted = lift_clause(d, premises, (-21,), (-11, -21), -11)
-    assert lifted == Sub(1, (-11, -21))
+def _indexed(node, premises):
+    return _index(node, {c: i + 1 for i, c in enumerate(premises)})
 
 
-def test_lift_clause_leaves_unrelated_proof_alone():
-    premises = ((1,), (2,))
-    d = Sub(2, (2,))
-    assert lift_clause(d, premises, (1,), (1, 3), 3) is d
+def test_lift_repoints_matching_leaf():
+    lifted = _lift(_sub((-21,), (-21,)), (-21,), (-11, -21), -11)
+    assert _indexed(lifted, ((-11, -21),)) == Sub(1, (-11, -21))
 
 
-def test_lift_clause_res_node_gains_at_most_added():
-    premises = ((-1, 2), (1,))
-    d = Res(1, Sub(1, (-1, 2)), Sub(2, (1,)), (2,))
-    lifted = lift_clause(d, premises, (-1, 2), (-1, 2, 3), 3)
-    assert res_size(lifted) == res_size(d)
+def test_lift_leaves_unrelated_proof_alone():
+    d = _sub((2,), (2,))
+    assert _lift(d, (1,), (1, 3), 3) is d
+
+
+def test_lift_res_node_gains_at_most_added():
+    d = _res(1, _sub((-1, 2), (-1, 2)), _sub((1,), (1,)))
+    lifted = _lift(d, (-1, 2), (-1, 2, 3), 3)
+    assert res_size(_indexed(lifted, ((-1, 2, 3), (1,)))) == res_size(_indexed(d, ((-1, 2), (1,))))
     assert set(lifted.conclusion) <= set(d.conclusion) | {3}
     new_premises = ((-1, 2, 3), (1,))
-    assert check_res(new_premises, lifted).valid
-
-
-def test_lift_clause_requires_matching_delta():
-    with pytest.raises(ValueError):
-        lift_clause(Sub(1, (1,)), ((1,),), (1,), (1, 2, 3), 2)
+    assert check_res(new_premises, _indexed(lifted, new_premises)).valid
 
 
 def test_refute_php_2_1():
