@@ -122,8 +122,10 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
     With a ``fold``, the walk also folds the derivation bottom-up into
     ``value`` (otherwise ``None``): ``fold.conflict()`` at a leaf;
     ``fold.unit(node, v)``, ``fold.elim(node, v)`` and
-    ``fold.red(node, v, fresh)`` from the child's value, ``fresh`` telling
-    whether the reduct was new to the formula; and for a Split,
+    ``fold.red(node, v, reduct)`` from the child's value, ``reduct`` being
+    the Red's reduct if it was new to the formula, else ``None`` (a new
+    reduct is also announced on the way down, by ``fold.fresh(reduct)``
+    before the Red's subtree is folded); and for a Split,
     ``fold.needs_right(node, left)`` after the left branch, then
     ``fold.split(node, left, right)`` when it said so.  Otherwise the Split's
     value is ``left``, and its right branch is checked but not folded.
@@ -177,6 +179,8 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                 else:
                     d[reduct] = next_rank
                     next_rank += 1
+                    if folding:
+                        fold.fresh(reduct)
                 frames.append((_RED, node, rank, reduct))
                 path.append(0)
                 node = node.sub
@@ -227,7 +231,7 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                     del d[b]
                 d[node.clause] = a
                 if folding:
-                    values[-1] = fold.red(node, values[-1], b is not None)
+                    values[-1] = fold.red(node, values[-1], b)
             elif kind == _ELIM:
                 d[node.clause] = a
                 if folding:

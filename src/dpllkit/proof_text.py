@@ -18,8 +18,9 @@ starting at 1, root last:
 from __future__ import annotations
 
 import re
+from itertools import islice
+from typing import NoReturn
 
-from ._util import deep_recursion
 from .cnf import Clause
 from .dpll_proof import CONFLICT, Conflict, DpllDerivation, Elim, Red, Split, Unit
 from .resolution import Res, ResDerivation, Sub
@@ -37,141 +38,133 @@ def _clause_text(c: Clause) -> str:
 
 def serialize_dpll(p: DpllDerivation) -> str:
     parts: list[str] = []
-    with deep_recursion():
-        _emit_dpll(p, parts)
+    stack = [p]  # Split right branches still to emit, and the text around them
+    while stack:
+        p = stack.pop()
+        if isinstance(p, str):
+            parts.append(p)
+            continue
+        # emit down the left spine, counting the ')' owed to its unary nodes
+        closers = 0
+        while not isinstance(p, Conflict):
+            if isinstance(p, Unit):
+                parts.append(f"(unit {p.lit} ")
+            elif isinstance(p, Red):
+                parts.append(f"(red {_clause_text(p.clause)} {p.lit} ")
+            elif isinstance(p, Elim):
+                parts.append(f"(elim {_clause_text(p.clause)} {p.lit} ")
+            elif isinstance(p, Split):
+                parts.append(f"(split {p.lit} ")
+                stack += (")" * (closers + 1), p.right, " ")
+                closers = 0
+                p = p.left
+                continue
+            else:
+                raise TypeError(f"not a DPLL derivation node: {p!r}")
+            closers += 1
+            p = p.sub
+        parts.append("conflict" + ")" * closers)
     return "".join(parts)
 
 
-def _emit_dpll(p: DpllDerivation, parts: list[str]) -> None:
-    if isinstance(p, Conflict):
-        parts.append("conflict")
-    elif isinstance(p, Unit):
-        parts.append(f"(unit {p.lit} ")
-        _emit_dpll(p.sub, parts)
-        parts.append(")")
-    elif isinstance(p, Elim):
-        parts.append(f"(elim {_clause_text(p.clause)} {p.lit} ")
-        _emit_dpll(p.sub, parts)
-        parts.append(")")
-    elif isinstance(p, Red):
-        parts.append(f"(red {_clause_text(p.clause)} {p.lit} ")
-        _emit_dpll(p.sub, parts)
-        parts.append(")")
-    elif isinstance(p, Split):
-        parts.append(f"(split {p.lit} ")
-        _emit_dpll(p.left, parts)
-        parts.append(" ")
-        _emit_dpll(p.right, parts)
-        parts.append(")")
-    else:
-        raise TypeError(f"not a DPLL derivation node: {p!r}")
-
-
-_DPLL_TOKEN = re.compile(r"\(\w+|\)|\[|\]|[^\s()\[\]]+")
+# Every non-whitespace character belongs to a token, so none is skipped.
+_DPLL_TOKEN = re.compile(r"\(\w*|\)|\[|\]|[^\s()\[\]]+")
 
 
 def parse_dpll(text: str) -> DpllDerivation:
-    tokens = [(m.group(), m.start()) for m in _DPLL_TOKEN.finditer(text)]
-    with deep_recursion():
-        node, pos = _parse_dpll_node(tokens, 0)
-    if pos != len(tokens):
-        raise ProofParseError("trailing input after derivation", tokens[pos][1])
-    return node
-
-
-def _expect(tokens, pos, what):
-    if pos >= len(tokens):
-        raise ProofParseError(f"unexpected end of input, expected {what}",
-                              tokens[-1][1] + len(tokens[-1][0]) if tokens else 0)
-    return tokens[pos]
-
-
-def _parse_lit(tokens, pos) -> tuple[int, int]:
-    tok, at = _expect(tokens, pos, "a literal")
-    try:
-        lit = int(tok)
-    except ValueError:
-        raise ProofParseError(f"expected a literal, got {tok!r}", at)
-    if lit == 0:
-        raise ProofParseError("literal must be nonzero", at)
-    return lit, pos + 1
-
-
-def _parse_clause(tokens, pos) -> tuple[Clause, int]:
-    tok, at = _expect(tokens, pos, "'['")
-    if tok != "[":
-        raise ProofParseError(f"expected '[', got {tok!r}", at)
-    pos += 1
-    lits = []
+    """Parse the DPLL text format in one scan of its tokens, with an explicit
+    stack of the nodes still open."""
+    tokens = _DPLL_TOKEN.findall(text)
+    n = len(tokens)
+    tokens.append("")  # end sentinel: matches no expected token
+    i = 0
+    # open nodes: (class, lit, payload), the payload being an Elim's or a
+    # Red's clause, or a Split's left child once that is parsed
+    frames: list[tuple] = []
     while True:
-        tok, at = _expect(tokens, pos, "a literal or ']'")
-        if tok == "]":
-            return tuple(lits), pos + 1
-        lit, pos = _parse_lit(tokens, pos)
+        head = tokens[i]
+        i += 1
+        if head == "(red" or head == "(elim":
+            clause, i = _clause(text, tokens, n, i)
+            lit, i = _lit(text, tokens, n, i)
+            frames.append((Red if head == "(red" else Elim, lit, clause))
+        elif head == "(unit" or head == "(split":
+            lit, i = _lit(text, tokens, n, i)
+            frames.append((Unit if head == "(unit" else Split, lit, None))
+        elif head != "conflict":
+            _fail(text, i - 1, n, "a derivation node", f"unexpected token {head!r}")
+        else:
+            node = CONFLICT
+            # close every open node the finished one completes, up to a
+            # Split still waiting for its right child
+            while frames:
+                cls, lit, payload = frames.pop()
+                if cls is Split and payload is None:
+                    frames.append((Split, lit, node))
+                    break
+                if tokens[i] != ")":
+                    _fail(text, i, n, "')'", f"expected ')', got {tokens[i]!r}")
+                i += 1
+                node = Unit(lit, node) if cls is Unit else (
+                    Split(lit, payload, node) if cls is Split else cls(payload, lit, node))
+            else:
+                if i != n:
+                    _fail(text, i, n, "", "trailing input after derivation")
+                return node
+
+
+def _fail(text: str, i: int, n: int, expected: str, message: str) -> NoReturn:
+    """Raise ``message`` at token ``i``'s offset or, when ``i`` is past the
+    last token, "unexpected end of input" at the end of the last token.
+    Offsets are found only here, when an error is raised."""
+    if i >= n:
+        message = f"unexpected end of input, expected {expected}"
+    spans = [m.span() for m in islice(_DPLL_TOKEN.finditer(text), i + 1)]
+    at = spans[i][0] if i < len(spans) else spans[-1][1] if spans else 0
+    raise ProofParseError(message, at)
+
+
+def _lit(text: str, tokens: list[str], n: int, i: int,
+         expected: str = "a literal") -> tuple[int, int]:
+    try:
+        lit = int(tokens[i])
+    except ValueError:
+        _fail(text, i, n, expected, f"expected a literal, got {tokens[i]!r}")
+    if lit == 0:
+        _fail(text, i, n, expected, "literal must be nonzero")
+    return lit, i + 1
+
+
+def _clause(text: str, tokens: list[str], n: int, i: int) -> tuple[Clause, int]:
+    if tokens[i] != "[":
+        _fail(text, i, n, "'['", f"expected '[', got {tokens[i]!r}")
+    i += 1
+    lits = []
+    while tokens[i] != "]":
+        lit, i = _lit(text, tokens, n, i, "a literal or ']'")
         lits.append(lit)
-
-
-def _parse_dpll_node(tokens, pos) -> tuple[DpllDerivation, int]:
-    tok, at = _expect(tokens, pos, "a derivation node")
-    pos += 1
-    if tok == "conflict":
-        return CONFLICT, pos
-    if tok == "(unit":
-        lit, pos = _parse_lit(tokens, pos)
-        sub, pos = _parse_dpll_node(tokens, pos)
-        return Unit(lit, sub), _close(tokens, pos)
-    if tok in ("(elim", "(red"):
-        clause, pos = _parse_clause(tokens, pos)
-        lit, pos = _parse_lit(tokens, pos)
-        sub, pos = _parse_dpll_node(tokens, pos)
-        node = Elim(clause, lit, sub) if tok == "(elim" else Red(clause, lit, sub)
-        return node, _close(tokens, pos)
-    if tok == "(split":
-        lit, pos = _parse_lit(tokens, pos)
-        left, pos = _parse_dpll_node(tokens, pos)
-        right, pos = _parse_dpll_node(tokens, pos)
-        return Split(lit, left, right), _close(tokens, pos)
-    raise ProofParseError(f"unexpected token {tok!r}", at)
-
-
-def _close(tokens, pos) -> int:
-    tok, at = _expect(tokens, pos, "')'")
-    if tok != ")":
-        raise ProofParseError(f"expected ')', got {tok!r}", at)
-    return pos + 1
+    return tuple(lits), i + 1
 
 
 def serialize_res(r: ResDerivation) -> str:
     """Post-order trace, one line per node; children precede parents and the
     last line is the root."""
     lines: list[str] = []
-    _emit_res(r, lines)
-    return "\n".join(lines) + "\n"
-
-
-def _emit_res(r: ResDerivation, lines: list[str]) -> int:
-    # iterative post-order so deep unit chains do not hit the recursion limit
     ids: dict[int, int] = {}
     stack: list[tuple[ResDerivation, bool]] = [(r, False)]
-    last = 0
     while stack:
         node, expanded = stack.pop()
         if isinstance(node, Sub):
-            last = len(lines) + 1
-            ids[id(node)] = last
-            lits = " ".join(str(l) for l in node.conclusion)
-            lines.append(f"{last} S {node.premise_index}" + (f" {lits} 0" if lits else " 0"))
+            head = f"S {node.premise_index}"
         elif not expanded:
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
+            stack += ((node, True), (node.right, False), (node.left, False))
+            continue
         else:
-            last = len(lines) + 1
-            ids[id(node)] = last
-            lits = " ".join(str(l) for l in node.conclusion)
-            lines.append(f"{last} R {node.pivot} {ids[id(node.left)]} {ids[id(node.right)]}"
-                         + (f" {lits} 0" if lits else " 0"))
-    return last
+            head = f"R {node.pivot} {ids[id(node.left)]} {ids[id(node.right)]}"
+        ids[id(node)] = len(lines) + 1
+        lits = " ".join(str(l) for l in node.conclusion)
+        lines.append(f"{len(lines) + 1} {head}" + (f" {lits} 0" if lits else " 0"))
+    return "\n".join(lines) + "\n"
 
 
 def parse_res(text: str) -> ResDerivation:
@@ -206,6 +199,8 @@ def parse_res(text: str) -> ResDerivation:
             raise ProofParseError(f"undefined node reference in line {line!r}", at)
         if any(l == 0 for l in node.conclusion):
             raise ProofParseError("zero literal inside conclusion", at)
+        if nid in nodes:
+            raise ProofParseError(f"duplicate node id in line {line!r}", at)
         nodes[nid] = node
         root = node
     if root is None:

@@ -11,7 +11,7 @@ valuation, never larger than the DPLL derivation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from .cnf import (
     Clause,
@@ -23,7 +23,6 @@ from .cnf import (
     clause_remove,
 )
 from .dpll_proof import CheckReport, DpllDerivation, Elim, Red, Split, Unit, VALID, walk
-from ._util import deep_recursion
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,92 +66,119 @@ def res_conclusion(d: ResDerivation) -> Clause:
 
 
 def check_res(d0: Formula, d: ResDerivation) -> CheckReport:
-    """Validate every node of a resolution derivation against ``d0``."""
-    with deep_recursion():
-        return _check(canonical_formula(d0), d, ())
+    """Validate every node of a resolution derivation against ``d0``, in
+    preorder, left child first; the first violation is reported with its
+    child-index path and ``(d0, node)`` as context."""
+    d0 = canonical_formula(d0)
+    path: list[int] = []
+    stack = [(d, 0, 0)]  # (node, depth, child index)
+    while stack:
+        node, depth, branch = stack.pop()
+        if depth:
+            del path[depth - 1:]
+            path.append(branch)
+        reason = None
+        if isinstance(node, Sub):
+            if not 1 <= node.premise_index <= len(d0):
+                reason = "premise-index"
+            elif not set(d0[node.premise_index - 1]) <= set(node.conclusion):
+                reason = "subsumption"
+        elif isinstance(node, Res):
+            if -node.pivot not in node.left.conclusion:
+                reason = "pivot-not-in-left"
+            elif node.pivot not in node.right.conclusion:
+                reason = "pivot-not-in-right"
+            elif canonical_clause(node.conclusion) != canonical_clause(
+                    clause_remove(node.left.conclusion, -node.pivot)
+                    + clause_remove(node.right.conclusion, node.pivot)):
+                reason = "conclusion-mismatch"
+            else:
+                stack += ((node.right, depth + 1, 1), (node.left, depth + 1, 0))
+        else:
+            raise TypeError(f"not a resolution derivation node: {node!r}")
+        if reason is not None:
+            return CheckReport(False, tuple(path), reason, (d0, node))
+    return VALID
 
 
-def _check(d0: Formula, node: ResDerivation, path: tuple[int, ...]) -> CheckReport:
-    if isinstance(node, Sub):
-        if not 1 <= node.premise_index <= len(d0):
-            return CheckReport(False, path, "premise-index", (d0, node))
-        if not set(d0[node.premise_index - 1]) <= set(node.conclusion):
-            return CheckReport(False, path, "subsumption", (d0, node))
-        return VALID
-    if isinstance(node, Res):
-        if -node.pivot not in node.left.conclusion:
-            return CheckReport(False, path, "pivot-not-in-left", (d0, node))
-        if node.pivot not in node.right.conclusion:
-            return CheckReport(False, path, "pivot-not-in-right", (d0, node))
-        resolvent = canonical_clause(
-            clause_remove(node.left.conclusion, -node.pivot)
-            + clause_remove(node.right.conclusion, node.pivot))
-        if canonical_clause(node.conclusion) != resolvent:
-            return CheckReport(False, path, "conclusion-mismatch", (d0, node))
-        left = _check(d0, node.left, path + (0,))
-        if not left.valid:
-            return left
-        return _check(d0, node.right, path + (1,))
-    raise TypeError(f"not a resolution derivation node: {node!r}")
-
-
-# Internal translation nodes reference premise clauses by value rather than
-# index; `premises` memoizes the set of leaf clauses below a node so the Red
-# lift only walks affected paths.  Indices are assigned in a final pass.
-
-@dataclass(frozen=True, slots=True)
-class _Sub:
-    clause: Clause
-    conclusion: Clause
-    premises: frozenset
-
-
-@dataclass(frozen=True, slots=True)
-class _Res:
+@dataclass(slots=True, eq=False)
+class _Node:
+    """A translation node: a resolution step, or a leaf (pivot 0) citing the
+    premise clause that is its conclusion.  Conclusions are subsets of the
+    negated (consistent) valuation, so ordering them by ``abs`` is the
+    ``lit_key`` order."""
     pivot: Lit
-    left: "_Node"
-    right: "_Node"
+    left: Optional[_Node]
+    right: Optional[_Node]
     conclusion: Clause
-    premises: frozenset
+    parent: Optional[_Node] = None
 
 
-_Node = Union[_Sub, _Res]
-
-
-def _sub(clause: Clause, conclusion: Clause) -> _Sub:
-    return _Sub(clause, conclusion, frozenset((clause,)))
-
-
-def _res(pivot: Lit, left: _Node, right: _Node) -> _Res:
-    conclusion = canonical_clause(
-        clause_remove(left.conclusion, -pivot) + clause_remove(right.conclusion, pivot))
-    return _Res(pivot, left, right, conclusion, left.premises | right.premises)
+def _res(pivot: Lit, left: _Node, right: _Node) -> _Node:
+    # left lacks pivot and right lacks -pivot, so this is the resolvent
+    lits = set(left.conclusion).union(right.conclusion) - {pivot, -pivot}
+    node = _Node(pivot, left, right, tuple(sorted(lits, key=abs)))
+    left.parent = right.parent = node
+    return node
 
 
 class _Translation:
     """The DPLL-to-resolution translation as a fold over the checking walk
-    (``dpll_proof.walk``): each method builds a node's internal resolution
-    tree from its children's, whose conclusions are subsets of the negated
-    valuation at that node."""
+    (``dpll_proof.walk``): each method builds a node's translation from its
+    children's, whose conclusions are subsets of the negated valuation at
+    that node.
+
+    ``citing`` maps each clause to the leaves citing it, in the order they
+    came to cite it.  A Red with a new reduct marks how many leaves cite the
+    reduct on the way down; on the way up, the leaves past the mark are those
+    of its own subtree (a nested Red that re-created the reduct has taken its
+    own suffix already)."""
+
+    def __init__(self):
+        self.citing: dict[Clause, list[_Node]] = {}
+        self.marks: list[int] = []
+
+    def _leaf(self, clause: Clause) -> _Node:
+        leaf = _Node(0, None, None, clause)
+        self.citing.setdefault(clause, []).append(leaf)
+        return leaf
 
     def conflict(self) -> _Node:
-        return _sub((), ())
+        return self._leaf(())
 
     def unit(self, node: Unit, r: _Node) -> _Node:
         if -node.lit not in r.conclusion:
             return r
-        unit = (node.lit,)
-        return _res(node.lit, r, _sub(unit, unit))
+        return _res(node.lit, r, self._leaf((node.lit,)))
 
     def elim(self, node: Elim, r: _Node) -> _Node:
         # pure weakening: a derivation from the smaller premise set stands as is
         return r
 
-    def red(self, node: Red, r: _Node, fresh: bool) -> _Node:
+    def fresh(self, reduct: Clause) -> None:
+        self.marks.append(len(self.citing.get(reduct, ())))
+
+    def red(self, node: Red, r: _Node, reduct: Optional[Clause]) -> _Node:
         # a reduct that was already a premise needs no lift
-        if not fresh:
+        if reduct is None:
             return r
-        return _lift(r, clause_remove(node.clause, -node.lit), node.clause, -node.lit)
+        mark = self.marks.pop()
+        leaves = self.citing.get(reduct, [])
+        moved = leaves[mark:]
+        del leaves[mark:]
+        added = -node.lit
+        self.citing.setdefault(node.clause, []).extend(moved)
+        # re-point each leaf to the Red's clause; the literal it gains climbs
+        # until a pivot absorbs it or a conclusion already holds it
+        for child in moved:
+            child.conclusion = node.clause
+            parent = child.parent
+            while parent is not None and added not in parent.conclusion:
+                if added == (-parent.pivot if parent.left is child else parent.pivot):
+                    break
+                parent.conclusion = tuple(sorted(parent.conclusion + (added,), key=abs))
+                child, parent = parent, parent.parent
+        return r
 
     def needs_right(self, node: Split, left: _Node) -> bool:
         return -node.lit in left.conclusion
@@ -163,27 +189,20 @@ class _Translation:
         return _res(node.lit, left, right)
 
 
-_TRANSLATION = _Translation()
-
-
-def _lift(node: _Node, old: Clause, new: Clause, added: Lit) -> _Node:
-    """Replace premise clause ``old`` by ``new = old + {added}`` throughout;
-    conclusions along affected paths gain at most ``added``."""
-    if old not in node.premises:
-        return node
-    if isinstance(node, _Sub):
-        return _Sub(new, canonical_clause(node.conclusion + (added,)),
-                    frozenset((new,)))
-    return _res(node.pivot,
-                _lift(node.left, old, new, added),
-                _lift(node.right, old, new, added))
-
-
-def _index(node: _Node, positions: dict) -> ResDerivation:
-    if isinstance(node, _Sub):
-        return Sub(positions[node.clause], node.conclusion)
-    return Res(node.pivot, _index(node.left, positions),
-               _index(node.right, positions), node.conclusion)
+def _index(root: _Node, positions: dict) -> ResDerivation:
+    """Build the public derivation, post-order, with premise indices."""
+    done: list[ResDerivation] = []
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if node.left is None:
+            done.append(Sub(positions[node.conclusion], node.conclusion))
+        elif not expanded:
+            stack += ((node, True), (node.right, False), (node.left, False))
+        else:
+            right = done.pop()
+            done[-1] = Res(node.pivot, done[-1], right, node.conclusion)
+    return done[0]
 
 
 def dpll_to_res(g: Valuation, d0: Formula, p: DpllDerivation) -> ResDerivation:
@@ -193,9 +212,7 @@ def dpll_to_res(g: Valuation, d0: Formula, p: DpllDerivation) -> ResDerivation:
     checked in the same walk that translates it; an invalid one raises
     ``InvalidDerivation`` with the report ``check_dpll`` gives."""
     d0 = canonical_formula(d0)
-    with deep_recursion():
-        report, internal = walk(g, d0, p, _TRANSLATION)
-        if not report.valid:
-            raise InvalidDerivation(report)
-        positions = {c: i + 1 for i, c in enumerate(d0)}
-        return _index(internal, positions)
+    report, root = walk(g, d0, p, _Translation())
+    if not report.valid:
+        raise InvalidDerivation(report)
+    return _index(root, {c: i + 1 for i, c in enumerate(d0)})

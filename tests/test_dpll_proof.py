@@ -1,6 +1,5 @@
 import hashlib
 import json
-import random
 import sys
 from pathlib import Path
 
@@ -21,9 +20,8 @@ from dpllkit.oracle import compatible
 from dpllkit.php import PhpSpec, gen_php
 from dpllkit.proof_text import serialize_res
 from dpllkit.resolution import InvalidDerivation, dpll_to_res
-from dpllkit.solver import solve, solve_aux
 
-from strategies import dpll_nodes, dpll_put, formulas, mutate_dpll, random_formula
+from strategies import checker_corpus, formulas
 
 PHP21 = gen_php(PhpSpec(2, 1))
 
@@ -175,36 +173,6 @@ def test_valid_refutations_imply_incompatibility(d):
 # ``python tests/test_dpll_proof.py`` (``src`` on PYTHONPATH).
 
 CHECKER_DIGESTS = Path(__file__).parent / "data" / "checker_digests.json"
-
-
-def checker_corpus():
-    """(name, valuation, formula, derivation) entries, all from fixed seeds:
-    refutations of PHP(k+1,k) for k <= 4, of 200 random unsatisfiable CNFs
-    and of 100 random CNFs under nonempty valuations, then 400 mutants of the
-    PHP proofs and 2000 of the others."""
-    sources = []
-    for k in range(1, 5):
-        d = gen_php(PhpSpec(k + 1, k))
-        sources.append((f"php-{k + 1}-{k}", (), d, solve(d).proof))
-    rng = random.Random(31)
-    while len(sources) < 4 + 200:
-        d = random_formula(rng, max_var=8, max_clauses=20, max_clause_len=3)
-        v = solve(d)
-        if not v.satisfiable:
-            sources.append((f"unsat-{len(sources) - 4}", (), d, v.proof))
-    while len(sources) < 4 + 200 + 100:
-        g = tuple(dict.fromkeys(v if rng.random() < 0.5 else -v
-                                for v in rng.sample(range(1, 9), rng.randint(1, 4))))
-        d = random_formula(rng)
-        v = solve_aux(g, d)
-        if not v.satisfiable:
-            sources.append((f"aux-{len(sources) - 204}", g, d, v.proof))
-    corpus = list(sources)
-    for i in range(2400):
-        name, g, d, p = sources[i % 4] if i < 400 else rng.choice(sources[4:])
-        path, node = rng.choice(list(dpll_nodes(p)))
-        corpus.append((f"{name}~{i}", g, d, dpll_put(p, path, mutate_dpll(node, rng))))
-    return corpus
 
 
 def _sha(text):

@@ -1,3 +1,10 @@
+import hashlib
+import json
+import random
+import re
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,9 +17,9 @@ from dpllkit.proof_text import (
     serialize_dpll,
     serialize_res,
 )
-from dpllkit.resolution import Res, Sub
+from dpllkit.resolution import Res, Sub, dpll_to_res
 
-from strategies import clauses, literals
+from strategies import DPLL_TOKENS, RES_TOKENS, checker_corpus, clauses, literals, mutate_text
 
 PHP21_PROOF = Unit(1, Unit(2, Red((-1, -2), 1, Red((-2,), 2, CONFLICT))))
 PHP21_TEXT = "(unit 1 (unit 2 (red [ -1 -2 ] 1 (red [ -2 ] 2 conflict))))"
@@ -60,6 +67,13 @@ def test_parse_dpll_errors():
         parse_dpll("")
 
 
+def test_parse_dpll_rejects_lone_paren():
+    with pytest.raises(ProofParseError) as err:
+        parse_dpll("(unit 1 ( conflict)")
+    assert err.value.position == 8
+    assert str(err.value) == "offset 8: unexpected token '('"
+
+
 @given(dpll_trees)
 @settings(max_examples=300)
 def test_dpll_round_trip(p):
@@ -96,7 +110,107 @@ def test_parse_res_errors():
         parse_res("x S 1 0\n")
 
 
+def test_parse_res_rejects_duplicate_node_id():
+    text = "1 S 1 -1 0\n2 S 2 1 0\n3 R 1 1 2 0\n3 S 1 -1 0\n"
+    with pytest.raises(ProofParseError) as err:
+        parse_res(text)
+    assert err.value.position == text.index("3 S")
+    assert "duplicate node id" in str(err.value)
+
+
 @given(res_trees)
 @settings(max_examples=300)
 def test_res_round_trip(r):
     assert parse_res(serialize_res(r)) == r
+
+
+# Parse outcomes.  tests/data/parse_digests.json records, for seeded
+# single-edit mutants of serialized DPLL and resolution proofs, either the
+# SHA-256 of the re-serialized parse or the ProofParseError message and
+# position.  A change made on purpose regenerates the file with
+# ``python tests/test_proof_text.py`` (``src`` on PYTHONPATH).
+
+PARSE_DIGESTS = Path(__file__).parent / "data" / "parse_digests.json"
+
+
+def parse_corpus():
+    """(name, format, text) entries from a fixed seed: 2400 mutants of the
+    DPLL texts and 1600 of the resolution texts of the PHP refutations and
+    the first 80 random sources of checker_corpus()."""
+    sources = checker_corpus()[:84]
+    dpll_texts = [serialize_dpll(p) for _, _, _, p in sources]
+    res_texts = [serialize_res(dpll_to_res(g, d, p)) for _, g, d, p in sources]
+    rng = random.Random(53)
+    corpus = []
+    for i in range(4000):
+        fmt, texts, tokens = ("dpll", dpll_texts, DPLL_TOKENS) if i < 2400 else (
+            "res", res_texts, RES_TOKENS)
+        k = rng.randrange(len(texts))
+        corpus.append((f"{fmt}-{sources[k][0]}~{i}", fmt, mutate_text(texts[k], tokens, rng)))
+    return corpus
+
+
+def parse_outcome(fmt, text):
+    parse, serialize = (parse_dpll, serialize_dpll) if fmt == "dpll" else (parse_res, serialize_res)
+    try:
+        proof = parse(text)
+    except ProofParseError as e:
+        return {"error": str(e), "position": e.position}
+    return {"ok": hashlib.sha256(serialize(proof).encode()).hexdigest()}
+
+
+_LONE_PAREN = re.compile(r"\((?!\w)")
+
+
+def fixed_position(fmt, text, recorded):
+    """Where the parser now fails on a text whose recorded outcome predates
+    two fixes, else None.  A lone '(' used to be skipped: the first one now
+    fails if the text was accepted, if it comes before the recorded error, or
+    if that error was the end of input (reported at the end of the last
+    token, before a trailing '(').  A redefined node id used to replace the
+    node: the first line redefining an id, among the lines before the
+    recorded error, now fails."""
+    at = recorded.get("position")
+    if fmt == "dpll":
+        m = _LONE_PAREN.search(text)
+        if m and (at is None or m.start() < at or "unexpected end of input" in recorded["error"]):
+            return m.start()
+        return None
+    seen = set()
+    offset = 0
+    for line in text.splitlines():
+        start = offset
+        offset += len(line) + 1
+        if at is not None and start >= at:
+            break
+        if not line.strip() or line.lstrip().startswith("c"):
+            continue
+        nid = int(line.split()[0])
+        if nid in seen:
+            return start
+        seen.add(nid)
+    return None
+
+
+def test_parse_outcomes_match_recorded_digests():
+    recorded = json.loads(PARSE_DIGESTS.read_text())
+    corpus = parse_corpus()
+    assert [name for name, *_ in corpus] == list(recorded)
+    fixed = {"dpll": 0, "res": 0}
+    for name, fmt, text in corpus:
+        at = fixed_position(fmt, text, recorded[name])
+        if at is None:
+            assert parse_outcome(fmt, text) == recorded[name], name
+            continue
+        fixed[fmt] += 1
+        outcome = parse_outcome(fmt, text)
+        assert outcome.get("position") == at, name
+        if fmt == "res":
+            assert "duplicate node id" in outcome["error"], name
+    assert all(fixed.values()), fixed
+
+
+if __name__ == "__main__":
+    outcomes = {name: parse_outcome(fmt, text) for name, fmt, text in parse_corpus()}
+    PARSE_DIGESTS.write_text(json.dumps(outcomes, indent=1) + "\n")
+    print(f"wrote {len(outcomes)} outcomes to {PARSE_DIGESTS}", file=sys.stderr)
