@@ -14,6 +14,8 @@ All values are immutable; all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import neg
 from typing import Iterable, Mapping, Union
 
 Lit = int
@@ -90,18 +92,20 @@ def is_consistent(g: Valuation) -> bool:
 
 def literals_outside(d: Formula, vs: set[Var]) -> set[Lit]:
     """Literals occurring in some clause of ``d`` whose variable is not in ``vs``."""
-    return {l for c in d for l in c if abs(l) not in vs}
+    out = set(chain.from_iterable(d))
+    out.difference_update(vs, map(neg, vs))
+    return out
 
 
 def weight(d: Formula) -> int:
     """Sum of clause cardinalities."""
-    return sum(len(c) for c in d)
+    return sum(map(len, d))
 
 
 def measure(g: Valuation, d: Formula, t: Formula) -> int:
     """Termination measure of the search: literals of ``d`` and ``t`` outside
     the variables of ``g``, plus both weights."""
-    return len(literals_outside(formula_union(d, t), vars_of(g))) + weight(d) + weight(t)
+    return len(literals_outside((*d, *t), set(map(abs, g)))) + weight(d) + weight(t)
 
 
 def negate_valuation(g: Valuation) -> Clause:

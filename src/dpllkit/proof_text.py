@@ -171,9 +171,9 @@ def parse_res(text: str) -> ResDerivation:
     nodes: dict[int, ResDerivation] = {}
     root = None
     offset = 0
-    for line in text.splitlines():
+    for line, raw in zip(text.splitlines(), text.splitlines(keepends=True)):
         at = offset
-        offset += len(line) + 1
+        offset += len(raw)
         if not line.strip() or line.lstrip().startswith("c"):
             continue
         fields = line.split()

@@ -10,11 +10,19 @@ that moves append to, and an explicit stack holds the open Splits, so the
 search needs no recursion however long it runs.  Witness mode builds an
 ``Assignment`` or a ``DpllDerivation``; decide mode runs the identical
 control flow with evidence construction elided.
+
+Most steps are moves, which emit no proof node.  An occurrence index maps
+each variable to the input clauses holding it; the clauses of variables
+ever assumed, the clauses shorter than two literals and the reducts form a
+growing set ``hits``.  A clause outside it can only be moved, so a run of
+such clauses goes to ``t`` in one C-level transfer, logged as one "move"
+per clause.  Derivations, models and rule logs are those of one-step moves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain, compress, count, filterfalse
 from typing import Optional, Union
 
 from .cnf import (
@@ -26,7 +34,6 @@ from .cnf import (
     canonical_valuation,
     is_consistent,
     measure,
-    vars_of,
 )
 from .dpll_proof import CONFLICT, DpllDerivation, Elim, Red, Split, Unit
 from .resolution import ResDerivation, dpll_to_res
@@ -132,15 +139,20 @@ class _Split:
     in_right: bool = False
 
 
-def _check_state(g, d, t, prev: Optional[tuple[int, int]]) -> tuple[int, int]:
+def _check_state(g, d, t, prev: Optional[tuple[int, int]], hits: set) -> tuple[int, int]:
     """Debug-mode invariants of a search state; returns its measure, which
-    must be below ``prev``, the measure of the state it came from."""
-    if any(not c for c in t):
+    must be below ``prev``, the measure of the state it came from.  Every
+    clause of ``d`` outside ``hits`` must be one that only a move can take."""
+    if not all(t):
         raise InvariantViolation("empty clause among clean clauses")
     if not is_consistent(g):
         raise InvariantViolation(f"inconsistent valuation: {g}")
-    if vars_of(g) & vars_of(t):
+    gvars = set(map(abs, g))
+    if not gvars.isdisjoint(map(abs, chain.from_iterable(t))):
         raise InvariantViolation("clean clauses share variables with the valuation")
+    for c in filterfalse(hits.__contains__, d):
+        if len(c) < 2 or not gvars.isdisjoint(map(abs, c)):
+            raise InvariantViolation(f"clause {c} outside the occurrence index is not clean")
     cur = (measure(g, d, t), len(d))
     if prev is not None and not cur < prev:
         raise MeasureViolation(f"measure did not decrease: {prev} -> {cur}")
@@ -160,9 +172,26 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
     wrappers: list = []
     splits: list[_Split] = []
     prev = None
+    # The occurrence index.  occ maps each variable to the input clauses that
+    # hold it, and hits is a superset of the clauses a rule other than a move
+    # may act on: those shorter than two literals, every reduct that joins
+    # d, and occ[v] for each variable v ever assumed (popped from occ when v
+    # is first assumed).  Any other clause of d is an input clause sharing
+    # no variable with g, so a run of them moves to t at once.  hits only
+    # grows, so backtracking undoes nothing; a clean clause in it takes the
+    # one-step path.
+    occ: dict[int, list] = {}
+    hits = set()
+    for c in (*d0, *t0):
+        if len(c) < 2:
+            hits.add(c)
+        for l in c:
+            occ.setdefault(abs(l), []).append(c)
+    for l in g0:
+        hits.update(occ.pop(abs(l), ()))
     while True:
         if check:
-            prev = _check_state(g, d[i:], t, prev)
+            prev = _check_state(g, d[i:], t, prev, hits)
 
         if i == len(d):
             if not t:
@@ -175,11 +204,30 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
             splits.append(_Split(lit, tuple(g), tuple(t), wrappers, prev))
             g.append(lit)
             gset.add(lit)
+            hits.update(occ.pop(abs(lit), ()))
             d, i, live = t, 0, tset
             t, tset, wrappers = [], set(), []
             continue
 
         c = d[i]
+        if c not in hits:
+            # c and the clauses behind it up to the next one in hits are
+            # clean: move them in one transfer (one at a time when every
+            # state is checked).  The scan's iterator is placed at i + 1 in
+            # O(1); islice would step through d[:i + 1] on every scan.
+            j = i + 1
+            if not check:
+                rest = iter(d)
+                rest.__setstate__(j)
+                j = next(compress(count(j), map(hits.__contains__, rest)), len(d))
+            run = d[i:j]
+            i = j
+            live.difference_update(run)
+            t.extend(filterfalse(tset.__contains__, run))
+            tset.update(run)
+            if log is not None:
+                log.extend(["move"] * len(run))
+            continue
         i += 1
         live.discard(c)
         if not gset.isdisjoint(c):
@@ -208,9 +256,10 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
                     wrappers.append((Unit, (lit,)))
                 g.append(lit)
                 gset.add(lit)
+                hits.update(occ.pop(abs(lit), ()))
                 # the clean clauses rejoin the working formula behind it
                 d, i = d[i:], 0
-                d.extend(x for x in t if x not in live)
+                d.extend(filterfalse(live.__contains__, t))
                 live.update(tset)
                 t, tset = [], set()
                 continue
@@ -230,10 +279,12 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
                 log.append("red")
             if witness:
                 wrappers.append((Red, (c, -falsified)))
-            reduct = tuple(x for x in c if x != falsified)
+            k = c.index(falsified)
+            reduct = c[:k] + c[k + 1:]
             if reduct not in live:
                 d.append(reduct)
                 live.add(reduct)
+                hits.add(reduct)
             continue
 
         # The branch is refuted: wrap the leaf, then either start the right

@@ -118,6 +118,14 @@ def test_parse_res_rejects_duplicate_node_id():
     assert "duplicate node id" in str(err.value)
 
 
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_parse_res_error_offset_counts_line_breaks(eol):
+    text = eol.join(["1 S 1 0", "2 S 1 0", "x S", ""])
+    with pytest.raises(ProofParseError) as err:
+        parse_res(text)
+    assert err.value.position == {"\n": 16, "\r\n": 18}[eol] == text.index("x S")
+
+
 @given(res_trees)
 @settings(max_examples=300)
 def test_res_round_trip(r):

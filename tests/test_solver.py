@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+from dpllkit import solver
 from dpllkit.cnf import Assignment, evaluate
 from dpllkit.dpll_proof import CONFLICT, Conflict, Red, Unit, check_dpll, dpll_size
 from dpllkit.oracle import brute_force_sat, compatible
@@ -143,6 +144,33 @@ def test_measure_assertion_clean_on_horn_chain(unsat):
     assert v.satisfiable == (not unsat)
 
 
+# Calls of _check_state made by the search when it moved one clause per step,
+# one per search step.  Debug mode must still check every one of those states.
+CHECKS_PER_SOLVE = [(horn_chain(200, False), 20101), (horn_chain(200, True), 10300),
+                    (gen_php(PhpSpec(4, 3)), 738)]
+
+
+@pytest.mark.parametrize("d, checks", CHECKS_PER_SOLVE)
+def test_measure_assertion_checks_every_step(monkeypatch, d, checks):
+    # debug mode moves one clause at a time, so every state is still checked
+    calls = []
+    check_state = solver._check_state
+    monkeypatch.setattr(solver, "_check_state", lambda *a: calls.append(1) or check_state(*a))
+    solve(d, SolverConfig(assert_measure=True))
+    assert len(calls) == checks
+
+
+def test_check_state_rejects_unsound_occurrence_index():
+    # a clause outside hits must be at least binary and share no variable
+    # with the valuation, since bulk moves send it to t unexamined
+    assert solver._check_state((1,), ((2, 3),), (), None, set())
+    assert solver._check_state((1,), ((1, 2),), (), None, {(1, 2)})
+    with pytest.raises(InvariantViolation):
+        solver._check_state((1,), ((-1, 2),), (), None, set())
+    with pytest.raises(InvariantViolation):
+        solver._check_state((), ((2,),), (), None, set())
+
+
 @pytest.mark.parametrize("unsat", [False, True])
 def test_deep_horn_chain_needs_no_recursion(unsat):
     # about n*n/2 search steps: far more than the default recursion limit
@@ -197,13 +225,15 @@ def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def evidence(v):
+    """The model or the serialized derivation of a witness Verdict (derivations
+    compare as text, since dataclass equality recurses through deep ones)."""
+    return repr(sorted(v.model.values.items())) if v.satisfiable else serialize_dpll(v.proof)
+
+
 def solver_digest(d):
     v = solve(d, SolverConfig(trace=True))
-    if v.satisfiable:
-        evidence = repr(sorted(v.model.values.items()))
-    else:
-        evidence = serialize_dpll(v.proof)
-    return {"sat": v.satisfiable, "evidence": _sha(evidence), "trace": _sha(" ".join(v.trace)),
+    return {"sat": v.satisfiable, "evidence": _sha(evidence(v)), "trace": _sha(" ".join(v.trace)),
             "decide": solve(d, SolverConfig(mode="decide"))}
 
 
@@ -213,6 +243,15 @@ def test_derivations_match_recorded_digests():
     assert [name for name, _ in corpus] == list(recorded)
     for name, d in corpus:
         assert solver_digest(d) == recorded[name], name
+
+
+def test_bulk_moves_match_one_step_moves():
+    # debug mode moves one clause per step, the default mode whole runs
+    for name, d in digest_corpus():
+        bulk = solve(d, SolverConfig(trace=True))
+        one = solve(d, SolverConfig(trace=True, assert_measure=True))
+        assert (bulk.satisfiable, evidence(bulk), bulk.trace) == \
+            (one.satisfiable, evidence(one), one.trace), name
 
 
 if __name__ == "__main__":
