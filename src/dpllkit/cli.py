@@ -127,7 +127,9 @@ def _cmd_convert(args) -> int:
     except InvalidDerivation as e:
         return _invalid(e.report)
     n, m = dpll_size(proof), res_size(res_proof)
-    assert m <= n, f"translation grew the proof: {m} > {n}"
+    if m > n:
+        print(f"error: translation grew the proof: {m} > {n}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"dpll_size={n} res_size={m}")
     _write_out(serialize_res(res_proof), args.out)
     return 0

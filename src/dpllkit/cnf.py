@@ -30,10 +30,6 @@ def complement(lit: Lit) -> Lit:
     return -lit
 
 
-def var_of(lit: Lit) -> Var:
-    return abs(lit)
-
-
 def lit_key(lit: Lit) -> tuple[int, bool]:
     """Global literal ordering key: (variable, positive < negative)."""
     return (abs(lit), lit < 0)
@@ -52,21 +48,6 @@ def canonical_valuation(lits: Iterable[Lit]) -> Valuation:
 def canonical_formula(clauses: Iterable[Iterable[Lit]]) -> Formula:
     """Canonicalize every clause, drop set-equal duplicates, keep first-insertion order."""
     return tuple(dict.fromkeys(canonical_clause(c) for c in clauses))
-
-
-def formula_union(d: Formula, t: Formula) -> Formula:
-    """Union of two canonical formulae, appending new clauses of ``t`` at the back."""
-    seen = set(d)
-    out = list(d)
-    for c in t:
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
-    return tuple(out)
-
-
-def formula_remove(d: Formula, c: Clause) -> Formula:
-    return tuple(x for x in d if x != c)
 
 
 def clause_remove(c: Clause, lit: Lit) -> Clause:

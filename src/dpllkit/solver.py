@@ -5,24 +5,34 @@ formula, and the clean clauses (clauses sharing no variable with the
 valuation, on which only a split can act).  Each step takes the head clause
 of ``d`` and applies one rule: Elim, Conflict, Unit, Red, or a move of the
 clause to ``t``; an empty ``d`` ends in a model or a Split on ``t``.  The
-steps run in one loop: ``d`` is a list read through a cursor, ``t`` a list
-that moves append to, and an explicit stack holds the open Splits, so the
+steps run in one loop, and an explicit stack holds the open Splits, so the
 search needs no recursion however long it runs.  Witness mode builds an
 ``Assignment`` or a ``DpllDerivation``; decide mode runs the identical
 control flow with evidence construction elided.
 
+``d`` and ``t`` are one ring, a list read through a cursor: ``d`` runs from
+the cursor to a boundary and ``t`` from the boundary to the end.  A move
+appends its clause to the ring and a reduct is inserted at the boundary.  A
+Unit, after which every clean clause rejoins the working formula, only
+moves the boundary to the end, so it costs O(1) however many clean clauses
+there are.  Only a clause in both ``d`` and ``t`` (a reduct equal to a clean
+clause, or a state given to ``solve_aux``) makes it scan ``t`` to drop the
+clause's second copy.
+
 Most steps are moves, which emit no proof node.  An occurrence index maps
-each variable to the input clauses holding it; the clauses of variables
-ever assumed, the clauses shorter than two literals and the reducts form a
-growing set ``hits``.  A clause outside it can only be moved, so a run of
-such clauses goes to ``t`` in one C-level transfer, logged as one "move"
-per clause.  Derivations, models and rule logs are those of one-step moves.
+each variable to the positions of the input clauses holding it; the clauses
+of variables ever assumed, the clauses shorter than two literals and the
+reducts form a growing set ``hits``, and a byte mask marks the input
+positions of its clauses.  A clause outside it can only be moved, and stays
+in the ring inside a ``range`` of input positions, so a run of such clauses
+moves as one appended range found by one scan of the mask.  Derivations,
+models and rule logs are those of one-step moves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain, compress, count, filterfalse
+from itertools import chain, filterfalse, islice
 from typing import Optional, Union
 
 from .cnf import (
@@ -132,7 +142,7 @@ class _Split:
 
     lit: Lit
     g: Valuation  # valuation before the split
-    t: Formula  # clean clauses: the working formula of both branches
+    t: tuple  # ring entries of the clean clauses: the working formula of both branches
     wrappers: list  # the enclosing segment's Elim/Unit/Red wrappers
     prev: Optional[tuple[int, int]]
     left: Optional[DpllDerivation] = None
@@ -159,76 +169,159 @@ def _check_state(g, d, t, prev: Optional[tuple[int, int]], hits: set) -> tuple[i
     return cur
 
 
+# Ring entries.  An entry is a clause in hits, or a range of positions in the
+# input tuple, whose clauses may or may not be in hits.
+
+def _expand(entries, inp: Formula) -> list:
+    """The clauses of ring entries, in order."""
+    return list(chain.from_iterable((e,) if type(e) is tuple else inp[e.start:e.stop]
+                                    for e in entries))
+
+
+def _hit_positions(e: range, hitmask: bytearray):
+    """The positions of a range entry whose clauses are in hits."""
+    p = hitmask.find(1, e.start, e.stop)
+    while p >= 0:
+        yield p
+        p = hitmask.find(1, p + 1, e.stop)
+
+
+def _hit_set(entries, inp: Formula, hitmask: bytearray) -> set:
+    """The clauses of ring entries that are in hits."""
+    out = set(entries)
+    if range in map(type, entries):
+        ranges = [e for e in out if type(e) is range]
+        out.difference_update(ranges)
+        for e in ranges:
+            out.update(map(inp.__getitem__, _hit_positions(e, hitmask)))
+    return out
+
+
+def _without(entries, drop: set, inp: Formula, hitmask: bytearray) -> list:
+    """Ring entries less the clauses of ``drop``, all of which are in hits."""
+    out = []
+    for e in entries:
+        if type(e) is tuple:
+            if e not in drop:
+                out.append(e)
+            continue
+        lo = e.start
+        for p in _hit_positions(e, hitmask):
+            if inp[p] in drop:
+                if lo < p:
+                    out.append(range(lo, p))
+                lo = p + 1
+        if lo < e.stop:
+            out.append(range(lo, e.stop))
+    return out
+
+
+def _assume(positions, inp: Formula, hitmask: bytearray, hits: set) -> list:
+    """Put the input clauses at ``positions`` in hits; returns those new to it."""
+    new = []
+    for p in positions:
+        if not hitmask[p]:
+            hitmask[p] = 1
+            new.append(inp[p])
+    hits.update(new)
+    return new
+
+
 def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
             log: Optional[list[str]]) -> Verdict:
-    # g is a list with the set gset beside it.  The working formula is
-    # d[i:], and live is its clause set; t is a list with the set tset.
-    # wrappers holds the (rule, args) of the Elim, Unit and Red steps taken
-    # since the last Split began, outermost first; a refuted leaf is wrapped
-    # in them, innermost first.
+    # g is a list with the set gset beside it.  In the ring q, q[i:b] is the
+    # working formula and q[b:] the clean clauses: a move appends its clause
+    # to q, a reduct is inserted at b, and a Unit or Split moves b to the end
+    # of q, so every clean clause rejoins the working formula untouched.
+    # Entries before i are spent, and dropped now and then.
+    # live and tset are the clauses in hits of the working formula and of
+    # the clean clauses.  wrappers holds the (rule, args) of the Elim, Unit
+    # and Red steps taken since the last Split began, outermost first; a
+    # refuted leaf is wrapped in them, innermost first.
     g, gset = list(g0), set(g0)
-    d, i, live = list(d0), 0, set(d0)
-    t, tset = list(t0), set(t0)
+    # The occurrence index.  inp is the input, (*d0, *t0); occ maps each
+    # variable to the positions in inp of the clauses that hold it, and hits
+    # is a superset of the clauses a rule other than a move may act on: those
+    # shorter than two literals, those in both d0 and t0, every reduct that
+    # joins d, and occ[v] for each variable v ever assumed (popped from occ
+    # when v is first assumed).  hitmask marks the positions in inp of the
+    # clauses in hits.  Any other clause is an input clause sharing no
+    # variable with g that is in the ring once, at its position in a range
+    # entry, so a run of them moves as one range.  hits only grows, so
+    # backtracking undoes nothing; a clean clause in it takes the one-step
+    # path.
+    inp = (*d0, *t0)
+    occ: dict[int, list[int]] = {}
+    pos = {c: p for p, c in enumerate(inp)}
+    hits = set(d0).intersection(t0)
+    hitmask = bytearray(len(inp))
+    for p, c in enumerate(inp):
+        if len(c) < 2 or c in hits:
+            hits.add(c)
+            hitmask[p] = 1
+        for l in c:
+            occ.setdefault(abs(l), []).append(p)
+
+    for l in g0:
+        _assume(occ.pop(abs(l), ()), inp, hitmask, hits)
+    live, tset = hits.intersection(d0), hits.intersection(t0)
+    q: list = [range(0, len(d0))] if d0 else []
+    i, b = 0, len(q)
+    if t0:
+        q.append(range(len(d0), len(inp)))
     wrappers: list = []
     splits: list[_Split] = []
     prev = None
-    # The occurrence index.  occ maps each variable to the input clauses that
-    # hold it, and hits is a superset of the clauses a rule other than a move
-    # may act on: those shorter than two literals, every reduct that joins
-    # d, and occ[v] for each variable v ever assumed (popped from occ when v
-    # is first assumed).  Any other clause of d is an input clause sharing
-    # no variable with g, so a run of them moves to t at once.  hits only
-    # grows, so backtracking undoes nothing; a clean clause in it takes the
-    # one-step path.
-    occ: dict[int, list] = {}
-    hits = set()
-    for c in (*d0, *t0):
-        if len(c) < 2:
-            hits.add(c)
-        for l in c:
-            occ.setdefault(abs(l), []).append(c)
-    for l in g0:
-        hits.update(occ.pop(abs(l), ()))
     while True:
         if check:
-            prev = _check_state(g, d[i:], t, prev, hits)
+            prev = _check_state(g, _expand(q[i:b], inp), _expand(q[b:], inp), prev, hits)
 
-        if i == len(d):
-            if not t:
+        if i == b:
+            if b == len(q):
                 if log is not None:
                     log.append("model")
                 return Verdict(True, complete_model(g)) if witness else _SAT_DECIDED
-            lit = choose_split(t)
+            e = q[b]
+            lit = choose_split((e if type(e) is tuple else inp[e.start],))
             if log is not None:
                 log.append("split")
-            splits.append(_Split(lit, tuple(g), tuple(t), wrappers, prev))
+            del q[:b]
+            splits.append(_Split(lit, tuple(g), tuple(q), wrappers, prev))
             g.append(lit)
             gset.add(lit)
-            hits.update(occ.pop(abs(lit), ()))
-            d, i, live = t, 0, tset
-            t, tset, wrappers = [], set(), []
+            i, b = 0, len(q)
+            live, tset, wrappers = tset, set(), []
+            # b is at the end of q, so the clauses that join hits are in d
+            if abs(lit) in occ:
+                live.update(_assume(occ.pop(abs(lit)), inp, hitmask, hits))
             continue
 
-        c = d[i]
-        if c not in hits:
-            # c and the clauses behind it up to the next one in hits are
-            # clean: move them in one transfer (one at a time when every
-            # state is checked).  The scan's iterator is placed at i + 1 in
-            # O(1); islice would step through d[:i + 1] on every scan.
-            j = i + 1
-            if not check:
-                rest = iter(d)
-                rest.__setstate__(j)
-                j = next(compress(count(j), map(hits.__contains__, rest)), len(d))
-            run = d[i:j]
-            i = j
-            live.difference_update(run)
-            t.extend(filterfalse(tset.__contains__, run))
-            tset.update(run)
-            if log is not None:
-                log.extend(["move"] * len(run))
-            continue
-        i += 1
+        e = q[i]
+        if type(e) is tuple:
+            c = e
+            i += 1
+        else:
+            p = e.start
+            if not hitmask[p]:
+                # inp[p] and the clauses behind it in e up to the next one in
+                # hits are clean: move them as one range (one at a time when
+                # every state is checked)
+                k = p + 1 if check else hitmask.find(1, p + 1, e.stop)
+                if k < 0 or k == e.stop:
+                    q.append(e)
+                    i += 1
+                    k = e.stop
+                else:
+                    q.append(range(p, k))
+                    q[i] = range(k, e.stop)
+                if log is not None:
+                    log.extend(["move"] * (k - p))
+                continue
+            c = inp[p]
+            if p + 1 == e.stop:
+                i += 1
+            else:
+                q[i] = range(p + 1, e.stop)
         live.discard(c)
         if not gset.isdisjoint(c):
             # the clause is already satisfied by the valuation
@@ -256,12 +349,18 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
                     wrappers.append((Unit, (lit,)))
                 g.append(lit)
                 gset.add(lit)
-                hits.update(occ.pop(abs(lit), ()))
-                # the clean clauses rejoin the working formula behind it
-                d, i = d[i:], 0
-                d.extend(filterfalse(live.__contains__, t))
-                live.update(tset)
-                t, tset = [], set()
+                # the clean clauses rejoin the working formula behind it, less
+                # those already in it
+                if not live.isdisjoint(tset):
+                    q[b:] = _without(q[b:], live & tset, inp, hitmask)
+                if 2 * i > len(q):
+                    del q[:i]
+                    i = 0
+                b = len(q)
+                live |= tset
+                tset = set()
+                if abs(lit) in occ:
+                    live.update(_assume(occ.pop(abs(lit)), inp, hitmask, hits))
                 continue
         else:
             for falsified in c:
@@ -272,7 +371,7 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
                 if log is not None:
                     log.append("move")
                 if c not in tset:
-                    t.append(c)
+                    q.append(c)
                     tset.add(c)
                 continue
             if log is not None:
@@ -282,7 +381,17 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
             k = c.index(falsified)
             reduct = c[:k] + c[k + 1:]
             if reduct not in live:
-                d.append(reduct)
+                p = pos.get(reduct)
+                if p is not None and not hitmask[p]:
+                    # an input clause outside hits, in the ring once: if it
+                    # is in the working formula, so is the reduct already;
+                    # else its copy among the clean clauses joins hits
+                    if any(type(e) is range and p in e for e in islice(q, i, b)):
+                        continue
+                    hitmask[p] = 1
+                    tset.add(reduct)
+                q.insert(b, reduct)
+                b += 1
                 live.add(reduct)
                 hits.add(reduct)
             continue
@@ -301,8 +410,9 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
                 s.left, s.in_right = proof, True
                 g = [*s.g, -s.lit]
                 gset = set(g)
-                d, i, live = list(s.t), 0, set(s.t)
-                t, tset, wrappers, prev = [], set(), [], s.prev
+                q, i, b = list(s.t), 0, len(s.t)
+                live, tset = _hit_set(q, inp, hitmask), set()
+                wrappers, prev = [], s.prev
                 break
             splits.pop()
             proof = Split(s.lit, s.left, proof) if witness else None

@@ -1,5 +1,6 @@
 import pytest
 
+from dpllkit import cli
 from dpllkit.cli import main
 from dpllkit.dimacs import emit_dimacs, parse_dimacs
 from dpllkit.php import PhpSpec, gen_php
@@ -93,6 +94,18 @@ def test_convert_dpll2res(php21_file, tmp_path, capsys):
     assert "dpll_size=4" in out
     assert "res_size=2" in out
     assert main(["check", "res", php21_file, str(res_out)]) == 0
+
+
+def test_convert_reports_a_grown_proof(php21_file, tmp_path, capsys, monkeypatch):
+    # the size bound is checked by a test that -O keeps, not by assert
+    proof = tmp_path / "p.dpll"
+    main(["solve", "--proof", "dpll", "--out", str(proof), php21_file])
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "res_size", lambda r: 5)
+    assert main(["convert", "dpll2res", php21_file, str(proof)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: translation grew the proof: 5 > 4\n"
+    assert captured.out == ""
 
 
 def test_bench(capsys):

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dpllkit.cnf import (
@@ -10,7 +10,6 @@ from dpllkit.cnf import (
     canonical_formula,
     complement,
     evaluate,
-    formula_union,
     is_consistent,
     literals_outside,
     measure,
@@ -20,7 +19,7 @@ from dpllkit.cnf import (
 )
 from dpllkit.php import PhpSpec, gen_php
 
-from strategies import assignments, clauses, formulas, literals
+from strategies import assignments, clauses, formulas, literals, valuations
 
 
 def test_complement_flips_polarity():
@@ -83,11 +82,16 @@ def test_measure_symmetric_for_disjoint_formulas(d, t):
     assert measure(g, d, t) == measure(g, t, d)
 
 
-@given(formulas, formulas)
-def test_weight_of_union_subadditive(d, t):
-    assert weight(formula_union(d, t)) <= weight(d) + weight(t)
-    if not set(d) & set(t):
-        assert weight(formula_union(d, t)) == weight(d) + weight(t)
+@given(valuations, formulas, formulas)
+def test_move_keeps_measure(g, d, t):
+    # a move takes the head clause of d to t, or drops it when t has it: the
+    # measure stays, or falls by the clause's weight, while len(d) falls
+    assume(d)
+    c, rest = d[0], d[1:]
+    if c in t:
+        assert measure(g, rest, t) == measure(g, d, t) - len(c)
+    else:
+        assert measure(g, rest, t + (c,)) == measure(g, d, t)
 
 
 def test_negate_valuation():

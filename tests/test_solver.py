@@ -2,13 +2,14 @@ import hashlib
 import json
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from dpllkit import solver
-from dpllkit.cnf import Assignment, evaluate
+from dpllkit.cnf import Assignment, canonical_formula, evaluate
 from dpllkit.dpll_proof import CONFLICT, Conflict, Red, Unit, check_dpll, dpll_size
 from dpllkit.oracle import brute_force_sat, compatible
 from dpllkit.php import PhpSpec, gen_php
@@ -175,7 +176,7 @@ def test_check_state_rejects_unsound_occurrence_index():
 def test_deep_horn_chain_needs_no_recursion(unsat):
     # about n*n/2 search steps: far more than the default recursion limit
     assert sys.getrecursionlimit() <= 1000
-    d = horn_chain(1000, unsat)
+    d = horn_chain(10_000, unsat)
     assert solve(d, SolverConfig(mode="decide")) == (not unsat)
     v = solve(d)
     assert v.satisfiable == (not unsat)
@@ -183,6 +184,21 @@ def test_deep_horn_chain_needs_no_recursion(unsat):
         assert evaluate(v.model, d)
     else:
         assert check_dpll((), d, v.proof).valid
+
+
+def test_horn_search_is_linear():
+    # a Unit only moves the ring's boundary and clean runs move as ranges, so
+    # four times the chain takes about four times as long (a search that
+    # rejoins every clean clause at each Unit takes about fifteen)
+    # rounds alternate the sizes, so a slow stretch of the host slows both
+    chains = {n: horn_chain(n, False) for n in (2000, 8000)}
+    best = dict.fromkeys(chains, float("inf"))
+    for _ in range(3):
+        for n, d in chains.items():
+            start = time.perf_counter()
+            solve(d, SolverConfig(mode="decide"))
+            best[n] = min(best[n], time.perf_counter() - start)
+    assert best[8000] / best[2000] < 8
 
 
 def test_precondition_violations_raise_in_debug_mode():
@@ -254,7 +270,58 @@ def test_bulk_moves_match_one_step_moves():
             (one.satisfiable, evidence(one), one.trace), name
 
 
+# Search from intermediate states.  tests/data/solver_aux_digests.json records
+# the verdict and evidence of solve_aux on a seeded corpus of (g, d, t)
+# states, made the same way as solver_digests.json.  In about half of them t
+# repeats clauses of d, so a clause can sit in both when a Unit fires, and
+# reducts often equal input clauses.
+
+AUX_DIGESTS = Path(__file__).parent / "data" / "solver_aux_digests.json"
+
+
+def aux_corpus():
+    """(name, g, d, t) states over at most 7 variables from a fixed seed,
+    with t clean with respect to g."""
+    rng = random.Random(5)
+    corpus = []
+    for k in range(2000):
+        gvars = rng.sample(range(1, 8), rng.randint(0, 3))
+        g = tuple(v if rng.random() < 0.5 else -v for v in gvars)
+        d = random_formula(rng, max_var=7, max_clauses=10)
+        free = [v for v in range(1, 8) if v not in gvars]
+        t = [[v if rng.random() < 0.5 else -v for v in rng.sample(free, rng.randint(1, min(3, len(free))))]
+             for _ in range(rng.randint(0, 6) if free else 0)]
+        if k % 2:
+            t += [c for c in d if c and set(map(abs, c)).isdisjoint(gvars) and rng.random() < 0.6]
+            rng.shuffle(t)
+        corpus.append((f"aux-{k}", g, d, canonical_formula(t)))
+    return corpus
+
+
+def aux_digest(g, d, t):
+    v = solve_aux(g, d, t)
+    return f"{'sat' if v.satisfiable else 'unsat'}:{_sha(evidence(v))[:16]}"
+
+
+def test_solve_aux_matches_recorded_digests():
+    recorded = json.loads(AUX_DIGESTS.read_text())
+    corpus = aux_corpus()
+    assert [name for name, *_ in corpus] == list(recorded)
+    for name, g, d, t in corpus:
+        assert aux_digest(g, d, t) == recorded[name], name
+
+
+def test_solve_aux_bulk_moves_match_one_step_moves():
+    checked = SolverConfig(assert_measure=True)
+    for name, g, d, t in aux_corpus():
+        bulk, one = solve_aux(g, d, t), solve_aux(g, d, t, checked)
+        assert (bulk.satisfiable, evidence(bulk)) == (one.satisfiable, evidence(one)), name
+
+
 if __name__ == "__main__":
     digests = {name: solver_digest(d) for name, d in digest_corpus()}
     DIGESTS.write_text(json.dumps(digests, indent=1) + "\n")
     print(f"wrote {len(digests)} digests to {DIGESTS}", file=sys.stderr)
+    digests = {name: aux_digest(g, d, t) for name, g, d, t in aux_corpus()}
+    AUX_DIGESTS.write_text(json.dumps(digests, indent=1) + "\n")
+    print(f"wrote {len(digests)} digests to {AUX_DIGESTS}", file=sys.stderr)
