@@ -6,12 +6,10 @@ from .cnf import (
     canonical_clause,
     canonical_formula,
     canonical_valuation,
-    complement,
     evaluate,
     is_consistent,
     literals_outside,
     measure,
-    negate_valuation,
     vars_of,
     weight,
 )

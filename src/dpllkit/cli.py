@@ -1,7 +1,7 @@
 """Command line interface.
 
 Exit codes: 10 satisfiable, 20 unsatisfiable (solve); 0 valid / 2 invalid
-(check, convert); 0 success (gen, bench); 1 usage or input errors.
+(check, convert); 0 success (gen); 1 usage or input errors.
 """
 
 from __future__ import annotations
@@ -10,10 +10,9 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .bench import TSV_HEADER, run_php_bench
 from .cnf import vars_of
 from .dimacs import DimacsError, emit_dimacs, parse_dimacs
-from .dpll_proof import check_dpll, dpll_size
+from .dpll_proof import CheckReport, check_dpll, dpll_size
 from .php import PhpSpec, gen_php, php_comment_lines
 from .proof_text import ProofParseError, parse_dpll, parse_res, serialize_dpll, serialize_res
 from .resolution import InvalidDerivation, check_res, dpll_to_res, res_size
@@ -60,10 +59,6 @@ def _build_parser() -> _Parser:
     p.add_argument("pigeons", type=int)
     p.add_argument("holes", type=int)
     p.add_argument("--out", help="write DIMACS to this file instead of stdout")
-
-    p = sub.add_parser("bench", help="run the pigeonhole benchmark suite")
-    p.add_argument("--php-max", type=int, required=True)
-    p.add_argument("--mode", choices=["witness", "decide", "both"], default="both")
     return parser
 
 
@@ -107,7 +102,12 @@ def _cmd_check(args) -> int:
     if args.system == "dpll":
         report = check_dpll((), formula, parse_dpll(_read(args.proof)))
     else:
-        report = check_res(formula, parse_res(_read(args.proof)))
+        proof = parse_res(_read(args.proof))
+        report = check_res(formula, proof)
+        # check_res accepts any valid derivation; a refutation must also
+        # conclude the empty clause
+        if report.valid and proof.conclusion:
+            report = CheckReport(False, (), "not-a-refutation")
     if report.valid:
         print("valid")
         return 0
@@ -142,20 +142,11 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    modes = ("witness", "decide") if args.mode == "both" else (args.mode,)
-    print(TSV_HEADER)
-    for record in run_php_bench(args.php_max, modes):
-        print(record.to_tsv())
-    return 0
-
-
 _COMMANDS = {
     "solve": _cmd_solve,
     "check": _cmd_check,
     "convert": _cmd_convert,
     "gen": _cmd_gen,
-    "bench": _cmd_bench,
 }
 
 
@@ -174,3 +165,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -25,11 +25,6 @@ Formula = tuple  # tuple[Clause, ...]
 Valuation = tuple  # tuple[Lit, ...]
 
 
-def complement(lit: Lit) -> Lit:
-    """Opposite literal: flips polarity, keeps the variable."""
-    return -lit
-
-
 def lit_key(lit: Lit) -> tuple[int, bool]:
     """Global literal ordering key: (variable, positive < negative)."""
     return (abs(lit), lit < 0)
@@ -48,10 +43,6 @@ def canonical_valuation(lits: Iterable[Lit]) -> Valuation:
 def canonical_formula(clauses: Iterable[Iterable[Lit]]) -> Formula:
     """Canonicalize every clause, drop set-equal duplicates, keep first-insertion order."""
     return tuple(dict.fromkeys(canonical_clause(c) for c in clauses))
-
-
-def clause_remove(c: Clause, lit: Lit) -> Clause:
-    return tuple(x for x in c if x != lit)
 
 
 def vars_of(x: Union[Clause, Formula, Valuation]) -> set[Var]:
@@ -89,25 +80,18 @@ def measure(g: Valuation, d: Formula, t: Formula) -> int:
     return len(literals_outside((*d, *t), set(map(abs, g)))) + weight(d) + weight(t)
 
 
-def negate_valuation(g: Valuation) -> Clause:
-    """Clause of the complements of a valuation's literals."""
-    return canonical_clause(-l for l in g)
-
-
 @dataclass(frozen=True)
 class Assignment:
     """Total truth-value map on variables.
 
-    Variables outside ``values`` take ``default``: their positive literal is
-    ``default``-valued.  Totality forces ``lit_value(l) == not lit_value(-l)``
-    for every literal by construction.
+    Variables outside ``values`` are true.  Totality forces
+    ``lit_value(l) == not lit_value(-l)`` for every literal by construction.
     """
 
     values: Mapping[Var, bool] = field(default_factory=dict)
-    default: bool = True
 
     def lit_value(self, lit: Lit) -> bool:
-        v = self.values.get(abs(lit), self.default)
+        v = self.values.get(abs(lit), True)
         return v if lit > 0 else not v
 
 

@@ -7,13 +7,11 @@ It must stay dumb; no search heuristics belong here.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
 from .cnf import Assignment, Formula, Valuation, vars_of
 
-ORACLE_CAP_ENV = "DPLLKIT_ORACLE_CAP"
 DEFAULT_CAP = 24
 
 
@@ -30,14 +28,7 @@ class OracleVerdict:
     witness: Optional[Assignment] = None
 
 
-def _cap(cap: Optional[int]) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get(ORACLE_CAP_ENV)
-    return int(env) if env else DEFAULT_CAP
-
-
-def compatible(g: Valuation, d: Formula, cap: Optional[int] = None) -> OracleVerdict:
+def compatible(g: Valuation, d: Formula, cap: int = DEFAULT_CAP) -> OracleVerdict:
     """Search for an assignment satisfying both ``g`` and ``d``.
 
     Enumerates all assignments over the occurring variables in ascending
@@ -46,9 +37,8 @@ def compatible(g: Valuation, d: Formula, cap: Optional[int] = None) -> OracleVer
     """
     vs = sorted(vars_of(g) | vars_of(d))
     n = len(vs)
-    limit = _cap(cap)
-    if n > limit:
-        raise OracleCapExceeded(n, limit)
+    if n > cap:
+        raise OracleCapExceeded(n, cap)
     # Bit i of an assignment integer holds variable vs[n - 1 - i], so that
     # iterating integers in ascending order is the stated enumeration order.
     bit = {v: n - 1 - j for j, v in enumerate(vs)}
@@ -82,6 +72,6 @@ def compatible(g: Valuation, d: Formula, cap: Optional[int] = None) -> OracleVer
     return OracleVerdict(False)
 
 
-def brute_force_sat(d: Formula, cap: Optional[int] = None) -> OracleVerdict:
+def brute_force_sat(d: Formula, cap: int = DEFAULT_CAP) -> OracleVerdict:
     """Satisfiability by exhaustive enumeration over the formula's variables."""
     return compatible((), d, cap=cap)

@@ -13,15 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .cnf import (
-    Clause,
-    Formula,
-    Lit,
-    Valuation,
-    canonical_clause,
-    canonical_formula,
-    clause_remove,
-)
+from .cnf import Clause, Formula, Lit, Valuation, canonical_formula
 from .dpll_proof import CheckReport, DpllDerivation, Elim, Red, Split, Unit, VALID, walk
 
 
@@ -88,9 +80,10 @@ def check_res(d0: Formula, d: ResDerivation) -> CheckReport:
                 reason = "pivot-not-in-left"
             elif node.pivot not in node.right.conclusion:
                 reason = "pivot-not-in-right"
-            elif canonical_clause(node.conclusion) != canonical_clause(
-                    clause_remove(node.left.conclusion, -node.pivot)
-                    + clause_remove(node.right.conclusion, node.pivot)):
+            # each premise loses only its resolved literal: a tautological
+            # premise keeps the other polarity of the pivot
+            elif set(node.conclusion) != (set(node.left.conclusion).difference((-node.pivot,))
+                                          | set(node.right.conclusion).difference((node.pivot,))):
                 reason = "conclusion-mismatch"
             else:
                 stack += ((node.right, depth + 1, 1), (node.left, depth + 1, 0))

@@ -89,7 +89,7 @@ _UNSAT_DECIDED = Verdict(False)
 
 def complete_model(g: Valuation) -> Assignment:
     """Assignment making every literal of a consistent valuation true;
-    other variables take the default polarity."""
+    other variables are true."""
     if not is_consistent(g):
         raise InconsistentValuation(f"valuation is inconsistent: {g}")
     return Assignment({abs(l): l > 0 for l in g})

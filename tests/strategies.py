@@ -22,7 +22,7 @@ formulas = st.lists(clauses, max_size=10).map(canonical_formula)
 valuations = st.lists(literals, max_size=6).map(canonical_valuation)
 consistent_valuations = st.dictionaries(variables, st.booleans(), max_size=6).map(
     lambda d: canonical_valuation(v if b else -v for v, b in d.items()))
-assignments = st.builds(Assignment, st.dictionaries(variables, st.booleans()), st.booleans())
+assignments = st.builds(Assignment, st.dictionaries(variables, st.booleans()))
 
 
 def random_formula(rng: random.Random, max_var: int = 8, max_clauses: int = 12,

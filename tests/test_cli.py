@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from dpllkit import cli
@@ -74,6 +79,18 @@ def test_check_invalid_proof(php21_file, tmp_path, capsys):
     assert "unit-clause-missing" in capsys.readouterr().err
 
 
+def test_check_res_rejects_a_derivation_that_is_not_a_refutation(tmp_path, capsys):
+    # a valid one-leaf derivation of (1 | 2) from a satisfiable formula
+    cnf = tmp_path / "sat.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
+    proof = tmp_path / "leaf.res"
+    proof.write_text("1 S 1 1 2 0\n")
+    assert main(["check", "res", str(cnf), str(proof)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "invalid: not-a-refutation at path []\n"
+    assert captured.out == ""
+
+
 def test_convert_invalid_proof(php21_file, tmp_path, capsys):
     proof = tmp_path / "bad.dpll"
     proof.write_text("(unit 1 (unit -2 conflict))")
@@ -108,19 +125,6 @@ def test_convert_reports_a_grown_proof(php21_file, tmp_path, capsys, monkeypatch
     assert captured.out == ""
 
 
-def test_bench(capsys):
-    assert main(["bench", "--php-max", "2"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0].startswith("#")
-    rows = [l.split("\t") for l in lines[1:]]
-    # php-1-1..php-3-2 in both modes
-    assert len(rows) == 8
-    for row in rows:
-        dpll_sz, res_sz = row[3], row[4]
-        if dpll_sz != "-" and res_sz != "-":
-            assert int(res_sz) <= int(dpll_sz)
-
-
 @pytest.mark.parametrize("unsat, code", [(False, 10), (True, 20)])
 def test_solve_deep_horn_chain(unsat, code, tmp_path, capsys):
     path = tmp_path / "horn.cnf"
@@ -134,6 +138,7 @@ def test_solve_deep_horn_chain(unsat, code, tmp_path, capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["frobnicate"]) == 1
     assert main(["solve", "--mode", "bogus", "x.cnf"]) == 1
+    assert main(["bench", "--php-max", "2"]) == 1
 
 
 def test_missing_file_exit_code(capsys):
@@ -144,3 +149,24 @@ def test_bad_dimacs_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cnf"
     bad.write_text("p cnf 1 1\n2 0\n")
     assert main(["solve", str(bad)]) == 1
+
+
+def _run_module(*args):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-m", *args], capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
+def test_python_m_dpllkit_solves(php21_file):
+    run = _run_module("dpllkit", "solve", php21_file)
+    assert run.returncode == 20
+    assert run.stdout.startswith("s UNSATISFIABLE\n")
+
+
+def test_python_m_dpllkit_cli_reports_bad_input():
+    # a DPLL proof is not a CNF file
+    proof = Path(__file__).resolve().parent / "data" / "php_2_1.dpll"
+    run = _run_module("dpllkit.cli", "solve", str(proof))
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: ")

@@ -77,13 +77,6 @@ def test_cap_exceeded():
     assert e.value.nvars == 29
 
 
-def test_cap_env_override(monkeypatch):
-    monkeypatch.setenv("DPLLKIT_ORACLE_CAP", "2")
-    with pytest.raises(OracleCapExceeded):
-        brute_force_sat(((1,), (2,), (3,)))
-    assert brute_force_sat(((1,), (2,))).satisfiable
-
-
 def test_cap_argument_overrides_default():
     assert brute_force_sat(((1,), (2,)), cap=2).satisfiable
     with pytest.raises(OracleCapExceeded):

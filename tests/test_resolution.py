@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from dpllkit.cnf import negate_valuation
 from dpllkit.dpll_proof import CONFLICT, Red, Split, Unit, check_dpll, dpll_size
 from dpllkit.oracle import brute_force_sat
 from dpllkit.php import PhpSpec, gen_php
@@ -80,6 +79,15 @@ def test_check_res_pivot_and_conclusion():
     assert check_res(((-1,),), bad_right).reason == "pivot-not-in-right"
     bad_conclusion = Res(1, Sub(1, (-1,)), Sub(2, (1,)), (2,))
     assert check_res(((-1,), (1,)), bad_conclusion).reason == "conclusion-mismatch"
+
+
+def test_check_res_keeps_the_pivot_of_a_tautological_premise():
+    # (1 | -1) and (1) resolve on 1 to (1), not to (): the left premise loses
+    # only -1, so the satisfiable d0 has no refutation this way
+    d0 = ((1, -1), (1,))
+    assert check_res(d0, Res(1, Sub(1, (1, -1)), Sub(2, (1,)), (1,))).valid
+    fake = Res(1, Sub(1, (1, -1)), Sub(2, (1,)), ())
+    assert check_res(d0, fake).reason == "conclusion-mismatch"
 
 
 def test_dpll_to_res_php_2_1_matches_hand_trace():
@@ -185,7 +193,7 @@ def test_conclusion_subset_of_negated_valuation(g, d):
         return
     assert check_dpll(g, d, v.proof).valid
     r = dpll_to_res(g, d, v.proof)
-    assert set(res_conclusion(r)) <= set(negate_valuation(g))
+    assert set(res_conclusion(r)) <= {-l for l in g}
     assert check_res(d, r).valid
     assert res_size(r) <= dpll_size(v.proof)
 
