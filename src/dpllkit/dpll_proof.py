@@ -19,36 +19,86 @@ from typing import Any, Optional, Union
 from .cnf import Clause, Formula, Lit, Valuation, canonical_formula, canonical_valuation
 
 
-@dataclass(frozen=True, slots=True)
-class Conflict:
-    pass
+class ProofNode:
+    """Structural ``==`` and ``hash`` for derivation nodes: same class and
+    equal fields, compared and hashed with an explicit stack, so trees of
+    any depth need no recursion (the dataclass defaults recurse).  A node
+    class lists its scalar fields and its child nodes in ``_parts``."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            (fields, kids), (other_fields, other_kids) = a._parts(), b._parts()
+            if fields != other_fields:
+                return False
+            stack += zip(kids, other_kids)
+        return True
+
+    def __hash__(self) -> int:
+        # the preorder of (class, fields) spells the tree, each class having
+        # a fixed number of children
+        labels = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            fields, kids = node._parts()
+            labels.append((node.__class__, fields))
+            stack += kids
+        return hash(tuple(labels))
 
 
-@dataclass(frozen=True, slots=True)
-class Unit:
+@dataclass(frozen=True, slots=True, eq=False)
+class Conflict(ProofNode):
+    def _parts(self):
+        return (), ()
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Unit(ProofNode):
     lit: Lit
     sub: "DpllDerivation"
 
+    def _parts(self):
+        return (self.lit,), (self.sub,)
 
-@dataclass(frozen=True, slots=True)
-class Elim:
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Elim(ProofNode):
     clause: Clause
     lit: Lit
     sub: "DpllDerivation"
 
+    def _parts(self):
+        return (self.clause, self.lit), (self.sub,)
 
-@dataclass(frozen=True, slots=True)
-class Red:
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Red(ProofNode):
     clause: Clause
     lit: Lit  # the valuation literal; its complement is removed from `clause`
     sub: "DpllDerivation"
 
+    def _parts(self):
+        return (self.clause, self.lit), (self.sub,)
 
-@dataclass(frozen=True, slots=True)
-class Split:
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Split(ProofNode):
     lit: Lit  # left child assumes `lit`, right child its complement
     left: "DpllDerivation"
     right: "DpllDerivation"
+
+    def _parts(self):
+        return (self.lit,), (self.left, self.right)
 
 
 DpllDerivation = Union[Conflict, Unit, Elim, Red, Split]

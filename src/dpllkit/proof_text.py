@@ -13,10 +13,22 @@ starting at 1, root last:
 
     <id> S <premise_index> <lits...> 0
     <id> R <pivot> <left_id> <right_id> <lits...> 0
+
+``parse_dpll`` reads a whole node per regex match: a head with its literal
+(and an Elim's or Red's clause), or a ``conflict`` with the run of ``)``
+after it.  Equal clause texts share one tuple, and an explicit stack of open
+nodes builds the tree.  ``parse_res`` splits each line once and shares equal
+conclusions.  Both build their trees with the cyclic garbage collector
+paused: the new nodes are reachable from the tree and freed with it, and a
+collection would only traverse them again and again as they are made.  The
+node scan accepts exactly the valid texts; on any other text the token walk
+(one token at a time, as the grammar reads) finds the error and its offset.
+The serializers render each distinct clause once per call.
 """
 
 from __future__ import annotations
 
+import gc
 import re
 from itertools import islice
 from typing import NoReturn
@@ -32,28 +44,45 @@ class ProofParseError(ValueError):
         self.position = position
 
 
+def _collector_paused(parse, text: str):
+    """``parse(text)`` with the cyclic collector off, turned back on after
+    only if it was on before.  The collector goes off before anything is
+    allocated, so no collection starts inside ``parse``."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return parse(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _clause_text(c: Clause) -> str:
     return "[ " + " ".join(str(l) for l in c) + " ]" if c else "[ ]"
 
 
 def serialize_dpll(p: DpllDerivation) -> str:
     parts: list[str] = []
+    heads: dict[tuple, str] = {}  # (class, clause) -> "(red [ ... ] ", once per call
     stack = [p]  # Split right branches still to emit, and the text around them
     while stack:
         p = stack.pop()
-        if isinstance(p, str):
+        if type(p) is str:
             parts.append(p)
             continue
         # emit down the left spine, counting the ')' owed to its unary nodes
         closers = 0
-        while not isinstance(p, Conflict):
-            if isinstance(p, Unit):
+        while (cls := type(p)) is not Conflict:
+            if cls is Unit:
                 parts.append(f"(unit {p.lit} ")
-            elif isinstance(p, Red):
-                parts.append(f"(red {_clause_text(p.clause)} {p.lit} ")
-            elif isinstance(p, Elim):
-                parts.append(f"(elim {_clause_text(p.clause)} {p.lit} ")
-            elif isinstance(p, Split):
+            elif cls is Red or cls is Elim:
+                key = (cls, p.clause)
+                head = heads.get(key)
+                if head is None:
+                    head = heads[key] = (
+                        f"({'red' if cls is Red else 'elim'} {_clause_text(p.clause)} ")
+                parts.append(f"{head}{p.lit} ")
+            elif cls is Split:
                 parts.append(f"(split {p.lit} ")
                 stack += (")" * (closers + 1), p.right, " ")
                 closers = 0
@@ -70,10 +99,96 @@ def serialize_dpll(p: DpllDerivation) -> str:
 # Every non-whitespace character belongs to a token, so none is skipped.
 _DPLL_TOKEN = re.compile(r"\(\w*|\)|\[|\]|[^\s()\[\]]+")
 
+# One DPLL node per match, whitespace before it included.  Groups: a Unit's
+# or Split's head, a Red's or Elim's head and the inside of its clause, and
+# the node's literal; or the ')' run (and whitespace) after a conflict; or,
+# where no node starts, the rest of the text.  Tokens end where _DPLL_TOKEN's
+# do: a head only where no word character follows it ("(unit1" is one token,
+# "(unit-1" two), "conflict" only where whitespace, a parenthesis, a bracket
+# or the end follows it, and a literal is a whole token, which int() then
+# reads as _lit does.
+_DPLL_NODE = re.compile(r"""
+    \s*(?:
+        \((?: (unit|split)(?!\w) | (red|elim)(?!\w) \s*\[ ([^()\[\]]*) \] ) \s*([^\s()\[\]]+)
+      | conflict(?![^\s()\[\]]) ([\s)]*)
+      | (\S[\s\S]*)
+    )""", re.VERBOSE)
+
 
 def parse_dpll(text: str) -> DpllDerivation:
-    """Parse the DPLL text format in one scan of its tokens, with an explicit
-    stack of the nodes still open."""
+    """Parse the DPLL text format: one regex match per node and an explicit
+    stack of the nodes still open, with the cyclic collector paused.  Text
+    that is not a valid derivation raises ``ProofParseError`` with the
+    offset of the first token that does not fit."""
+    return _collector_paused(_read_dpll, text)
+
+
+def _read_dpll(text: str) -> DpllDerivation:
+    try:
+        return _scan_nodes(text)
+    except ValueError:
+        pass
+    return _walk_tokens(text)
+
+
+def _scan_nodes(text: str) -> DpllDerivation:
+    """The derivation ``text`` spells; ValueError if it spells none."""
+    clauses: dict[str, Clause] = {}  # a clause's inside -> its one tuple
+    # open nodes: (class, lit, payload), the payload being an Elim's or a
+    # Red's clause; a Split whose left child is done is (None, lit, left)
+    frames: list[tuple] = []
+    push, pop = frames.append, frames.pop
+    matches = iter(_DPLL_NODE.findall(text))
+    for unary, reducing, inside, lit, closers, rest in matches:
+        if unary:
+            lit = int(lit)
+            if not lit:
+                raise ValueError
+            push((Unit if unary == "unit" else Split, lit, None))
+        elif reducing:
+            clause = clauses.get(inside)
+            if clause is None:
+                clause = clauses[inside] = tuple(map(int, inside.split()))
+                if 0 in clause:
+                    raise ValueError
+            lit = int(lit)
+            if not lit:
+                raise ValueError
+            push((Red if reducing == "red" else Elim, clause, lit))
+        elif rest:
+            raise ValueError
+        else:
+            # close the open nodes the conflict completes, one ')' each, up
+            # to a Split still waiting for its right child
+            owed = closers.count(")")
+            node = CONFLICT
+            while frames:
+                cls, a, b = pop()
+                if cls is Split:
+                    if owed:
+                        raise ValueError
+                    push((None, a, node))
+                    break
+                if not owed:
+                    raise ValueError
+                owed -= 1
+                if cls is Unit:
+                    node = Unit(a, node)
+                elif cls is None:
+                    node = Split(a, b, node)
+                else:
+                    node = cls(a, b, node)
+            else:
+                if owed or next(matches, None) is not None:
+                    raise ValueError
+                return node
+    raise ValueError
+
+
+def _walk_tokens(text: str) -> DpllDerivation:
+    """Parse ``text`` one token at a time, with an explicit stack of the
+    nodes still open.  ``parse_dpll`` runs it only on text the node scan
+    rejects, to raise the error at the first token that does not fit."""
     tokens = _DPLL_TOKEN.findall(text)
     n = len(tokens)
     tokens.append("")  # end sentinel: matches no expected token
@@ -151,58 +266,71 @@ def serialize_res(r: ResDerivation) -> str:
     last line is the root."""
     lines: list[str] = []
     ids: dict[int, int] = {}
+    tails: dict[Clause, str] = {}  # conclusion -> " <lits> 0", once per call
     stack: list[tuple[ResDerivation, bool]] = [(r, False)]
     while stack:
         node, expanded = stack.pop()
-        if isinstance(node, Sub):
+        if type(node) is Sub:
             head = f"S {node.premise_index}"
         elif not expanded:
             stack += ((node, True), (node.right, False), (node.left, False))
             continue
         else:
             head = f"R {node.pivot} {ids[id(node.left)]} {ids[id(node.right)]}"
+        tail = tails.get(node.conclusion)
+        if tail is None:
+            tail = tails[node.conclusion] = "".join(f" {l}" for l in node.conclusion) + " 0"
         ids[id(node)] = len(lines) + 1
-        lits = " ".join(str(l) for l in node.conclusion)
-        lines.append(f"{len(lines) + 1} {head}" + (f" {lits} 0" if lits else " 0"))
+        lines.append(f"{len(lines) + 1} {head}{tail}")
     return "\n".join(lines) + "\n"
 
 
 def parse_res(text: str) -> ResDerivation:
+    """Parse a resolution trace, one ``split`` per line, with the cyclic
+    collector paused.  A malformed line raises ``ProofParseError`` at the
+    line's offset."""
+    return _collector_paused(_parse_lines, text)
+
+
+def _parse_lines(text: str) -> ResDerivation:
     nodes: dict[int, ResDerivation] = {}
+    conclusions: dict[Clause, Clause] = {}  # one tuple per distinct conclusion
     root = None
-    offset = 0
-    for line, raw in zip(text.splitlines(), text.splitlines(keepends=True)):
-        at = offset
-        offset += len(raw)
-        if not line.strip() or line.lstrip().startswith("c"):
-            continue
+    for i, line in enumerate(text.splitlines()):
         fields = line.split()
+        if not fields or fields[0][0] == "c":
+            continue
         try:
             nid = int(fields[0])
             kind = fields[1]
             if fields[-1] != "0":
                 raise ValueError
+            nums = list(map(int, fields[2:]))  # the head's numbers, the lits, the 0
             if kind == "S":
-                premise = int(fields[2])
-                lits = tuple(int(x) for x in fields[3:-1])
-                node = Sub(premise, lits)
+                lits = tuple(nums[1:-1])
+                node = Sub(nums[0], conclusions.setdefault(lits, lits))
             elif kind == "R":
-                pivot = int(fields[2])
-                left, right = int(fields[3]), int(fields[4])
-                lits = tuple(int(x) for x in fields[5:-1])
-                node = Res(pivot, nodes[left], nodes[right], lits)
+                lits = tuple(nums[3:-1])
+                node = Res(nums[0], nodes[nums[1]], nodes[nums[2]],
+                           conclusions.setdefault(lits, lits))
             else:
                 raise ValueError
         except (ValueError, IndexError):
-            raise ProofParseError(f"malformed trace line {line!r}", at)
+            raise ProofParseError(f"malformed trace line {line!r}", _line_offset(text, i))
         except KeyError:
-            raise ProofParseError(f"undefined node reference in line {line!r}", at)
-        if any(l == 0 for l in node.conclusion):
-            raise ProofParseError("zero literal inside conclusion", at)
+            raise ProofParseError(f"undefined node reference in line {line!r}",
+                                  _line_offset(text, i))
+        if 0 in node.conclusion:
+            raise ProofParseError("zero literal inside conclusion", _line_offset(text, i))
         if nid in nodes:
-            raise ProofParseError(f"duplicate node id in line {line!r}", at)
+            raise ProofParseError(f"duplicate node id in line {line!r}", _line_offset(text, i))
         nodes[nid] = node
         root = node
     if root is None:
         raise ProofParseError("empty resolution trace", 0)
     return root
+
+
+def _line_offset(text: str, i: int) -> int:
+    """Offset of line ``i`` of ``text``, as ``str.splitlines`` counts lines."""
+    return sum(map(len, islice(text.splitlines(keepends=True), i)))

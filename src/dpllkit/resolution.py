@@ -14,21 +14,27 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .cnf import Clause, Formula, Lit, Valuation, canonical_formula
-from .dpll_proof import CheckReport, DpllDerivation, Elim, Red, Split, Unit, VALID, walk
+from .dpll_proof import CheckReport, DpllDerivation, Elim, ProofNode, Red, Split, Unit, VALID, walk
 
 
-@dataclass(frozen=True, slots=True)
-class Sub:
+@dataclass(frozen=True, slots=True, eq=False)
+class Sub(ProofNode):
     premise_index: int  # 1-based index into the premise formula
     conclusion: Clause
 
+    def _parts(self):
+        return (self.premise_index, self.conclusion), ()
 
-@dataclass(frozen=True, slots=True)
-class Res:
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Res(ProofNode):
     pivot: Lit
     left: "ResDerivation"   # conclusion contains complement(pivot)
     right: "ResDerivation"  # conclusion contains pivot
     conclusion: Clause
+
+    def _parts(self):
+        return (self.pivot, self.conclusion), (self.left, self.right)
 
 
 ResDerivation = Union[Sub, Res]

@@ -18,8 +18,8 @@ from dpllkit.dpll_proof import (
 )
 from dpllkit.oracle import compatible
 from dpllkit.php import PhpSpec, gen_php
-from dpllkit.proof_text import serialize_res
-from dpllkit.resolution import InvalidDerivation, dpll_to_res
+from dpllkit.proof_text import parse_dpll, parse_res, serialize_dpll, serialize_res
+from dpllkit.resolution import InvalidDerivation, Res, Sub, dpll_to_res
 
 from strategies import checker_corpus, formulas
 
@@ -134,6 +134,30 @@ def test_deep_unit_chain_checks_without_recursion():
     r = check_dpll((), d, _unit_chain(n, n + 1))
     assert r.reason == "unit-clause-missing"
     assert len(r.path) == n - 1
+
+
+def test_deep_derivations_compare_and_hash_without_recursion():
+    assert sys.getrecursionlimit() <= 1000
+    n = 100_000
+    p = _unit_chain(n, n)
+    q = parse_dpll(serialize_dpll(p))
+    assert p is not q and p == q and hash(p) == hash(q)
+    assert p != _unit_chain(n, n + 1)
+    r = Sub(1, (-1,))
+    for _ in range(n):
+        r = Res(1, r, Sub(2, (1,)), ())
+    reparsed = parse_res(serialize_res(r))
+    assert r == reparsed and hash(r) == hash(reparsed)
+    assert r != Res(1, r.left, Sub(2, (2,)), ())
+
+
+def test_equality_is_same_class_and_equal_fields():
+    assert CONFLICT == Conflict() and hash(CONFLICT) == hash(Conflict())
+    assert Red((1, -2), 2, CONFLICT) != Elim((1, -2), 2, CONFLICT)
+    assert Split(1, CONFLICT, Unit(2, CONFLICT)) != Split(1, Unit(2, CONFLICT), CONFLICT)
+    assert Unit(1, CONFLICT) != (1, CONFLICT)
+    assert Res(1, Sub(1, (-1,)), Sub(2, (1,)), ()) != Res(1, Sub(1, (-1,)), Sub(3, (1,)), ())
+    assert len({Unit(1, CONFLICT), Unit(1, Conflict()), Unit(-1, CONFLICT)}) == 2
 
 
 def test_checker_is_solver_independent():

@@ -1,16 +1,21 @@
+import gc
 import hashlib
 import json
 import random
 import re
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpllkit import proof_text
 from dpllkit.dpll_proof import CONFLICT, Elim, Red, Split, Unit
+from dpllkit.php import PhpSpec, gen_php
 from dpllkit.proof_text import (
+    _DPLL_TOKEN,
     ProofParseError,
     parse_dpll,
     parse_res,
@@ -18,6 +23,7 @@ from dpllkit.proof_text import (
     serialize_res,
 )
 from dpllkit.resolution import Res, Sub, dpll_to_res
+from dpllkit.solver import solve
 
 from strategies import DPLL_TOKENS, RES_TOKENS, checker_corpus, clauses, literals, mutate_text
 
@@ -78,6 +84,97 @@ def test_parse_dpll_rejects_lone_paren():
 @settings(max_examples=300)
 def test_dpll_round_trip(p):
     assert parse_dpll(serialize_dpll(p)) == p
+
+
+@pytest.mark.parametrize("text, proof", [
+    ("(unit-1 conflict)", Unit(-1, CONFLICT)),
+    ("(unit+1(split 2 conflict conflict))", Unit(1, Split(2, CONFLICT, CONFLICT))),
+    ("(red[1 -2]1_0 conflict)", Red((1, -2), 10, CONFLICT)),
+    ("(elim [ ]\u0663 conflict)", Elim((), 3, CONFLICT)),
+    ("\x1c conflict\u2028", CONFLICT),
+])
+def test_parse_dpll_reads_tokens_however_spelled(text, proof):
+    assert parse_dpll(text) == proof
+
+
+@pytest.mark.parametrize("text, at, message", [
+    ("(unit1 conflict)", 0, "unexpected token '(unit1'"),
+    ("(unit 1 conflictx)", 8, "unexpected token 'conflictx'"),
+    ("(split 1 conflictconflict)", 9, "unexpected token 'conflictconflict'"),
+    ("(unit 1-2 conflict)", 6, "expected a literal, got '1-2'"),
+    ("(red [ 1 ]2_ conflict)", 10, "expected a literal, got '2_'"),
+    ("(split 1 conflict) conflict)", 17, "unexpected token ')'"),
+    ("(unit -0 conflict)", 6, "literal must be nonzero"),
+])
+def test_parse_dpll_rejects_what_the_token_walk_rejects(text, at, message):
+    with pytest.raises(ProofParseError) as err:
+        parse_dpll(text)
+    assert (err.value.position, str(err.value)) == (at, f"offset {at}: {message}")
+
+
+SPACES = " \t\n\r\x0b\x0c\x1c\u2028"
+
+
+def respace(text, rng):
+    """``text`` with a run drawn from SPACES before its first token, after
+    its last and at each boundary between two; a drawn run may be empty
+    where the two tokens stay apart without it."""
+    tokens = _DPLL_TOKEN.findall(text)
+    parts = []
+    for a, b in zip([""] + tokens, tokens + [""]):
+        run = "".join(rng.choice(SPACES) for _ in range(rng.randrange(3)))
+        if not run and a and b and _DPLL_TOKEN.findall(a + b) != [a, b]:
+            run = rng.choice(SPACES)
+        parts += (run, b)
+    return "".join(parts)
+
+
+def _refuse(text):
+    raise AssertionError("the token walk ran on a valid text")
+
+
+@given(st.one_of(dpll_trees, st.sampled_from([p for _, _, _, p in checker_corpus()[:4]])),
+       st.randoms())
+@settings(max_examples=200, deadline=None)
+def test_parse_dpll_reads_any_legal_spacing(p, rng):
+    text = serialize_dpll(p)
+    respaced = respace(text, rng)
+    assert _DPLL_TOKEN.findall(respaced) == _DPLL_TOKEN.findall(text)
+    with mock.patch.object(proof_text, "_walk_tokens", _refuse):
+        assert serialize_dpll(parse_dpll(respaced)) == text
+
+
+def test_valid_dpll_text_never_reaches_the_token_walk(monkeypatch):
+    proofs = [p for _, _, _, p in checker_corpus()]
+    proofs += [solve(gen_php(PhpSpec(k + 1, k))).proof for k in range(1, 6)]
+    monkeypatch.setattr(proof_text, "_walk_tokens", _refuse)
+    for p in proofs:
+        assert parse_dpll(serialize_dpll(p)) == p
+
+
+@pytest.mark.parametrize("parse, text, valid", [
+    (parse_dpll, PHP21_TEXT, True), (parse_dpll, "(unit 1 conflict", False),
+    (parse_res, "1 S 1 0\n", True), (parse_res, "1 S 1\n", False),
+])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parsers_leave_the_collector_as_they_found_it(parse, text, valid, enabled):
+    was = gc.isenabled()
+    try:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        if valid:
+            parse(text)
+        else:
+            with pytest.raises(ProofParseError):
+                parse(text)
+        assert gc.isenabled() is enabled
+    finally:
+        if was:
+            gc.enable()
+        else:
+            gc.disable()
 
 
 def test_serialize_res_leaf():

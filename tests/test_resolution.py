@@ -214,8 +214,7 @@ def test_size_bound_on_seeded_unsat_corpus():
 
 def test_deep_pipeline_at_default_recursion_limit():
     # (1), (-i | i+1) for i < n, (-n), refuted by n Units each followed by
-    # the Red that turns the next implication into a unit clause.  Trees
-    # this deep are compared by text, since dataclass == recurses.
+    # the Red that turns the next implication into a unit clause.
     assert sys.getrecursionlimit() <= 1000
     n = 100_000
     d0 = ((1,),) + tuple((-i, i + 1) for i in range(1, n)) + ((-n,),)
@@ -224,14 +223,14 @@ def test_deep_pipeline_at_default_recursion_limit():
         proof = Unit(i, Red((-i, i + 1), i, proof))
     text = serialize_dpll(proof)
     parsed = parse_dpll(text)
-    assert serialize_dpll(parsed) == text
+    assert parsed == proof and serialize_dpll(parsed) == text
     assert check_dpll((), d0, parsed).valid
     r = dpll_to_res((), d0, parsed)
     assert res_size(r) == n
     assert res_conclusion(r) == ()
     res_text = serialize_res(r)
     reparsed = parse_res(res_text)
-    assert serialize_res(reparsed) == res_text
+    assert reparsed == r and serialize_res(reparsed) == res_text
     assert check_res(d0, reparsed).valid
 
 

@@ -242,8 +242,8 @@ def _sha(text):
 
 
 def evidence(v):
-    """The model or the serialized derivation of a witness Verdict (derivations
-    compare as text, since dataclass equality recurses through deep ones)."""
+    """The model or the serialized derivation of a witness Verdict, as text
+    that the digests hash."""
     return repr(sorted(v.model.values.items())) if v.satisfiable else serialize_dpll(v.proof)
 
 
