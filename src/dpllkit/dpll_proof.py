@@ -13,17 +13,18 @@ independent of the solver: nothing here imports the search code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Optional, Union
 
 from .cnf import Clause, Formula, Lit, Valuation, canonical_formula, canonical_valuation
 
 
 class ProofNode:
-    """Structural ``==`` and ``hash`` for derivation nodes: same class and
-    equal fields, compared and hashed with an explicit stack, so trees of
-    any depth need no recursion (the dataclass defaults recurse).  A node
-    class lists its scalar fields and its child nodes in ``_parts``."""
+    """Structural ``==``, ``hash`` and ``repr`` for derivation nodes: same
+    class and equal fields, compared, hashed and spelled with an explicit
+    stack, so trees of any depth need no recursion (the dataclass defaults
+    recurse).  A node class lists its scalar fields and its child nodes in
+    ``_parts``; ``repr`` is the dataclass one, fields in declaration order."""
 
     __slots__ = ()
 
@@ -55,14 +56,56 @@ class ProofNode:
             stack += kids
         return hash(tuple(labels))
 
+    def __repr__(self) -> str:
+        # the stack holds text still to be written and nodes still to be
+        # spelled, the next piece on top
+        out = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, ProofNode):
+                out.append(item)
+                continue
+            pieces = [f"{item.__class__.__qualname__}("]
+            for k, name in enumerate(item.__dataclass_fields__):
+                value = getattr(item, name)
+                pieces.append(f", {name}=" if k else f"{name}=")
+                pieces.append(value if isinstance(value, ProofNode) else repr(value))
+            pieces.append(")")
+            stack += reversed(pieces)
+        return "".join(out)
 
-@dataclass(frozen=True, slots=True, eq=False)
+
+def slot_init(cls):
+    """Give a slotted frozen dataclass an ``__init__`` that writes each field
+    through its slot's member descriptor, and return the class.
+
+    The generated frozen ``__init__`` sets each field with
+    ``object.__setattr__``, which looks the name up on the type at every
+    call; one node is built per rule application, so that lookup is a large
+    share of building a derivation.  The descriptor's ``__set__`` is what
+    the lookup finds, bound here once per field.  The parameters are the
+    field names in order, so positional and keyword construction and
+    ``dataclasses.replace`` work as before, and setting or deleting a field
+    of a built node still raises ``FrozenInstanceError``."""
+    names = [f.name for f in fields(cls)]
+    namespace = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
+    body = "".join(f"\n    _set_{name}(self, {name})" for name in names)
+    exec(f"def __init__(self, {', '.join(names)}):{body}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)
 class Conflict(ProofNode):
     def _parts(self):
         return (), ()
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@slot_init
+@dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)
 class Unit(ProofNode):
     lit: Lit
     sub: "DpllDerivation"
@@ -71,7 +114,8 @@ class Unit(ProofNode):
         return (self.lit,), (self.sub,)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@slot_init
+@dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)
 class Elim(ProofNode):
     clause: Clause
     lit: Lit
@@ -81,7 +125,8 @@ class Elim(ProofNode):
         return (self.clause, self.lit), (self.sub,)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@slot_init
+@dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)
 class Red(ProofNode):
     clause: Clause
     lit: Lit  # the valuation literal; its complement is removed from `clause`
@@ -91,7 +136,8 @@ class Red(ProofNode):
         return (self.clause, self.lit), (self.sub,)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@slot_init
+@dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)
 class Split(ProofNode):
     lit: Lit  # left child assumes `lit`, right child its complement
     left: "DpllDerivation"
@@ -223,7 +269,9 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                 rank = d.pop(clause, None)
                 if rank is None:
                     return fail("red-clause-missing")
-                reduct = tuple(x for x in clause if x != -lit)
+                # the clause was just in d, so -lit occurs in it once
+                k = clause.index(-lit)
+                reduct = clause[:k] + clause[k + 1:]
                 if reduct in d:
                     reduct = None
                 else:

@@ -14,10 +14,12 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .cnf import Clause, Formula, Lit, Valuation, canonical_formula
-from .dpll_proof import CheckReport, DpllDerivation, Elim, ProofNode, Red, Split, Unit, VALID, walk
+from .dpll_proof import (CheckReport, DpllDerivation, Elim, ProofNode, Red, Split, Unit, VALID,
+                         slot_init, walk)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@slot_init
+@dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)
 class Sub(ProofNode):
     premise_index: int  # 1-based index into the premise formula
     conclusion: Clause
@@ -26,7 +28,8 @@ class Sub(ProofNode):
         return (self.premise_index, self.conclusion), ()
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@slot_init
+@dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)
 class Res(ProofNode):
     pivot: Lit
     left: "ResDerivation"   # conclusion contains complement(pivot)

@@ -235,9 +235,10 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
     # of q, so every clean clause rejoins the working formula untouched.
     # Entries before i are spent, and dropped now and then.
     # live and tset are the clauses in hits of the working formula and of
-    # the clean clauses.  wrappers holds the (rule, args) of the Elim, Unit
-    # and Red steps taken since the last Split began, outermost first; a
-    # refuted leaf is wrapped in them, innermost first.
+    # the clean clauses.  wrappers holds a (rule, a, b) triple for each Elim,
+    # Unit and Red step taken since the last Split began, outermost first: a
+    # refuted leaf is wrapped in them, innermost first, as rule(a, b, leaf),
+    # or Unit(a, leaf) (b unused).
     g, gset = list(g0), set(g0)
     # The occurrence index.  inp is the input, (*d0, *t0); occ maps each
     # variable to the positions in inp of the clauses that hold it, and hits
@@ -328,7 +329,10 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
             if log is not None:
                 log.append("elim")
             if witness:
-                wrappers.append((Elim, (c, next(l for l in c if l in gset))))
+                for l in c:
+                    if l in gset:
+                        break
+                wrappers.append((Elim, c, l))
             continue
 
         if not c:
@@ -346,7 +350,7 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
                 if log is not None:
                     log.append("unit")
                 if witness:
-                    wrappers.append((Unit, (lit,)))
+                    wrappers.append((Unit, lit, None))
                 g.append(lit)
                 gset.add(lit)
                 # the clean clauses rejoin the working formula behind it, less
@@ -377,7 +381,7 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
             if log is not None:
                 log.append("red")
             if witness:
-                wrappers.append((Red, (c, -falsified)))
+                wrappers.append((Red, c, -falsified))
             k = c.index(falsified)
             reduct = c[:k] + c[k + 1:]
             if reduct not in live:
@@ -401,8 +405,8 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
         proof = leaf
         while True:
             if witness:
-                for rule, args in reversed(wrappers):
-                    proof = rule(*args, proof)
+                for rule, a, b in reversed(wrappers):
+                    proof = Unit(a, proof) if rule is Unit else rule(a, b, proof)
             if not splits:
                 return Verdict(False, proof=proof) if witness else _UNSAT_DECIDED
             s = splits[-1]

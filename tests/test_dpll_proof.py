@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 
 from dpllkit.dpll_proof import (
     CONFLICT,
+    CheckReport,
     Conflict,
     Elim,
     Red,
@@ -117,6 +119,13 @@ def test_red_reduct_enables_conflict():
     assert check_dpll((1,), d0, Red((-1,), 1, CONFLICT)).valid
 
 
+def test_red_with_a_repeated_literal_is_missing_from_the_formula():
+    # formula clauses are duplicate-free, so such a Red is rejected before its
+    # reduct (the clause less one copy of the literal) is built
+    r = check_dpll((1,), ((-1,),), Red((-1, -1), 1, CONFLICT))
+    assert r == CheckReport(False, (), "red-clause-missing", ((1,), ((-1,),)))
+
+
 def _unit_chain(n, last):
     """``Unit(1, Unit(2, ... Unit(last, Red((-n,), n, CONFLICT))))``."""
     proof = Red((-n,), n, CONFLICT)
@@ -149,6 +158,65 @@ def test_deep_derivations_compare_and_hash_without_recursion():
     reparsed = parse_res(serialize_res(r))
     assert r == reparsed and hash(r) == hash(reparsed)
     assert r != Res(1, r.left, Sub(2, (2,)), ())
+
+
+def test_deep_derivations_repr_without_recursion():
+    assert sys.getrecursionlimit() <= 1000
+    n = 100_000
+    text = repr(_unit_chain(n, n))
+    assert text.startswith("Unit(lit=1, sub=Unit(lit=2, sub=")
+    assert text.endswith(f"Unit(lit={n}, sub=Red(clause=(-{n},), lit={n}, sub=Conflict()))"
+                         + ")" * (n - 1))
+    assert text.count("Unit(") == n
+    r = Sub(1, (-1,))
+    for _ in range(n):
+        r = Res(1, r, Sub(2, (1,)), ())
+    text = repr(r)
+    assert text.startswith("Res(pivot=1, left=" * n + "Sub(premise_index=1, conclusion=(-1,)), ")
+    assert text.endswith(", right=Sub(premise_index=2, conclusion=(1,)), conclusion=())")
+    assert text.count("Res(") == n
+
+
+def test_repr_is_the_dataclass_text():
+    assert repr(PHP21_PROOF) == ("Unit(lit=1, sub=Unit(lit=2, sub=Red(clause=(-1, -2), lit=1, "
+                                 "sub=Red(clause=(-2,), lit=2, sub=Conflict()))))")
+    assert repr(Res(1, Sub(1, (-1,)), Sub(2, (1,)), ())) == (
+        "Res(pivot=1, left=Sub(premise_index=1, conclusion=(-1,)), "
+        "right=Sub(premise_index=2, conclusion=(1,)), conclusion=())")
+    assert repr(Split(-3, CONFLICT, Elim((3, 4), 3, CONFLICT))) == (
+        "Split(lit=-3, left=Conflict(), right=Elim(clause=(3, 4), lit=3, sub=Conflict()))")
+
+
+# each node class with its field names, in order, and one set of field values
+NODE_CLASSES = [
+    (Conflict, (), ()),
+    (Unit, ("lit", "sub"), (1, CONFLICT)),
+    (Elim, ("clause", "lit", "sub"), ((1, 2), 1, CONFLICT)),
+    (Red, ("clause", "lit", "sub"), ((-1, 2), 1, CONFLICT)),
+    (Split, ("lit", "left", "right"), (1, CONFLICT, Unit(2, CONFLICT))),
+    (Sub, ("premise_index", "conclusion"), (1, (1, 2))),
+    (Res, ("pivot", "left", "right", "conclusion"), (1, Sub(1, (-1,)), Sub(2, (1,)), ())),
+]
+
+
+@pytest.mark.parametrize("cls, names, values", NODE_CLASSES, ids=[c[0].__name__ for c in NODE_CLASSES])
+def test_node_contract(cls, names, values):
+    node = cls(*values)
+    assert [f.name for f in fields(cls)] == list(names)
+    assert [getattr(node, name) for name in names] == list(values)
+    assert not hasattr(node, "__dict__")
+    for name in names:
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, name, 7)
+        with pytest.raises(FrozenInstanceError):
+            delattr(node, name)
+    assert [getattr(node, name) for name in names] == list(values)
+    by_keyword = cls(**dict(zip(names, values)))
+    assert by_keyword is not node and by_keyword == node
+    assert replace(node) == node
+    if names:
+        changed = replace(node, **{names[0]: 9})
+        assert changed == cls(9, *values[1:]) and changed != node
 
 
 def test_equality_is_same_class_and_equal_fields():

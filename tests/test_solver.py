@@ -186,6 +186,15 @@ def test_deep_horn_chain_needs_no_recursion(unsat):
         assert check_dpll((), d, v.proof).valid
 
 
+def test_deep_refutation_reprs_without_recursion():
+    assert sys.getrecursionlimit() <= 1000
+    v = solve(horn_chain(10_000, True))
+    text = repr(v)
+    assert text.startswith("Verdict(satisfiable=False, model=None, proof=Unit(lit=1, sub=")
+    assert text.endswith(", trace=None)")
+    assert text.count("Unit(lit=") == serialize_dpll(v.proof).count("(unit")
+
+
 def test_horn_search_is_linear():
     # a Unit only moves the ring's boundary and clean runs move as ranges, so
     # four times the chain takes about four times as long (a search that
