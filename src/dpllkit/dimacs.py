@@ -1,13 +1,11 @@
 """DIMACS CNF parsing and emission.
 
-Strict mode (default) rejects out-of-range literals and clause-count
-mismatches; lenient mode downgrades both to warnings.
+The parser rejects out-of-range literals and clause-count mismatches.
 """
 
 from __future__ import annotations
 
 import re
-import warnings
 from typing import Union
 
 from .cnf import Formula, canonical_clause, canonical_formula
@@ -22,11 +20,7 @@ class DimacsError(ValueError):
         self.column = column
 
 
-class DimacsWarning(UserWarning):
-    pass
-
-
-def parse_dimacs(text: Union[str, bytes], strict: bool = True) -> Formula:
+def parse_dimacs(text: Union[str, bytes]) -> Formula:
     """Parse DIMACS CNF: ``c`` comment lines, one ``p cnf V C`` header, then
     clauses as nonzero integers terminated by ``0`` (newlines insignificant)."""
     if isinstance(text, bytes):
@@ -70,20 +64,16 @@ def parse_dimacs(text: Union[str, bytes], strict: bool = True) -> Formula:
             if not current:
                 open_clause_pos = (lineno, col)
             if abs(lit) > nvars:
-                msg = f"literal {lit} exceeds declared variable count {nvars}"
-                if strict:
-                    raise DimacsError(msg, lineno, col)
-                warnings.warn(msg, DimacsWarning)
+                raise DimacsError(f"literal {lit} exceeds declared variable count {nvars}",
+                                  lineno, col)
             current.append(lit)
     if current:
         raise DimacsError("unterminated clause at end of input", *open_clause_pos)
     if nvars is None:
         raise DimacsError("missing 'p cnf' header", 1, 1)
     if len(clauses) != nclauses_declared:
-        msg = f"header declares {nclauses_declared} clauses, found {len(clauses)}"
-        if strict:
-            raise DimacsError(msg, 1, 1)
-        warnings.warn(msg, DimacsWarning)
+        raise DimacsError(f"header declares {nclauses_declared} clauses, found {len(clauses)}",
+                          1, 1)
     return canonical_formula(clauses)
 
 

@@ -13,7 +13,7 @@ independent of the solver: nothing here imports the search code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from typing import Any, Optional, Union
 
 from .cnf import Clause, Formula, Lit, Valuation, canonical_formula, canonical_valuation
@@ -86,18 +86,29 @@ def slot_init(cls):
     share of building a derivation.  The descriptor's ``__set__`` is what
     the lookup finds, bound here once per field.  The parameters are the
     field names in order, so positional and keyword construction and
-    ``dataclasses.replace`` work as before, and setting or deleting a field
-    of a built node still raises ``FrozenInstanceError``."""
+    ``dataclasses.replace`` work as before.
+
+    Setting or deleting any name on a built node raises
+    ``FrozenInstanceError``.  The frozen dataclass's own ``__setattr__`` and
+    ``__delattr__`` do so only for fields: for any other name they call
+    ``super()`` with the class from before ``slots=True`` rebuilt it, which
+    raises ``TypeError``."""
     names = [f.name for f in fields(cls)]
     namespace = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
-    body = "".join(f"\n    _set_{name}(self, {name})" for name in names)
-    exec(f"def __init__(self, {', '.join(names)}):{body}", namespace)
+    body = "".join(f"\n    _set_{name}(self, {name})" for name in names) or "\n    pass"
+    exec(f"def __init__({', '.join(['self', *names])}):{body}", namespace)
     init = namespace["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__init__ = init
+    cls.__setattr__ = cls.__delattr__ = _frozen
     return cls
 
 
+def _frozen(self, name, *value):
+    raise FrozenInstanceError(f"cannot set or delete {name!r}: proof nodes are frozen")
+
+
+@slot_init
 @dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)
 class Conflict(ProofNode):
     def _parts(self):
@@ -230,14 +241,16 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
     gset = set(g)
     d = {c: rank for rank, c in enumerate(canonical_formula(d0))}
     next_rank = len(d)
-    path: list[int] = []
     frames: list[tuple] = []
     values: list = []
     folding = fold is not None
 
     def fail(reason: str) -> tuple[CheckReport, None]:
+        # the child index of each node the walk is inside: 1 in a Split's
+        # right branch, else 0
+        path = tuple(1 if frame[0] == _RIGHT else 0 for frame in frames)
         context = (tuple(g), tuple(sorted(d, key=d.__getitem__)))
-        return CheckReport(False, tuple(path), reason, context), None
+        return CheckReport(False, path, reason, context), None
 
     if any(-l in gset for l in gset):
         return fail("inconsistent-context")
@@ -256,7 +269,6 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                     g.append(lit)
                     gset.add(lit)
                 frames.append((_UNIT, node, rank, new))
-                path.append(0)
                 if new and -lit in gset:
                     return fail("inconsistent-context")
                 node = node.sub
@@ -280,7 +292,6 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                     if folding:
                         fold.fresh(reduct)
                 frames.append((_RED, node, rank, reduct))
-                path.append(0)
                 node = node.sub
             elif isinstance(node, Elim):
                 if node.lit not in gset:
@@ -291,7 +302,6 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                 if rank is None:
                     return fail("elim-clause-missing")
                 frames.append((_ELIM, node, rank, None))
-                path.append(0)
                 node = node.sub
             elif isinstance(node, Split):
                 lit = node.lit
@@ -300,7 +310,6 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                     g.append(lit)
                     gset.add(lit)
                 frames.append((_LEFT, node, new, None))
-                path.append(0)
                 if new and -lit in gset:
                     return fail("inconsistent-context")
                 node = node.left
@@ -345,7 +354,6 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                     gset.add(-lit)
                 frames.append((_RIGHT, node, new, folding))
                 folding = folding and fold.needs_right(node, values[-1])
-                path[-1] = 1
                 if new and lit in gset:
                     return fail("inconsistent-context")
                 node = node.right
@@ -358,6 +366,5 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                     right = values.pop()
                     values[-1] = fold.split(node, values[-1], right)
                 folding = b
-            path.pop()
         else:
             return VALID, (values[0] if values else None)

@@ -21,9 +21,11 @@ nodes builds the tree.  ``parse_res`` splits each line once and shares equal
 conclusions.  Both build their trees with the cyclic garbage collector
 paused: the new nodes are reachable from the tree and freed with it, and a
 collection would only traverse them again and again as they are made.  The
-node scan accepts exactly the valid texts; on any other text the token walk
-(one token at a time, as the grammar reads) finds the error and its offset.
-The serializers render each distinct clause once per call.
+node scan is the one DPLL parser and raises its own errors: a node it
+rejects is read again token by token, as the grammar reads, to the first
+token that does not fit, and a ``conflict``'s ``)`` run names the token
+after the ``)`` it could use.  Offsets are found only when an error is
+raised.  The serializers render each distinct clause once per call.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import gc
 import re
 from itertools import islice
+from operator import length_hint
 from typing import NoReturn
 
 from .cnf import Clause
@@ -101,17 +104,17 @@ _DPLL_TOKEN = re.compile(r"\(\w*|\)|\[|\]|[^\s()\[\]]+")
 
 # One DPLL node per match, whitespace before it included.  Groups: a Unit's
 # or Split's head, a Red's or Elim's head and the inside of its clause, and
-# the node's literal; or the ')' run (and whitespace) after a conflict; or,
-# where no node starts, the rest of the text.  Tokens end where _DPLL_TOKEN's
-# do: a head only where no word character follows it ("(unit1" is one token,
-# "(unit-1" two), "conflict" only where whitespace, a parenthesis, a bracket
-# or the end follows it, and a literal is a whole token, which int() then
-# reads as _lit does.
+# the node's literal; or a conflict with the ')' run (and whitespace) after
+# it.  Where no node starts, the match is the rest of the text and every
+# group is empty.  Tokens end where _DPLL_TOKEN's do: a head only where no
+# word character follows it ("(unit1" is one token, "(unit-1" two),
+# "conflict" only where whitespace, a parenthesis, a bracket or the end
+# follows it, and a literal is a whole token, which int() then reads.
 _DPLL_NODE = re.compile(r"""
     \s*(?:
         \((?: (unit|split)(?!\w) | (red|elim)(?!\w) \s*\[ ([^()\[\]]*) \] ) \s*([^\s()\[\]]+)
-      | conflict(?![^\s()\[\]]) ([\s)]*)
-      | (\S[\s\S]*)
+      | (conflict(?![^\s()\[\]]) [\s)]*)
+      | \S[\s\S]*
     )""", re.VERBOSE)
 
 
@@ -124,141 +127,111 @@ def parse_dpll(text: str) -> DpllDerivation:
 
 
 def _read_dpll(text: str) -> DpllDerivation:
-    try:
-        return _scan_nodes(text)
-    except ValueError:
-        pass
-    return _walk_tokens(text)
-
-
-def _scan_nodes(text: str) -> DpllDerivation:
-    """The derivation ``text`` spells; ValueError if it spells none."""
+    """The derivation ``text`` spells; ProofParseError if it spells none."""
     clauses: dict[str, Clause] = {}  # a clause's inside -> its one tuple
     # open nodes: (class, lit, payload), the payload being an Elim's or a
     # Red's clause; a Split whose left child is done is (None, lit, left)
     frames: list[tuple] = []
     push, pop = frames.append, frames.pop
-    matches = iter(_DPLL_NODE.findall(text))
-    for unary, reducing, inside, lit, closers, rest in matches:
-        if unary:
-            lit = int(lit)
-            if not lit:
-                raise ValueError
-            push((Unit if unary == "unit" else Split, lit, None))
-        elif reducing:
-            clause = clauses.get(inside)
-            if clause is None:
-                clause = clauses[inside] = tuple(map(int, inside.split()))
-                if 0 in clause:
-                    raise ValueError
-            lit = int(lit)
-            if not lit:
-                raise ValueError
-            push((Red if reducing == "red" else Elim, clause, lit))
-        elif rest:
-            raise ValueError
-        else:
-            # close the open nodes the conflict completes, one ')' each, up
-            # to a Split still waiting for its right child
-            owed = closers.count(")")
-            node = CONFLICT
-            while frames:
-                cls, a, b = pop()
-                if cls is Split:
-                    if owed:
-                        raise ValueError
-                    push((None, a, node))
-                    break
-                if not owed:
-                    raise ValueError
-                owed -= 1
-                if cls is Unit:
-                    node = Unit(a, node)
-                elif cls is None:
-                    node = Split(a, b, node)
-                else:
-                    node = cls(a, b, node)
-            else:
-                if owed or next(matches, None) is not None:
-                    raise ValueError
-                return node
-    raise ValueError
-
-
-def _walk_tokens(text: str) -> DpllDerivation:
-    """Parse ``text`` one token at a time, with an explicit stack of the
-    nodes still open.  ``parse_dpll`` runs it only on text the node scan
-    rejects, to raise the error at the first token that does not fit."""
-    tokens = _DPLL_TOKEN.findall(text)
-    n = len(tokens)
-    tokens.append("")  # end sentinel: matches no expected token
-    i = 0
-    # open nodes: (class, lit, payload), the payload being an Elim's or a
-    # Red's clause, or a Split's left child once that is parsed
-    frames: list[tuple] = []
-    while True:
-        head = tokens[i]
-        i += 1
-        if head == "(red" or head == "(elim":
-            clause, i = _clause(text, tokens, n, i)
-            lit, i = _lit(text, tokens, n, i)
-            frames.append((Red if head == "(red" else Elim, lit, clause))
-        elif head == "(unit" or head == "(split":
-            lit, i = _lit(text, tokens, n, i)
-            frames.append((Unit if head == "(unit" else Split, lit, None))
-        elif head != "conflict":
-            _fail(text, i - 1, n, "a derivation node", f"unexpected token {head!r}")
-        else:
-            node = CONFLICT
-            # close every open node the finished one completes, up to a
-            # Split still waiting for its right child
-            while frames:
-                cls, lit, payload = frames.pop()
-                if cls is Split and payload is None:
-                    frames.append((Split, lit, node))
-                    break
-                if tokens[i] != ")":
-                    _fail(text, i, n, "')'", f"expected ')', got {tokens[i]!r}")
-                i += 1
-                node = Unit(lit, node) if cls is Unit else (
-                    Split(lit, payload, node) if cls is Split else cls(payload, lit, node))
-            else:
-                if i != n:
-                    _fail(text, i, n, "", "trailing input after derivation")
-                return node
-
-
-def _fail(text: str, i: int, n: int, expected: str, message: str) -> NoReturn:
-    """Raise ``message`` at token ``i``'s offset or, when ``i`` is past the
-    last token, "unexpected end of input" at the end of the last token.
-    Offsets are found only here, when an error is raised."""
-    if i >= n:
-        message = f"unexpected end of input, expected {expected}"
-    spans = [m.span() for m in islice(_DPLL_TOKEN.finditer(text), i + 1)]
-    at = spans[i][0] if i < len(spans) else spans[-1][1] if spans else 0
-    raise ProofParseError(message, at)
-
-
-def _lit(text: str, tokens: list[str], n: int, i: int,
-         expected: str = "a literal") -> tuple[int, int]:
+    found = _DPLL_NODE.findall(text)
+    matches = iter(found)
+    misfit = None  # the error's message when a conflict's ')' run does not fit
     try:
-        lit = int(tokens[i])
+        for unary, reducing, inside, lit, conflict in matches:
+            if unary:
+                lit = int(lit)
+                if not lit:
+                    raise ValueError
+                push((Unit if unary == "unit" else Split, lit, None))
+            elif reducing:
+                clause = clauses.get(inside)
+                if clause is None:
+                    clause = clauses[inside] = tuple(map(int, inside.split()))
+                    if 0 in clause:
+                        raise ValueError
+                lit = int(lit)
+                if not lit:
+                    raise ValueError
+                push((Red if reducing == "red" else Elim, clause, lit))
+            elif not conflict:
+                raise ValueError
+            else:
+                # close the open nodes the conflict completes, one ')' each,
+                # up to a Split still waiting for its right child
+                owed = conflict.count(")")
+                node = CONFLICT
+                while frames:
+                    cls, a, b = pop()
+                    if cls is Split:
+                        if owed:
+                            misfit = "unexpected token {!r}"
+                            raise ValueError
+                        push((None, a, node))
+                        break
+                    if not owed:
+                        misfit = "expected ')', got {!r}"
+                        raise ValueError
+                    owed -= 1
+                    if cls is Unit:
+                        node = Unit(a, node)
+                    elif cls is None:
+                        node = Split(a, b, node)
+                    else:
+                        node = cls(a, b, node)
+                else:
+                    if owed or length_hint(matches):
+                        misfit = "trailing input after derivation"
+                        raise ValueError
+                    return node
     except ValueError:
-        _fail(text, i, n, expected, f"expected a literal, got {tokens[i]!r}")
-    if lit == 0:
-        _fail(text, i, n, expected, "literal must be nonzero")
-    return lit, i + 1
+        # find the rejected match again; offsets are found only here
+        m = next(islice(_DPLL_NODE.finditer(text), len(found) - 1 - length_hint(matches), None))
+        if misfit is None:
+            _read_node(text, m.start())
+        # the first token after the conflict and the ')' it closed nodes with;
+        # there is none only when a ')' was owed
+        tok = next(islice(_DPLL_TOKEN.finditer(text, m.start(5)),
+                          conflict.count(")") - owed + 1, None), None)
+        _fail(text, tok, "')'", misfit)
+    _read_node(text, len(text))  # the text ended with nodes still open
 
 
-def _clause(text: str, tokens: list[str], n: int, i: int) -> tuple[Clause, int]:
-    if tokens[i] != "[":
-        _fail(text, i, n, "'['", f"expected '[', got {tokens[i]!r}")
-    i += 1
-    lits = []
-    while tokens[i] != "]":
-        lit, i = _lit(text, tokens, n, i, "a literal or ']'")
-        lits.append(lit)
-    return tuple(lits), i + 1
+def _read_node(text: str, start: int) -> NoReturn:
+    """Read the node at offset ``start`` token by token, as the grammar
+    does, and raise at the first token that does not fit."""
+    tokens = _DPLL_TOKEN.finditer(text, start)
+    tok = next(tokens, None)
+    head = tok and tok.group()
+    if head not in ("(unit", "(split", "(red", "(elim"):
+        _fail(text, tok, "a derivation node", "unexpected token {!r}")
+    if head == "(red" or head == "(elim":
+        tok = next(tokens, None)
+        if not tok or tok.group() != "[":
+            _fail(text, tok, "'['", "expected '[', got {!r}")
+        while (tok := next(tokens, None)) is None or tok.group() != "]":
+            _lit(text, tok, "a literal or ']'")
+    _lit(text, next(tokens, None), "a literal")
+    raise AssertionError(f"no error in the node at offset {start}")
+
+
+def _lit(text: str, tok: re.Match | None, expected: str) -> None:
+    """Raise unless ``tok`` is a nonzero literal."""
+    try:
+        if tok and int(tok.group()):
+            return
+    except ValueError:
+        _fail(text, tok, expected, "expected a literal, got {!r}")
+    _fail(text, tok, expected, "literal must be nonzero")
+
+
+def _fail(text: str, tok: re.Match | None, expected: str, message: str) -> NoReturn:
+    """Raise ``message``, formatted with the token, at token ``tok`` or,
+    when the input ended before it, "unexpected end of input" at the end of
+    the last token: ``str.rstrip`` strips exactly what ``\\s`` matches."""
+    if tok is None:
+        raise ProofParseError(f"unexpected end of input, expected {expected}",
+                              len(text.rstrip())) from None
+    raise ProofParseError(message.format(tok.group()), tok.start()) from None
 
 
 def serialize_res(r: ResDerivation) -> str:

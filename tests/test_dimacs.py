@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from dpllkit.dimacs import DimacsError, DimacsWarning, emit_dimacs, parse_dimacs
+from dpllkit.dimacs import DimacsError, emit_dimacs, parse_dimacs
 
 from strategies import formulas
 
@@ -24,16 +24,9 @@ def test_bounds_error_strict():
     assert e.value.line == 2
 
 
-def test_bounds_warning_lenient():
-    with pytest.warns(DimacsWarning):
-        assert parse_dimacs("p cnf 1 1\n2 0\n", strict=False) == ((2,),)
-
-
 def test_clause_count_mismatch():
     with pytest.raises(DimacsError):
         parse_dimacs("p cnf 1 2\n1 0\n")
-    with pytest.warns(DimacsWarning):
-        parse_dimacs("p cnf 1 2\n1 0\n", strict=False)
 
 
 def test_malformed_header():

@@ -210,6 +210,10 @@ def test_node_contract(cls, names, values):
             setattr(node, name, 7)
         with pytest.raises(FrozenInstanceError):
             delattr(node, name)
+    with pytest.raises(FrozenInstanceError):
+        node.extra = 7
+    with pytest.raises(FrozenInstanceError):
+        del node.extra
     assert [getattr(node, name) for name in names] == list(values)
     by_keyword = cls(**dict(zip(names, values)))
     assert by_keyword is not node and by_keyword == node

@@ -5,13 +5,11 @@ import random
 import re
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpllkit import proof_text
 from dpllkit.dpll_proof import CONFLICT, Elim, Red, Split, Unit
 from dpllkit.php import PhpSpec, gen_php
 from dpllkit.proof_text import (
@@ -105,6 +103,16 @@ def test_parse_dpll_reads_tokens_however_spelled(text, proof):
     ("(red [ 1 ]2_ conflict)", 10, "expected a literal, got '2_'"),
     ("(split 1 conflict) conflict)", 17, "unexpected token ')'"),
     ("(unit -0 conflict)", 6, "literal must be nonzero"),
+    ("", 0, "unexpected end of input, expected a derivation node"),
+    ("(split 1 conflict", 17, "unexpected end of input, expected a derivation node"),
+    ("(unit 1 conflict", 16, "unexpected end of input, expected ')'"),
+    ("(unit", 5, "unexpected end of input, expected a literal"),
+    ("(red [ 1", 8, "unexpected end of input, expected a literal or ']'"),
+    ("(red", 4, "unexpected end of input, expected '['"),
+    ("(elim 1 conflict)", 6, "expected '[', got '1'"),
+    ("(unit 1 conflict x", 17, "expected ')', got 'x'"),
+    ("(unit 1 conflict))", 17, "trailing input after derivation"),
+    ("conflict conflict", 9, "trailing input after derivation"),
 ])
 def test_parse_dpll_rejects_what_the_token_walk_rejects(text, at, message):
     with pytest.raises(ProofParseError) as err:
@@ -129,10 +137,6 @@ def respace(text, rng):
     return "".join(parts)
 
 
-def _refuse(text):
-    raise AssertionError("the token walk ran on a valid text")
-
-
 @given(st.one_of(dpll_trees, st.sampled_from([p for _, _, _, p in checker_corpus()[:4]])),
        st.randoms())
 @settings(max_examples=200, deadline=None)
@@ -140,14 +144,12 @@ def test_parse_dpll_reads_any_legal_spacing(p, rng):
     text = serialize_dpll(p)
     respaced = respace(text, rng)
     assert _DPLL_TOKEN.findall(respaced) == _DPLL_TOKEN.findall(text)
-    with mock.patch.object(proof_text, "_walk_tokens", _refuse):
-        assert serialize_dpll(parse_dpll(respaced)) == text
+    assert serialize_dpll(parse_dpll(respaced)) == text
 
 
-def test_valid_dpll_text_never_reaches_the_token_walk(monkeypatch):
+def test_dpll_round_trip_of_checker_corpus_and_php_proofs():
     proofs = [p for _, _, _, p in checker_corpus()]
     proofs += [solve(gen_php(PhpSpec(k + 1, k))).proof for k in range(1, 6)]
-    monkeypatch.setattr(proof_text, "_walk_tokens", _refuse)
     for p in proofs:
         assert parse_dpll(serialize_dpll(p)) == p
 
