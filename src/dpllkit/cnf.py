@@ -9,6 +9,13 @@ Representation conventions (fixed globally, everything else derives from them):
 * a valuation is a duplicate-free tuple of literals in insertion order.
 
 All values are immutable; all operations are pure.
+
+``canonical_formula`` returns its formula as a private tuple subclass that
+equals, hashes and prints as the plain tuple, and returns such a tuple as it
+is.  So a formula is canonicalized once (``parse_dimacs`` and ``gen_php``
+return one made so) and passes through every later stage (``solve``, the
+checkers, the translator) untouched; any other input, plain tuples included,
+is canonicalized in full.
 """
 
 from __future__ import annotations
@@ -32,7 +39,9 @@ def lit_key(lit: Lit) -> tuple[int, bool]:
 
 def canonical_clause(lits: Iterable[Lit]) -> Clause:
     """Duplicate-free, ``lit_key``-sorted clause. Idempotent."""
-    return tuple(sorted(set(lits), key=lit_key))
+    # descending order puts v before -v, and the stable sort by abs keeps it:
+    # lit_key order without a Python-level key call per literal
+    return tuple(sorted(sorted(set(lits), reverse=True), key=abs))
 
 
 def canonical_valuation(lits: Iterable[Lit]) -> Valuation:
@@ -40,9 +49,18 @@ def canonical_valuation(lits: Iterable[Lit]) -> Valuation:
     return tuple(dict.fromkeys(lits))
 
 
+class _Canonical(tuple):
+    """A formula made by ``canonical_formula``; only it builds one."""
+
+    __slots__ = ()
+
+
 def canonical_formula(clauses: Iterable[Iterable[Lit]]) -> Formula:
-    """Canonicalize every clause, drop set-equal duplicates, keep first-insertion order."""
-    return tuple(dict.fromkeys(canonical_clause(c) for c in clauses))
+    """Canonicalize every clause, drop set-equal duplicates, keep first-insertion order.
+    A formula this returned is returned as it is."""
+    if type(clauses) is _Canonical:
+        return clauses
+    return _Canonical(dict.fromkeys(map(canonical_clause, clauses)))
 
 
 def vars_of(x: Union[Clause, Formula, Valuation]) -> set[Var]:

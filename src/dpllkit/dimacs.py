@@ -8,7 +8,7 @@ from __future__ import annotations
 import re
 from typing import Union
 
-from .cnf import Formula, canonical_clause, canonical_formula
+from .cnf import Formula, canonical_formula
 
 _TOKEN = re.compile(r"\S+")
 
@@ -22,12 +22,14 @@ class DimacsError(ValueError):
 
 def parse_dimacs(text: Union[str, bytes]) -> Formula:
     """Parse DIMACS CNF: ``c`` comment lines, one ``p cnf V C`` header, then
-    clauses as nonzero integers terminated by ``0`` (newlines insignificant)."""
+    clauses as nonzero integers terminated by ``0`` (newlines insignificant).
+    The clauses are canonicalized once, together, so the formula returned
+    passes through ``solve``, the checkers and the translator as it is."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     nvars = None
     nclauses_declared = None
-    clauses: list[tuple] = []
+    clauses: list[list[int]] = []
     current: list[int] = []
     open_clause_pos = (1, 1)
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -58,7 +60,7 @@ def parse_dimacs(text: Union[str, bytes]) -> Formula:
             except ValueError:
                 raise DimacsError(f"invalid token {m.group()!r}", lineno, col)
             if lit == 0:
-                clauses.append(canonical_clause(current))
+                clauses.append(current)
                 current = []
                 continue
             if not current:

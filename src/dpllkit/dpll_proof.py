@@ -13,10 +13,34 @@ independent of the solver: nothing here imports the search code.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import FrozenInstanceError, dataclass, fields
+from functools import wraps
 from typing import Any, Optional, Union
 
 from .cnf import Clause, Formula, Lit, Valuation, canonical_formula, canonical_valuation
+
+
+def collector_paused(build):
+    """Wrap a tree builder to run with the cyclic garbage collector off,
+    turned back on after only if it was on before.  The nodes a builder
+    makes are reachable from its tree and freed with it, and a collection
+    would only traverse them again and again as they are made.  The
+    collector goes off before anything is allocated, so no collection starts
+    inside ``build``.  The witness search, the translator and both proof
+    parsers run under it."""
+
+    @wraps(build)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 class ProofNode:

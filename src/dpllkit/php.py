@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cnf import Formula
+from .cnf import Formula, canonical_formula
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ def php_var(spec: PhpSpec, pigeon: int, hole: int) -> int:
 
 def gen_php(spec: PhpSpec) -> Formula:
     """Pigeon clauses (each pigeon in some hole), then pairwise hole clauses
-    (no hole holds two pigeons)."""
+    (no hole holds two pigeons), as a canonical formula."""
     n, m = spec.pigeons, spec.holes
     clauses = [tuple(php_var(spec, i, k) for k in range(1, m + 1))
                for i in range(1, n + 1)]
@@ -36,7 +36,7 @@ def gen_php(spec: PhpSpec) -> Formula:
         for j in range(i + 1, n + 1):
             for k in range(1, m + 1):
                 clauses.append((-php_var(spec, i, k), -php_var(spec, j, k)))
-    return tuple(clauses)
+    return canonical_formula(clauses)
 
 
 def php_comment_lines(spec: PhpSpec) -> list[str]:

@@ -19,25 +19,24 @@ starting at 1, root last:
 after it.  Equal clause texts share one tuple, and an explicit stack of open
 nodes builds the tree.  ``parse_res`` splits each line once and shares equal
 conclusions.  Both build their trees with the cyclic garbage collector
-paused: the new nodes are reachable from the tree and freed with it, and a
-collection would only traverse them again and again as they are made.  The
-node scan is the one DPLL parser and raises its own errors: a node it
-rejects is read again token by token, as the grammar reads, to the first
-token that does not fit, and a ``conflict``'s ``)`` run names the token
-after the ``)`` it could use.  Offsets are found only when an error is
-raised.  The serializers render each distinct clause once per call.
+paused (``dpll_proof.collector_paused``).  The node scan is the one DPLL
+parser and raises its own errors: a node it rejects is read again token by
+token, as the grammar reads, to the first token that does not fit, and a
+``conflict``'s ``)`` run names the token after the ``)`` it could use.
+Offsets are found only when an error is raised.  The serializers render
+each distinct clause once per call.
 """
 
 from __future__ import annotations
 
-import gc
 import re
 from itertools import islice
 from operator import length_hint
 from typing import NoReturn
 
 from .cnf import Clause
-from .dpll_proof import CONFLICT, Conflict, DpllDerivation, Elim, Red, Split, Unit
+from .dpll_proof import (CONFLICT, Conflict, DpllDerivation, Elim, Red, Split, Unit,
+                         collector_paused)
 from .resolution import Res, ResDerivation, Sub
 
 
@@ -45,19 +44,6 @@ class ProofParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"offset {position}: {message}")
         self.position = position
-
-
-def _collector_paused(parse, text: str):
-    """``parse(text)`` with the cyclic collector off, turned back on after
-    only if it was on before.  The collector goes off before anything is
-    allocated, so no collection starts inside ``parse``."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return parse(text)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _clause_text(c: Clause) -> str:
@@ -118,16 +104,12 @@ _DPLL_NODE = re.compile(r"""
     )""", re.VERBOSE)
 
 
+@collector_paused
 def parse_dpll(text: str) -> DpllDerivation:
     """Parse the DPLL text format: one regex match per node and an explicit
     stack of the nodes still open, with the cyclic collector paused.  Text
     that is not a valid derivation raises ``ProofParseError`` with the
     offset of the first token that does not fit."""
-    return _collector_paused(_read_dpll, text)
-
-
-def _read_dpll(text: str) -> DpllDerivation:
-    """The derivation ``text`` spells; ProofParseError if it spells none."""
     clauses: dict[str, Clause] = {}  # a clause's inside -> its one tuple
     # open nodes: (class, lit, payload), the payload being an Elim's or a
     # Red's clause; a Split whose left child is done is (None, lit, left)
@@ -258,14 +240,11 @@ def serialize_res(r: ResDerivation) -> str:
     return "\n".join(lines) + "\n"
 
 
+@collector_paused
 def parse_res(text: str) -> ResDerivation:
     """Parse a resolution trace, one ``split`` per line, with the cyclic
     collector paused.  A malformed line raises ``ProofParseError`` at the
     line's offset."""
-    return _collector_paused(_parse_lines, text)
-
-
-def _parse_lines(text: str) -> ResDerivation:
     nodes: dict[int, ResDerivation] = {}
     conclusions: dict[Clause, Clause] = {}  # one tuple per distinct conclusion
     root = None

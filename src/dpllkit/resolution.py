@@ -15,7 +15,7 @@ from typing import Optional, Union
 
 from .cnf import Clause, Formula, Lit, Valuation, canonical_formula
 from .dpll_proof import (CheckReport, DpllDerivation, Elim, ProofNode, Red, Split, Unit, VALID,
-                         slot_init, walk)
+                         collector_paused, slot_init, walk)
 
 
 @slot_init
@@ -187,16 +187,31 @@ class _Translation:
 
     def split(self, node: Split, left: _Node, right: _Node) -> _Node:
         if node.lit not in right.conclusion:
+            _unlink(left)
             return right
         return _res(node.lit, left, right)
 
 
+def _unlink(root: _Node) -> None:
+    """Clear the parent links of a subtree the translation drops, so that
+    reference counting frees it."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        node.parent = None
+        if node.left is not None:
+            stack += (node.left, node.right)
+
+
 def _index(root: _Node, positions: dict) -> ResDerivation:
-    """Build the public derivation, post-order, with premise indices."""
+    """Build the public derivation, post-order, with premise indices.  Each
+    node's parent link is cleared as the node is visited, so the scratch
+    tree holds no cycle and reference counting frees it."""
     done: list[ResDerivation] = []
     stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
+        node.parent = None
         if node.left is None:
             done.append(Sub(positions[node.conclusion], node.conclusion))
         elif not expanded:
@@ -207,12 +222,15 @@ def _index(root: _Node, positions: dict) -> ResDerivation:
     return done[0]
 
 
+@collector_paused
 def dpll_to_res(g: Valuation, d0: Formula, p: DpllDerivation) -> ResDerivation:
     """Translate a valid DPLL derivation of ``g |- d0`` into a resolution
     derivation from ``d0`` whose conclusion is a subset of the negated
     valuation and whose size never exceeds the DPLL size.  The derivation is
     checked in the same walk that translates it; an invalid one raises
-    ``InvalidDerivation`` with the report ``check_dpll`` gives."""
+    ``InvalidDerivation`` with the report ``check_dpll`` gives.  The
+    cyclic collector is paused meanwhile; the scratch tree is freed by
+    reference counting."""
     d0 = canonical_formula(d0)
     report, root = walk(g, d0, p, _Translation())
     if not report.valid:

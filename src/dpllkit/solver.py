@@ -45,7 +45,7 @@ from .cnf import (
     is_consistent,
     measure,
 )
-from .dpll_proof import CONFLICT, DpllDerivation, Elim, Red, Split, Unit
+from .dpll_proof import CONFLICT, DpllDerivation, Elim, Red, Split, Unit, collector_paused
 from .resolution import ResDerivation, dpll_to_res
 
 
@@ -105,12 +105,14 @@ def choose_split(t: Formula) -> Lit:
 def solve(d, cfg: SolverConfig = SolverConfig()) -> Union[Verdict, bool]:
     """Decide a CNF formula.
 
-    Witness mode returns a ``Verdict`` carrying a model or a derivation;
-    decide mode returns only the satisfiability boolean.
+    Witness mode returns a ``Verdict`` carrying a model or a derivation,
+    built with the cyclic collector paused; decide mode returns only the
+    satisfiability boolean.
     """
     witness = cfg.mode == "witness"
     log: Optional[list[str]] = [] if (cfg.trace and witness) else None
-    v = _search((), canonical_formula(d), (), witness, cfg.assert_measure, log)
+    search = _witness_search if witness else _search
+    v = search((), canonical_formula(d), (), witness, cfg.assert_measure, log)
     if not witness:
         return v.satisfiable
     if log is not None:
@@ -121,13 +123,14 @@ def solve(d, cfg: SolverConfig = SolverConfig()) -> Union[Verdict, bool]:
 def solve_aux(g: Valuation, d, t=(), cfg: SolverConfig = SolverConfig()) -> Verdict:
     """Search from an intermediate state: valuation ``g``, working formula
     ``d``, clean clauses ``t``.  Always returns a full witness Verdict."""
-    return _search(canonical_valuation(g), canonical_formula(d), canonical_formula(t),
-                   True, cfg.assert_measure, None)
+    return _witness_search(canonical_valuation(g), canonical_formula(d), canonical_formula(t),
+                           True, cfg.assert_measure, None)
 
 
+@collector_paused
 def refute(d0) -> ResVerdict:
     """Solve and, when unsatisfiable, emit a resolution refutation of size
-    bounded by the DPLL derivation's."""
+    bounded by the DPLL derivation's, with the cyclic collector paused."""
     d0 = canonical_formula(d0)
     v = solve(d0, SolverConfig(mode="witness"))
     if v.satisfiable:
@@ -235,10 +238,10 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
     # of q, so every clean clause rejoins the working formula untouched.
     # Entries before i are spent, and dropped now and then.
     # live and tset are the clauses in hits of the working formula and of
-    # the clean clauses.  wrappers holds a (rule, a, b) triple for each Elim,
-    # Unit and Red step taken since the last Split began, outermost first: a
-    # refuted leaf is wrapped in them, innermost first, as rule(a, b, leaf),
-    # or Unit(a, leaf) (b unused).
+    # the clean clauses.  wrappers holds a (rule, first, second) triple for
+    # each Elim, Unit and Red step taken since the last Split began,
+    # outermost first: a refuted leaf is wrapped in them, innermost first, as
+    # rule(first, second, leaf), or Unit(first, leaf) (second unused).
     g, gset = list(g0), set(g0)
     # The occurrence index.  inp is the input, (*d0, *t0); occ maps each
     # variable to the positions in inp of the clauses that hold it, and hits
@@ -405,8 +408,8 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
         proof = leaf
         while True:
             if witness:
-                for rule, a, b in reversed(wrappers):
-                    proof = Unit(a, proof) if rule is Unit else rule(a, b, proof)
+                for rule, first, second in reversed(wrappers):
+                    proof = Unit(first, proof) if rule is Unit else rule(first, second, proof)
             if not splits:
                 return Verdict(False, proof=proof) if witness else _UNSAT_DECIDED
             s = splits[-1]
@@ -421,3 +424,6 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
             splits.pop()
             proof = Split(s.lit, s.left, proof) if witness else None
             wrappers = s.wrappers
+
+
+_witness_search = collector_paused(_search)

@@ -4,20 +4,26 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from dpllkit import cnf
 from dpllkit.cnf import (
     Assignment,
     canonical_clause,
     canonical_formula,
     evaluate,
     is_consistent,
+    lit_key,
     literals_outside,
     measure,
     vars_of,
     weight,
 )
+from dpllkit.dimacs import emit_dimacs, parse_dimacs
+from dpllkit.dpll_proof import check_dpll
 from dpllkit.php import PhpSpec, gen_php
+from dpllkit.resolution import Sub, check_res, dpll_to_res
+from dpllkit.solver import SolverConfig, refute, solve
 
-from strategies import assignments, clauses, formulas, literals, valuations
+from strategies import assignments, clauses, formulas, horn_chain, literals, valuations
 
 
 def test_vars_of():
@@ -97,6 +103,90 @@ def test_canonical_clause_idempotent_and_order_insensitive(lits):
 
 def test_canonical_formula_drops_set_equal_duplicates():
     assert canonical_formula([[1, 2], [2, 1], [1]]) == ((1, 2), (1,))
+
+
+# few variables, so that lists repeat literals and hold complementary pairs
+crowded_literals = st.integers(-4, 4).filter(bool)
+
+
+@given(st.lists(crowded_literals, max_size=12))
+def test_canonical_clause_is_the_lit_key_order(lits):
+    assert canonical_clause(lits) == tuple(sorted(set(lits), key=lit_key))
+
+
+def test_canonical_clause_puts_each_variable_before_its_complement():
+    assert canonical_clause([2, -1, 1, 2, -2]) == (1, -1, 2, -2)
+
+
+def old_canonical_formula(clauses):
+    return tuple(dict.fromkeys(tuple(sorted(set(c), key=lit_key)) for c in clauses))
+
+
+@given(st.lists(st.lists(crowded_literals, max_size=5), max_size=10))
+def test_canonical_formula_of_tuples_lists_and_generators(raw):
+    expected = old_canonical_formula(raw)
+    as_tuples = tuple(map(tuple, raw))
+    for given_form in (raw, as_tuples, (c for c in raw)):
+        out = canonical_formula(given_form)
+        assert out == expected and hash(out) == hash(expected) and repr(out) == repr(expected)
+    assert canonical_formula(expected) == expected
+
+
+def test_canonical_formulas_pass_through():
+    text = emit_dimacs(horn_chain(20, True))
+    for f in (canonical_formula([[2, 1], [1, 2], [-1]]), parse_dimacs(text),
+              gen_php(PhpSpec(3, 2))):
+        assert canonical_formula(f) is f
+
+
+def count_canonical_clause(monkeypatch) -> list:
+    """Replace ``cnf.canonical_clause``, the name ``canonical_formula`` looks
+    up, by a counting wrapper; returns the one-element count."""
+    calls = [0]
+    real = cnf.canonical_clause
+
+    def counted(lits):
+        calls[0] += 1
+        return real(lits)
+
+    monkeypatch.setattr(cnf, "canonical_clause", counted)
+    return calls
+
+
+def test_a_parsed_formula_is_canonicalized_once(monkeypatch):
+    calls = count_canonical_clause(monkeypatch)
+    text = emit_dimacs(horn_chain(200, True))
+    d = parse_dimacs(text)
+    assert calls[0] == len(d) == 201
+    calls[0] = 0
+    v = solve(d)
+    assert solve(d, SolverConfig(mode="decide")) is False
+    assert check_dpll((), d, v.proof).valid
+    r = dpll_to_res((), d, v.proof)
+    assert check_res(d, r).valid
+    assert refute(d).proof == r
+    assert calls[0] == 0
+
+
+def test_stages_canonicalize_what_they_are_given():
+    d = parse_dimacs(emit_dimacs(horn_chain(200, True)))
+    # the same formula as lists, literals reversed, one clause given twice
+    # (the second time with a repeated literal)
+    loose = [list(reversed(c)) for c in d]
+    loose.insert(5, [d[4][1], d[4][0], d[4][1]])
+    assert canonical_formula(loose) == d
+    p = solve(d).proof
+    r = dpll_to_res((), d, p)
+    assert dpll_to_res((), loose, p) == r
+    assert check_dpll((), loose, p) == check_dpll((), d, p)
+    assert check_res(loose, r) == check_res(d, r)
+    # failing reports carry the canonical formula in their context
+    bad = p.sub
+    assert not check_dpll((), d, bad).valid
+    assert check_dpll((), loose, bad) == check_dpll((), d, bad)
+    wrong_premise = Sub(2, ())
+    assert not check_res(d, wrong_premise).valid
+    assert check_res(loose, wrong_premise) == check_res(d, wrong_premise)
 
 
 @given(assignments)

@@ -20,8 +20,8 @@ from dpllkit.proof_text import (
     serialize_dpll,
     serialize_res,
 )
-from dpllkit.resolution import Res, Sub, dpll_to_res
-from dpllkit.solver import solve
+from dpllkit.resolution import InvalidDerivation, Res, Sub, dpll_to_res
+from dpllkit.solver import refute, solve, solve_aux
 
 from strategies import DPLL_TOKENS, RES_TOKENS, checker_corpus, clauses, literals, mutate_text
 
@@ -154,10 +154,23 @@ def test_dpll_round_trip_of_checker_corpus_and_php_proofs():
         assert parse_dpll(serialize_dpll(p)) == p
 
 
-@pytest.mark.parametrize("parse, text, valid", [
+PHP21 = gen_php(PhpSpec(2, 1))
+
+# every tree builder, each on input it accepts and, for the parsers and the
+# translator, on input it rejects
+TREE_BUILDS = [
     (parse_dpll, PHP21_TEXT, True), (parse_dpll, "(unit 1 conflict", False),
     (parse_res, "1 S 1 0\n", True), (parse_res, "1 S 1\n", False),
-])
+    pytest.param(solve, PHP21, True, id="solve"),
+    pytest.param(lambda d: solve_aux((1,), d), PHP21, True, id="solve_aux"),
+    pytest.param(refute, PHP21, True, id="refute"),
+    pytest.param(lambda p: dpll_to_res((), PHP21, p), PHP21_PROOF, True, id="dpll_to_res"),
+    pytest.param(lambda p: dpll_to_res((), PHP21, p), Unit(3, CONFLICT), False,
+                 id="dpll_to_res-invalid"),
+]
+
+
+@pytest.mark.parametrize("parse, text, valid", TREE_BUILDS)
 @pytest.mark.parametrize("enabled", [True, False])
 def test_parsers_leave_the_collector_as_they_found_it(parse, text, valid, enabled):
     was = gc.isenabled()
@@ -169,13 +182,45 @@ def test_parsers_leave_the_collector_as_they_found_it(parse, text, valid, enable
         if valid:
             parse(text)
         else:
-            with pytest.raises(ProofParseError):
+            error = ProofParseError if parse in (parse_dpll, parse_res) else InvalidDerivation
+            with pytest.raises(error):
                 parse(text)
         assert gc.isenabled() is enabled
     finally:
         if was:
             gc.enable()
         else:
+            gc.disable()
+
+
+def test_tree_builders_run_with_the_collector_paused():
+    # PHP(5,4) makes thousands of nodes: with the collector on, each build
+    # would start collections; paused, none starts
+    d = gen_php(PhpSpec(5, 4))
+    p = solve(d).proof
+    dpll_text, res_text = serialize_dpll(p), serialize_res(dpll_to_res((), d, p))
+    builds = [lambda: solve(d), lambda: solve_aux((), d), lambda: refute(d),
+              lambda: dpll_to_res((), d, p), lambda: parse_dpll(dpll_text),
+              lambda: parse_res(res_text)]
+    started = []
+
+    def on_collect(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(on_collect)
+    try:
+        for build in builds:
+            build()
+        assert started == []
+        # as many allocations outside a builder do start collections
+        [[i] for i in range(100_000)]
+        assert started
+    finally:
+        gc.callbacks.remove(on_collect)
+        if not was:
             gc.disable()
 
 

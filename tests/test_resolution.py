@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -26,6 +27,7 @@ from strategies import (
     checker_corpus,
     consistent_valuations,
     formulas,
+    horn_chain,
     mutate_res,
     random_formula,
     res_nodes,
@@ -138,6 +140,27 @@ def test_red_lift_gains_at_most_the_removed_literal():
     assert res_size(after) == res_size(before) == 1
     assert set(after.conclusion) <= set(before.conclusion) | {3}
     assert check_res(d0, after).valid
+
+
+def test_translation_leaves_no_cyclic_garbage():
+    # the Split's right branch refutes without its literal, so the
+    # translation drops the left branch's scratch tree
+    d0 = ((-1, 2), (-2,), (2, 3), (-3,))
+    dropped = Split(1, Red((-1, 2), 1, Unit(2, Red((-2,), 2, CONFLICT))),
+                    Unit(-3, Red((2, 3), -3, Unit(2, Red((-2,), 2, CONFLICT)))))
+    cases = [(d0, dropped)]
+    for d in (gen_php(PhpSpec(5, 4)), horn_chain(200, True)):
+        cases.append((d, solve(d).proof))
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for d, p in cases:
+            assert check_res(d, dpll_to_res((), d, p)).valid
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
 
 
 def test_refute_php_2_1():
