@@ -298,7 +298,29 @@ def test_check_res_reports_match_recorded_digests():
     assert rejected >= 1500
 
 
+# Translation identity.  tests/data/translation_digests.json records the
+# SHA-256 of serialize_res(dpll_to_res(...)) for every valid derivation in
+# checker_corpus(); the same hook regenerates it.
+
+TRANSLATION_DIGESTS = Path(__file__).parent / "data" / "translation_digests.json"
+
+
+def translation_digests():
+    return {name: hashlib.sha256(serialize_res(dpll_to_res(g, d, p)).encode()).hexdigest()
+            for name, g, d, p in checker_corpus() if check_dpll(g, d, p).valid}
+
+
+def test_translations_match_recorded_digests():
+    recorded = json.loads(TRANSLATION_DIGESTS.read_text())
+    digests = translation_digests()
+    assert list(digests) == list(recorded)
+    for name, digest in digests.items():
+        assert digest == recorded[name], name
+
+
 if __name__ == "__main__":
-    digests = {name: res_check_digest(d, r) for name, d, r in res_check_corpus()}
-    RES_CHECK_DIGESTS.write_text(json.dumps(digests, indent=1) + "\n")
-    print(f"wrote {len(digests)} digests to {RES_CHECK_DIGESTS}", file=sys.stderr)
+    for path, digests in ((RES_CHECK_DIGESTS, {name: res_check_digest(d, r)
+                                               for name, d, r in res_check_corpus()}),
+                          (TRANSLATION_DIGESTS, translation_digests())):
+        path.write_text(json.dumps(digests, indent=1) + "\n")
+        print(f"wrote {len(digests)} digests to {path}", file=sys.stderr)
