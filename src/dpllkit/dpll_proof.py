@@ -252,14 +252,14 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
 
     With a ``fold``, the walk also folds the derivation bottom-up into
     ``value`` (otherwise ``None``): ``fold.conflict()`` at a leaf;
-    ``fold.unit(node, v)``, ``fold.elim(node, v)`` and
-    ``fold.red(node, v, reduct)`` from the child's value, ``reduct`` being
-    the Red's reduct if it was new to the formula, else ``None`` (a new
-    reduct is also announced on the way down, by ``fold.fresh(reduct)``
-    before the Red's subtree is folded); and for a Split,
-    ``fold.needs_right(node, left)`` after the left branch, then
+    ``fold.unit(node, v)`` and ``fold.red(node, v, reduct)`` from the
+    child's value, ``reduct`` being the Red's reduct if it was new to the
+    formula, else ``None`` (a new reduct is also announced on the way down,
+    by ``fold.fresh(node, reduct)`` before the Red's subtree is folded); and
+    for a Split, ``fold.needs_right(node, left)`` after the left branch, then
     ``fold.split(node, left, right)`` when it said so.  Otherwise the Split's
-    value is ``left``, and its right branch is checked but not folded.
+    value is ``left``, and its right branch is checked but not folded.  An
+    Elim's value is its child's.
     """
     g = list(canonical_valuation(g0))
     gset = set(g)
@@ -314,7 +314,7 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                     d[reduct] = next_rank
                     next_rank += 1
                     if folding:
-                        fold.fresh(reduct)
+                        fold.fresh(node, reduct)
                 frames.append((_RED, node, rank, reduct))
                 node = node.sub
             elif isinstance(node, Elim):
@@ -365,8 +365,6 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                     values[-1] = fold.red(node, values[-1], b)
             elif kind == _ELIM:
                 d[node.clause] = a
-                if folding:
-                    values[-1] = fold.elim(node, values[-1])
             elif kind == _LEFT:
                 lit = node.lit
                 if a:

@@ -3,9 +3,12 @@
 A resolution derivation is a tree of subsumption leaves (pointing 1-based
 into the premise formula) and resolution nodes.  Pivot convention: the left
 premise contains the pivot's complement, the right premise the pivot itself.
-``dpll_to_res`` turns a checker-valid DPLL derivation of ``g |- d0`` into a
-resolution derivation from ``d0`` concluding a subset of the negated
-valuation, never larger than the DPLL derivation.
+``parse_res`` may share a node among several steps; ``check_res`` and
+``res_size`` visit each distinct node once.  ``dpll_to_res`` turns a
+checker-valid DPLL derivation of ``g |- d0`` into a resolution derivation
+from ``d0`` concluding a subset of the negated valuation, never larger than
+the DPLL derivation: it builds the public nodes bottom-up, each leaf citing
+from the start the premise its clause was reduced from.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .cnf import Clause, Formula, Lit, Valuation, canonical_formula
-from .dpll_proof import (CheckReport, DpllDerivation, Elim, ProofNode, Red, Split, Unit, VALID,
+from .dpll_proof import (CheckReport, DpllDerivation, ProofNode, Red, Split, Unit, VALID,
                          collector_paused, slot_init, walk)
 
 
@@ -50,16 +53,23 @@ class InvalidDerivation(ValueError):
 
 
 def res_size(d: ResDerivation) -> int:
-    """Number of resolution steps; subsumption leaves cost nothing."""
-    total = 0
+    """Number of resolution steps in the unfolded tree; subsumption leaves
+    cost nothing.  Each distinct node is sized once, so a node that several
+    steps cite (``parse_res`` shares them) costs one visit, not one per
+    occurrence."""
+    sizes: dict[int, int] = {}
     stack = [d]
     while stack:
         node = stack.pop()
-        if isinstance(node, Res):
-            total += 1
-            stack.append(node.left)
-            stack.append(node.right)
-    return total
+        if id(node) in sizes:
+            continue
+        if not isinstance(node, Res):
+            sizes[id(node)] = 0
+        elif id(node.left) in sizes and id(node.right) in sizes:
+            sizes[id(node)] = 1 + sizes[id(node.left)] + sizes[id(node.right)]
+        else:
+            stack += (node, node.right, node.left)
+    return sizes[id(d)]
 
 
 def res_conclusion(d: ResDerivation) -> Clause:
@@ -69,12 +79,17 @@ def res_conclusion(d: ResDerivation) -> Clause:
 def check_res(d0: Formula, d: ResDerivation) -> CheckReport:
     """Validate every node of a resolution derivation against ``d0``, in
     preorder, left child first; the first violation is reported with its
-    child-index path and ``(d0, node)`` as context."""
+    child-index path and ``(d0, node)`` as context.  A node met again is
+    skipped: its subtree was checked the first time without a violation."""
     d0 = canonical_formula(d0)
     path: list[int] = []
+    seen: set[int] = set()
     stack = [(d, 0, 0)]  # (node, depth, child index)
     while stack:
         node, depth, branch = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         if depth:
             del path[depth - 1:]
             path.append(branch)
@@ -103,123 +118,61 @@ def check_res(d0: Formula, d: ResDerivation) -> CheckReport:
     return VALID
 
 
-@dataclass(slots=True, eq=False)
-class _Node:
-    """A translation node: a resolution step, or a leaf (pivot 0) citing the
-    premise clause that is its conclusion.  Conclusions are subsets of the
-    negated (consistent) valuation, so ordering them by ``abs`` is the
-    ``lit_key`` order."""
-    pivot: Lit
-    left: Optional[_Node]
-    right: Optional[_Node]
-    conclusion: Clause
-    parent: Optional[_Node] = None
-
-
-def _res(pivot: Lit, left: _Node, right: _Node) -> _Node:
-    # left lacks pivot and right lacks -pivot, so this is the resolvent
+def _res(pivot: Lit, left: ResDerivation, right: ResDerivation) -> Res:
+    # left lacks pivot and right lacks -pivot, and both are subsets of the
+    # negated (consistent) valuation, so this is the resolvent in lit_key order
     lits = set(left.conclusion).union(right.conclusion) - {pivot, -pivot}
-    node = _Node(pivot, left, right, tuple(sorted(lits, key=abs)))
-    left.parent = right.parent = node
-    return node
+    return Res(pivot, left, right, tuple(sorted(lits, key=abs)))
 
 
 class _Translation:
     """The DPLL-to-resolution translation as a fold over the checking walk
     (``dpll_proof.walk``): each method builds a node's translation from its
     children's, whose conclusions are subsets of the negated valuation at
-    that node.
+    that node.  Each DPLL node adds at most one resolution step.
 
-    ``citing`` maps each clause to the leaves citing it, in the order they
-    came to cite it.  A Red with a new reduct marks how many leaves cite the
-    reduct on the way down; on the way up, the leaves past the mark are those
-    of its own subtree (a nested Red that re-created the reduct has taken its
-    own suffix already)."""
+    A leaf cites the premise its clause was reduced from: ``origin`` maps
+    each reduct a Red added to the formula to that premise, the origin of the
+    Red's own clause.  A Red that re-creates a reduct of an outer Red shadows
+    the outer entry until its subtree is folded."""
 
-    def __init__(self):
-        self.citing: dict[Clause, list[_Node]] = {}
-        self.marks: list[int] = []
+    def __init__(self, d0: Formula):
+        self.positions = {c: i + 1 for i, c in enumerate(d0)}
+        self.origin: dict[Clause, Clause] = {}
+        self.shadowed: list[Optional[Clause]] = []
 
-    def _leaf(self, clause: Clause) -> _Node:
-        leaf = _Node(0, None, None, clause)
-        self.citing.setdefault(clause, []).append(leaf)
-        return leaf
+    def _leaf(self, clause: Clause) -> Sub:
+        premise = self.origin.get(clause, clause)
+        return Sub(self.positions[premise], premise)
 
-    def conflict(self) -> _Node:
+    def conflict(self) -> Sub:
         return self._leaf(())
 
-    def unit(self, node: Unit, r: _Node) -> _Node:
+    def unit(self, node: Unit, r: ResDerivation) -> ResDerivation:
         if -node.lit not in r.conclusion:
             return r
         return _res(node.lit, r, self._leaf((node.lit,)))
 
-    def elim(self, node: Elim, r: _Node) -> _Node:
-        # pure weakening: a derivation from the smaller premise set stands as is
+    def fresh(self, node: Red, reduct: Clause) -> None:
+        self.shadowed.append(self.origin.get(reduct))
+        self.origin[reduct] = self.origin.get(node.clause, node.clause)
+
+    def red(self, node: Red, r: ResDerivation, reduct: Optional[Clause]) -> ResDerivation:
+        if reduct is not None:
+            outer = self.shadowed.pop()
+            if outer is None:
+                del self.origin[reduct]
+            else:
+                self.origin[reduct] = outer
         return r
 
-    def fresh(self, reduct: Clause) -> None:
-        self.marks.append(len(self.citing.get(reduct, ())))
-
-    def red(self, node: Red, r: _Node, reduct: Optional[Clause]) -> _Node:
-        # a reduct that was already a premise needs no lift
-        if reduct is None:
-            return r
-        mark = self.marks.pop()
-        leaves = self.citing.get(reduct, [])
-        moved = leaves[mark:]
-        del leaves[mark:]
-        added = -node.lit
-        self.citing.setdefault(node.clause, []).extend(moved)
-        # re-point each leaf to the Red's clause; the literal it gains climbs
-        # until a pivot absorbs it or a conclusion already holds it
-        for child in moved:
-            child.conclusion = node.clause
-            parent = child.parent
-            while parent is not None and added not in parent.conclusion:
-                if added == (-parent.pivot if parent.left is child else parent.pivot):
-                    break
-                parent.conclusion = tuple(sorted(parent.conclusion + (added,), key=abs))
-                child, parent = parent, parent.parent
-        return r
-
-    def needs_right(self, node: Split, left: _Node) -> bool:
+    def needs_right(self, node: Split, left: ResDerivation) -> bool:
         return -node.lit in left.conclusion
 
-    def split(self, node: Split, left: _Node, right: _Node) -> _Node:
+    def split(self, node: Split, left: ResDerivation, right: ResDerivation) -> ResDerivation:
         if node.lit not in right.conclusion:
-            _unlink(left)
             return right
         return _res(node.lit, left, right)
-
-
-def _unlink(root: _Node) -> None:
-    """Clear the parent links of a subtree the translation drops, so that
-    reference counting frees it."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        node.parent = None
-        if node.left is not None:
-            stack += (node.left, node.right)
-
-
-def _index(root: _Node, positions: dict) -> ResDerivation:
-    """Build the public derivation, post-order, with premise indices.  Each
-    node's parent link is cleared as the node is visited, so the scratch
-    tree holds no cycle and reference counting frees it."""
-    done: list[ResDerivation] = []
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        node.parent = None
-        if node.left is None:
-            done.append(Sub(positions[node.conclusion], node.conclusion))
-        elif not expanded:
-            stack += ((node, True), (node.right, False), (node.left, False))
-        else:
-            right = done.pop()
-            done[-1] = Res(node.pivot, done[-1], right, node.conclusion)
-    return done[0]
 
 
 @collector_paused
@@ -229,10 +182,10 @@ def dpll_to_res(g: Valuation, d0: Formula, p: DpllDerivation) -> ResDerivation:
     valuation and whose size never exceeds the DPLL size.  The derivation is
     checked in the same walk that translates it; an invalid one raises
     ``InvalidDerivation`` with the report ``check_dpll`` gives.  The
-    cyclic collector is paused meanwhile; the scratch tree is freed by
-    reference counting."""
+    translation is built bottom-up and holds no reference cycle; the cyclic
+    collector is paused meanwhile."""
     d0 = canonical_formula(d0)
-    report, root = walk(g, d0, p, _Translation())
+    report, root = walk(g, d0, p, _Translation(d0))
     if not report.valid:
         raise InvalidDerivation(report)
-    return _index(root, {c: i + 1 for i, c in enumerate(d0)})
+    return root

@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -140,6 +141,47 @@ def test_red_lift_gains_at_most_the_removed_literal():
     assert res_size(after) == res_size(before) == 1
     assert set(after.conclusion) <= set(before.conclusion) | {3}
     assert check_res(d0, after).valid
+
+
+def test_redundant_unit_under_red_resolves_on_its_literal():
+    # Unit(1) with 1 already assumed: the Conflict leaf cites (-1), the
+    # premise its () was reduced from, so the Unit resolves on 1
+    g, d0 = (1,), ((-1,), (1,))
+    p = Red((-1,), 1, Unit(1, CONFLICT))
+    r = dpll_to_res(g, d0, p)
+    assert r == Res(1, Sub(1, (-1,)), Sub(2, (1,)), ())
+    assert check_res(d0, r).valid
+    assert res_size(r) == 1 <= dpll_size(p)
+
+
+def shared_trace(n, premise_index=1):
+    """Line 1 weakens premise ``premise_index`` to (1 -1 2); line i resolves
+    line i-1 with itself on 1, so the n lines unfold into a tree of 2**(n-1)
+    leaves."""
+    return f"1 S {premise_index} 1 -1 2 0\n" + "".join(
+        f"{i} R 1 {i - 1} {i - 1} 1 -1 2 0\n" for i in range(2, n + 1))
+
+
+def unfolded_chain(n, premise_index=1):
+    if n == 1:
+        return Sub(premise_index, (1, -1, 2))
+    return Res(1, unfolded_chain(n - 1, premise_index), unfolded_chain(n - 1, premise_index),
+               (1, -1, 2))
+
+
+def test_shared_nodes_are_checked_and_sized_once():
+    r = parse_res(shared_trace(60))
+    start = time.perf_counter()
+    assert check_res(((1, 2),), r).valid
+    assert res_size(r) == 2**59 - 1
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("premise_index", [1, 2])
+def test_shared_nodes_report_as_the_unfolded_tree(premise_index):
+    shared, unfolded = parse_res(shared_trace(6, premise_index)), unfolded_chain(6, premise_index)
+    assert res_size(shared) == res_size(unfolded) == 31
+    assert repr(check_res(((1, 2),), shared)) == repr(check_res(((1, 2),), unfolded))
 
 
 def test_translation_leaves_no_cyclic_garbage():
