@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .cnf import Clause, Formula, Lit, Valuation, canonical_formula
+from .cnf import Clause, Formula, Lit, Valuation, canonical_clause, canonical_formula
 from .dpll_proof import (CheckReport, DpllDerivation, ProofNode, Red, Split, Unit, VALID,
                          collector_paused, slot_init, walk)
 
@@ -119,10 +119,11 @@ def check_res(d0: Formula, d: ResDerivation) -> CheckReport:
 
 
 def _res(pivot: Lit, left: ResDerivation, right: ResDerivation) -> Res:
-    # left lacks pivot and right lacks -pivot, and both are subsets of the
-    # negated (consistent) valuation, so this is the resolvent in lit_key order
-    lits = set(left.conclusion).union(right.conclusion) - {pivot, -pivot}
-    return Res(pivot, left, right, tuple(sorted(lits, key=abs)))
+    # the resolvent check_res checks: each premise loses only its resolved
+    # literal, so a leaf citing a tautological premise keeps the other one
+    return Res(pivot, left, right,
+               canonical_clause(set(left.conclusion).difference((-pivot,))
+                                | set(right.conclusion).difference((pivot,))))
 
 
 class _Translation:

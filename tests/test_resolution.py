@@ -154,6 +154,18 @@ def test_redundant_unit_under_red_resolves_on_its_literal():
     assert res_size(r) == 1 <= dpll_size(p)
 
 
+def test_redundant_unit_keeps_the_pivot_of_a_tautological_premise():
+    # the inner Unit(1) resolves on 1 with the leaf citing (1 | -1), which
+    # loses only 1: the resolvent keeps -1 for the outer Unit to resolve
+    d0 = ((1,), (-1,), (1, -1))
+    p = Unit(1, Red((1, -1), 1, Unit(1, Red((-1,), 1, CONFLICT))))
+    assert check_dpll((), d0, p).valid
+    r = dpll_to_res((), d0, p)
+    assert r == Res(1, Res(1, Sub(2, (-1,)), Sub(3, (1, -1)), (-1,)), Sub(1, (1,)), ())
+    assert check_res(d0, r).valid
+    assert res_size(r) == 2 <= dpll_size(p)
+
+
 def shared_trace(n, premise_index=1):
     """Line 1 weakens premise ``premise_index`` to (1 -1 2); line i resolves
     line i-1 with itself on 1, so the n lines unfold into a tree of 2**(n-1)
