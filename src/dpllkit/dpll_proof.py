@@ -44,11 +44,13 @@ def collector_paused(build):
 
 
 class ProofNode:
-    """Structural ``==``, ``hash`` and ``repr`` for derivation nodes: same
-    class and equal fields, compared, hashed and spelled with an explicit
-    stack, so trees of any depth need no recursion (the dataclass defaults
-    recurse).  A node class lists its scalar fields and its child nodes in
-    ``_parts``; ``repr`` is the dataclass one, fields in declaration order."""
+    """Structural ``==``, ``hash`` and ``repr`` for derivation nodes, read
+    from the dataclass fields in declaration order; the dataclass defaults
+    recurse.  ``==`` compares with an explicit stack and each pair of nodes
+    once, so shared nodes (``parse_res`` makes them) cost one visit and trees
+    of any depth need no recursion.  ``hash`` reads only the root's fields
+    that are not nodes: equal nodes have equal ones, and it costs O(1)
+    however large the derivation.  ``repr`` spells the unfolded tree."""
 
     __slots__ = ()
 
@@ -56,29 +58,26 @@ class ProofNode:
         if other.__class__ is not self.__class__:
             return NotImplemented
         stack = [(self, other)]
+        compared: set[tuple[int, int]] = set()
         while stack:
             a, b = stack.pop()
-            if a is b:
+            pair = id(a), id(b)
+            if a is b or pair in compared:
                 continue
             if a.__class__ is not b.__class__:
                 return False
-            (fields, kids), (other_fields, other_kids) = a._parts(), b._parts()
-            if fields != other_fields:
-                return False
-            stack += zip(kids, other_kids)
+            compared.add(pair)
+            for name in a.__dataclass_fields__:
+                x, y = getattr(a, name), getattr(b, name)
+                if isinstance(x, ProofNode):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
         return True
 
     def __hash__(self) -> int:
-        # the preorder of (class, fields) spells the tree, each class having
-        # a fixed number of children
-        labels = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            fields, kids = node._parts()
-            labels.append((node.__class__, fields))
-            stack += kids
-        return hash(tuple(labels))
+        values = (getattr(self, name) for name in self.__dataclass_fields__)
+        return hash((self.__class__, *(v for v in values if not isinstance(v, ProofNode))))
 
     def __repr__(self) -> str:
         # the stack holds text still to be written and nodes still to be
@@ -135,8 +134,7 @@ def _frozen(self, name, *value):
 @slot_init
 @dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)
 class Conflict(ProofNode):
-    def _parts(self):
-        return (), ()
+    pass
 
 
 @slot_init
@@ -144,9 +142,6 @@ class Conflict(ProofNode):
 class Unit(ProofNode):
     lit: Lit
     sub: "DpllDerivation"
-
-    def _parts(self):
-        return (self.lit,), (self.sub,)
 
 
 @slot_init
@@ -156,9 +151,6 @@ class Elim(ProofNode):
     lit: Lit
     sub: "DpllDerivation"
 
-    def _parts(self):
-        return (self.clause, self.lit), (self.sub,)
-
 
 @slot_init
 @dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)
@@ -167,9 +159,6 @@ class Red(ProofNode):
     lit: Lit  # the valuation literal; its complement is removed from `clause`
     sub: "DpllDerivation"
 
-    def _parts(self):
-        return (self.clause, self.lit), (self.sub,)
-
 
 @slot_init
 @dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)
@@ -177,9 +166,6 @@ class Split(ProofNode):
     lit: Lit  # left child assumes `lit`, right child its complement
     left: "DpllDerivation"
     right: "DpllDerivation"
-
-    def _parts(self):
-        return (self.lit,), (self.left, self.right)
 
 
 DpllDerivation = Union[Conflict, Unit, Elim, Red, Split]

@@ -217,14 +217,18 @@ def _fail(text: str, tok: re.Match | None, expected: str, message: str) -> NoRet
 
 
 def serialize_res(r: ResDerivation) -> str:
-    """Post-order trace, one line per node; children precede parents and the
-    last line is the root."""
+    """Post-order trace, one line per distinct node; children precede
+    parents and the last line is the root.  A node that several steps share
+    is written once, where it is first finished, and later steps cite its
+    id."""
     lines: list[str] = []
     ids: dict[int, int] = {}
     tails: dict[Clause, str] = {}  # conclusion -> " <lits> 0", once per call
     stack: list[tuple[ResDerivation, bool]] = [(r, False)]
     while stack:
         node, expanded = stack.pop()
+        if id(node) in ids:
+            continue
         if type(node) is Sub:
             head = f"S {node.premise_index}"
         elif not expanded:

@@ -27,9 +27,6 @@ class Sub(ProofNode):
     premise_index: int  # 1-based index into the premise formula
     conclusion: Clause
 
-    def _parts(self):
-        return (self.premise_index, self.conclusion), ()
-
 
 @slot_init
 @dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)
@@ -38,9 +35,6 @@ class Res(ProofNode):
     left: "ResDerivation"   # conclusion contains complement(pivot)
     right: "ResDerivation"  # conclusion contains pivot
     conclusion: Clause
-
-    def _parts(self):
-        return (self.pivot, self.conclusion), (self.left, self.right)
 
 
 ResDerivation = Union[Sub, Res]

@@ -15,9 +15,9 @@ from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
-from dpllkit.cnf import evaluate
+from dpllkit.cnf import evaluate, measure
 from dpllkit.dimacs import emit_dimacs, parse_dimacs
-from dpllkit.dpll_proof import Conflict, Red, Unit, check_dpll, dpll_size
+from dpllkit.dpll_proof import Conflict, Red, Split, Unit, check_dpll, dpll_size
 from dpllkit.oracle import brute_force_sat, compatible
 from dpllkit.php import PhpSpec, gen_php
 from dpllkit.proof_text import parse_dpll, parse_res, serialize_dpll, serialize_res
@@ -284,3 +284,28 @@ def test_criterion_9_round_trips():
             assert serialize_res(parse_res(text)) == text
             total += 1
         assert total == 1000
+
+
+def height(p):
+    """Rule nodes on the longest root-to-leaf path of a DPLL derivation."""
+    best, stack = 0, [(p, 0)]
+    while stack:
+        node, above = stack.pop()
+        if isinstance(node, Conflict):
+            best = max(best, above)
+        elif isinstance(node, Split):
+            stack += ((node.left, above + 1), (node.right, above + 1))
+        else:
+            stack.append((node.sub, above + 1))
+    return best
+
+
+def test_criterion_10_height_bound():
+    # every rule that emits a node lowers the termination measure by at
+    # least 1, and a move keeps it
+    with criterion(10, "solver proof height <= measure((), d, ())"):
+        proofs = [(d, v.proof) for d, v in php_results().values() if not v.satisfiable]
+        proofs += [(d, v.proof) for d, v in unsat_corpus()]
+        assert len(proofs) == 510
+        for d, p in proofs:
+            assert height(p) <= measure((), d, ())

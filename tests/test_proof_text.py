@@ -2,7 +2,6 @@ import gc
 import hashlib
 import json
 import random
-import re
 import sys
 from pathlib import Path
 
@@ -311,55 +310,12 @@ def parse_outcome(fmt, text):
     return {"ok": hashlib.sha256(serialize(proof).encode()).hexdigest()}
 
 
-_LONE_PAREN = re.compile(r"\((?!\w)")
-
-
-def fixed_position(fmt, text, recorded):
-    """Where the parser now fails on a text whose recorded outcome predates
-    two fixes, else None.  A lone '(' used to be skipped: the first one now
-    fails if the text was accepted, if it comes before the recorded error, or
-    if that error was the end of input (reported at the end of the last
-    token, before a trailing '(').  A redefined node id used to replace the
-    node: the first line redefining an id, among the lines before the
-    recorded error, now fails."""
-    at = recorded.get("position")
-    if fmt == "dpll":
-        m = _LONE_PAREN.search(text)
-        if m and (at is None or m.start() < at or "unexpected end of input" in recorded["error"]):
-            return m.start()
-        return None
-    seen = set()
-    offset = 0
-    for line in text.splitlines():
-        start = offset
-        offset += len(line) + 1
-        if at is not None and start >= at:
-            break
-        if not line.strip() or line.lstrip().startswith("c"):
-            continue
-        nid = int(line.split()[0])
-        if nid in seen:
-            return start
-        seen.add(nid)
-    return None
-
-
 def test_parse_outcomes_match_recorded_digests():
     recorded = json.loads(PARSE_DIGESTS.read_text())
     corpus = parse_corpus()
     assert [name for name, *_ in corpus] == list(recorded)
-    fixed = {"dpll": 0, "res": 0}
     for name, fmt, text in corpus:
-        at = fixed_position(fmt, text, recorded[name])
-        if at is None:
-            assert parse_outcome(fmt, text) == recorded[name], name
-            continue
-        fixed[fmt] += 1
-        outcome = parse_outcome(fmt, text)
-        assert outcome.get("position") == at, name
-        if fmt == "res":
-            assert "duplicate node id" in outcome["error"], name
-    assert all(fixed.values()), fixed
+        assert parse_outcome(fmt, text) == recorded[name], name
 
 
 if __name__ == "__main__":

@@ -189,6 +189,25 @@ def test_shared_nodes_are_checked_and_sized_once():
     assert time.perf_counter() - start < 1.0
 
 
+def test_shared_nodes_are_written_compared_and_hashed_once():
+    # each result is named before it is asserted: on a failure, pytest's
+    # report would spell the operands with repr, which unfolds the DAG
+    start = time.perf_counter()
+    text = shared_trace(60)
+    r, again, other = parse_res(text), parse_res(text), parse_res(shared_trace(60, 2))
+    round_trips = serialize_res(r) == text
+    assert round_trips
+    equal = r == again
+    assert equal
+    hashes_equal = hash(r) == hash(again)
+    assert hashes_equal
+    differs = r != other  # only the deepest leaf differs
+    assert differs
+    unfolds = parse_res(shared_trace(6)) == unfolded_chain(6)
+    assert unfolds
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("premise_index", [1, 2])
 def test_shared_nodes_report_as_the_unfolded_tree(premise_index):
     shared, unfolded = parse_res(shared_trace(6, premise_index)), unfolded_chain(6, premise_index)
