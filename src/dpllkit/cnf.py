@@ -113,10 +113,6 @@ class Assignment:
         return v if lit > 0 else not v
 
 
-def eval_clause(m: Assignment, c: Clause) -> bool:
-    return any(m.lit_value(l) for l in c)
-
-
 def evaluate(m: Assignment, x: Union[Lit, Valuation, Formula]) -> bool:
     """Evaluate a literal, a valuation (conjunction of literals), or a formula
     (each clause must contain a true literal) under an assignment."""
@@ -124,4 +120,8 @@ def evaluate(m: Assignment, x: Union[Lit, Valuation, Formula]) -> bool:
         return m.lit_value(x)
     if all(isinstance(e, int) for e in x):
         return all(m.lit_value(l) for l in x)
-    return all(eval_clause(m, c) for c in x)
+    # a clause is false iff all its literals are: collect the false literal
+    # of each variable of the formula (an unassigned variable is true)
+    values = m.values
+    false = {-v if values.get(v, True) else v for v in set(map(abs, chain.from_iterable(x)))}
+    return not any(map(false.issuperset, x))

@@ -6,7 +6,7 @@ The parser rejects out-of-range literals and clause-count mismatches.
 from __future__ import annotations
 
 import re
-from typing import Union
+from typing import Optional, Union
 
 from .cnf import Formula, canonical_formula
 
@@ -24,9 +24,58 @@ def parse_dimacs(text: Union[str, bytes]) -> Formula:
     """Parse DIMACS CNF: ``c`` comment lines, one ``p cnf V C`` header, then
     clauses as nonzero integers terminated by ``0`` (newlines insignificant).
     The clauses are canonicalized once, together, so the formula returned
-    passes through ``solve``, the checkers and the translator as it is."""
+    passes through ``solve``, the checkers and the translator as it is.
+
+    The lines are classified, and the clause lines read in one pass of C
+    loops; when anything is off, the text is read again token by token to
+    name the first fault, its line and its column."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    clauses = _read_clauses(text)
+    if clauses is None:
+        clauses = _read_tokens(text)
+    return canonical_formula(clauses)
+
+
+def _read_clauses(text: str) -> Optional[list[list[int]]]:
+    """The clauses of a well-formed DIMACS text, or None when anything is
+    off."""
+    header = None
+    data = []
+    for line in text.splitlines():
+        stripped = line.lstrip()
+        if not stripped or stripped[0] == "c":
+            continue
+        if header is None and stripped[0] == "p":
+            header = stripped.split()
+        elif header is None or stripped[0] == "p":
+            return None
+        else:
+            data.append(line)
+    if header is None or len(header) != 4 or header[0] != "p" or header[1] != "cnf":
+        return None
+    try:
+        nvars, declared = int(header[2]), int(header[3])
+        lits = list(map(int, " ".join(data).split()))
+    except ValueError:
+        return None
+    if nvars < 0 or declared < 0 or lits and max(max(lits), -min(lits)) > nvars:
+        return None
+    clauses = []
+    start = 0
+    try:
+        for _ in range(declared):
+            end = lits.index(0, start)
+            clauses.append(lits[start:end])
+            start = end + 1
+    except ValueError:
+        return None
+    return clauses if start == len(lits) else None
+
+
+def _read_tokens(text: str) -> list[list[int]]:
+    """Read ``text`` token by token, as the grammar reads it, and return its
+    clauses; raise ``DimacsError`` at the first fault."""
     nvars = None
     nclauses_declared = None
     clauses: list[list[int]] = []
@@ -76,7 +125,7 @@ def parse_dimacs(text: Union[str, bytes]) -> Formula:
     if len(clauses) != nclauses_declared:
         raise DimacsError(f"header declares {nclauses_declared} clauses, found {len(clauses)}",
                           1, 1)
-    return canonical_formula(clauses)
+    return clauses
 
 
 def emit_dimacs(d: Formula) -> str:

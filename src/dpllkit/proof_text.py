@@ -14,14 +14,17 @@ starting at 1, root last:
     <id> S <premise_index> <lits...> 0
     <id> R <pivot> <left_id> <right_id> <lits...> 0
 
-``parse_dpll`` reads a whole node per regex match: a head with its literal
-(and an Elim's or Red's clause), or a ``conflict`` with the run of ``)``
-after it.  Equal clause texts share one tuple, and an explicit stack of open
-nodes builds the tree.  ``parse_res`` splits each line once and shares equal
-conclusions.  Both build their trees with the cyclic garbage collector
-paused (``dpll_proof.collector_paused``).  The node scan is the one DPLL
-parser and raises its own errors: a node it rejects is read again token by
-token, as the grammar reads, to the first token that does not fit, and a
+``parse_dpll`` cuts the text at each ``(`` into pieces: one node head each,
+with any ``conflict`` and ``)`` run after it; the piece before the first
+``(`` is empty or a lone ``conflict``.  Each distinct piece is decoded once
+per call: a head alone in the serializer's spacing with ``str.partition``
+and ``int``, any other piece with the grammar's regex.  An explicit stack of
+open nodes builds the tree from the decoded pieces.  ``parse_res`` splits
+each line into its head fields and its conclusion text, and decodes each
+distinct conclusion text once into one tuple.  Both build their trees with
+the cyclic garbage collector paused (``dpll_proof.collector_paused``).
+Errors name the first token that does not fit, in text order: a rejected
+head is read again token by token, as the grammar reads it, and a
 ``conflict``'s ``)`` run names the token after the ``)`` it could use.
 Offsets are found only when an error is raised.  The serializers render
 each distinct clause once per call.
@@ -32,7 +35,7 @@ from __future__ import annotations
 import re
 from itertools import islice
 from operator import length_hint
-from typing import NoReturn
+from typing import NoReturn, Union
 
 from .cnf import Clause
 from .dpll_proof import (CONFLICT, Conflict, DpllDerivation, Elim, Red, Split, Unit,
@@ -88,94 +91,153 @@ def serialize_dpll(p: DpllDerivation) -> str:
 # Every non-whitespace character belongs to a token, so none is skipped.
 _DPLL_TOKEN = re.compile(r"\(\w*|\)|\[|\]|[^\s()\[\]]+")
 
-# One DPLL node per match, whitespace before it included.  Groups: a Unit's
-# or Split's head, a Red's or Elim's head and the inside of its clause, and
-# the node's literal; or a conflict with the ')' run (and whitespace) after
-# it.  Where no node starts, the match is the rest of the text and every
-# group is empty.  Tokens end where _DPLL_TOKEN's do: a head only where no
-# word character follows it ("(unit1" is one token, "(unit-1" two),
-# "conflict" only where whitespace, a parenthesis, a bracket or the end
-# follows it, and a literal is a whole token, which int() then reads.
-_DPLL_NODE = re.compile(r"""
-    \s*(?:
-        \((?: (unit|split)(?!\w) | (red|elim)(?!\w) \s*\[ ([^()\[\]]*) \] ) \s*([^\s()\[\]]+)
-      | (conflict(?![^\s()\[\]]) [\s)]*)
-      | \S[\s\S]*
-    )""", re.VERBOSE)
+# One DPLL piece per match: an '(', the node head it opens (a Unit's or
+# Split's in group 1, an Elim's or Red's in group 2 with the inside of its
+# clause in group 3) and the head's literal (group 4), then the rest up to
+# the next '(' from its first token on (group 5).  Groups 1-4 are empty when
+# the piece does not start with a head.  The rest of a piece that closes
+# nodes is conflicts with the ')' runs (and whitespace) after them, which
+# _DPLL_CLOSES reads, then nothing.  Tokens end where _DPLL_TOKEN's do: a
+# head only where no word character follows it ("(unit1" is one token,
+# "(unit-1" two), "conflict" only where whitespace, a parenthesis, a
+# bracket or the end follows it, and a literal is a whole token, which
+# int() then reads.  No group reaches past an '(', so a piece matches alike
+# in the text and on its own.
+_DPLL_PIECE = re.compile(r"""
+    \( (?: (?: (unit|split)\b | (red|elim)\b \s*\[ ([^()\[\]]*) \] ) \s*([^\s()\[\]]+) | ) \s*([^(]*)
+    """, re.VERBOSE)
+_DPLL_CLOSES = re.compile(r"((?:conflict(?![^\s()\[\]])[\s)]*)*)([\s\S]*)")
 
 
 @collector_paused
 def parse_dpll(text: str) -> DpllDerivation:
-    """Parse the DPLL text format: one regex match per node and an explicit
-    stack of the nodes still open, with the cyclic collector paused.  Text
-    that is not a valid derivation raises ``ProofParseError`` with the
-    offset of the first token that does not fit."""
-    clauses: dict[str, Clause] = {}  # a clause's inside -> its one tuple
-    # open nodes: (class, lit, payload), the payload being an Elim's or a
-    # Red's clause; a Split whose left child is done is (None, lit, left)
+    """Parse the DPLL text format, with the cyclic collector paused.  The
+    text is cut at each '(' into pieces, one node head each, and each
+    distinct piece is decoded once; an explicit stack of the nodes still
+    open builds the tree.  Text that is not a valid derivation raises
+    ``ProofParseError`` with the offset of the first token that does not
+    fit."""
+    parts = text.split("(")  # what follows each '(', after what precedes the first
+    if parts[0] and not parts[0].isspace():
+        # tokens before the first '(': the derivation is a lone conflict
+        tokens = _DPLL_TOKEN.finditer(text)
+        tok = next(tokens)
+        if tok.group() != "conflict":
+            _fail(text, tok, "", "unexpected token {!r}")
+        tok = next(tokens, None)
+        if tok:
+            _fail(text, tok, "", "trailing input after derivation")
+        return CONFLICT
+    # each distinct piece -> its action: the frame its head opens when the
+    # piece holds nothing else, otherwise what _decode_piece returns
+    actions: dict[str, Union[tuple, list, None]] = dict.fromkeys(islice(parts, 1, None))
+    for part in actions:
+        # a head alone, spaced as serialize_dpll spaces it: "unit L ",
+        # "split L ", "red [ C ] L " or "elim [ C ] L ", with at most
+        # whitespace after L, which int() reads with the whitespace around
+        # it.  Any other piece fails here and is read with the grammar.
+        head, _, lit = part.partition(" ")
+        try:
+            if head == "unit" or head == "split":
+                lit = int(lit)
+                frame = (Unit if head == "unit" else Split, lit, None)
+            else:
+                head, _, lit = part.partition("] ")
+                head, bracket, inside = head.partition(" [")
+                if not bracket or head != "red" and head != "elim":
+                    raise ValueError
+                clause = (*map(int, inside.split()),)
+                lit = int(lit)
+                if 0 in clause:
+                    raise ValueError
+                frame = (Red if head == "red" else Elim, clause, lit)
+            if not lit:
+                raise ValueError
+            actions[part] = frame
+        except ValueError:
+            actions[part] = _decode_piece(part)
+    # open nodes: (class, a, b), a and b being the fields before the
+    # subderivation; a Split whose left child is done is (None, lit, left)
     frames: list[tuple] = []
     push, pop = frames.append, frames.pop
-    found = _DPLL_NODE.findall(text)
-    matches = iter(found)
-    misfit = None  # the error's message when a conflict's ')' run does not fit
-    try:
-        for unary, reducing, inside, lit, conflict in matches:
-            if unary:
-                lit = int(lit)
-                if not lit:
-                    raise ValueError
-                push((Unit if unary == "unit" else Split, lit, None))
-            elif reducing:
-                clause = clauses.get(inside)
-                if clause is None:
-                    clause = clauses[inside] = tuple(map(int, inside.split()))
-                    if 0 in clause:
-                        raise ValueError
-                lit = int(lit)
-                if not lit:
-                    raise ValueError
-                push((Red if reducing == "red" else Elim, clause, lit))
-            elif not conflict:
-                raise ValueError
-            else:
-                # close the open nodes the conflict completes, one ')' each,
-                # up to a Split still waiting for its right child
-                owed = conflict.count(")")
-                node = CONFLICT
-                while frames:
-                    cls, a, b = pop()
-                    if cls is Split:
-                        if owed:
-                            misfit = "unexpected token {!r}"
-                            raise ValueError
-                        push((None, a, node))
-                        break
-                    if not owed:
-                        misfit = "expected ')', got {!r}"
-                        raise ValueError
-                    owed -= 1
-                    if cls is Unit:
-                        node = Unit(a, node)
-                    elif cls is None:
-                        node = Split(a, b, node)
-                    else:
-                        node = cls(a, b, node)
+    pending = iter(parts)
+    next(pending)
+    for action in map(actions.__getitem__, pending):
+        if action.__class__ is tuple:
+            push(action)
+            continue
+        frame, closes, rest = action
+        if frame is None:
+            _read_node(text, _piece(text, parts, pending).start())
+        push(frame)
+        for owed, end in closes:
+            # close the open nodes the conflict completes, one ')' each, up
+            # to a Split still waiting for its right child
+            node = CONFLICT
+            while frames:
+                cls, a, b = pop()
+                if cls is Split:
+                    if owed:
+                        _misfit(text, parts, pending, end - owed, "unexpected token {!r}")
+                    push((None, a, node))
+                    break
+                if not owed:
+                    _misfit(text, parts, pending, end, "expected ')', got {!r}")
+                owed -= 1
+                if cls is Unit:
+                    node = Unit(a, node)
+                elif cls is None:
+                    node = Split(a, b, node)
                 else:
-                    if owed or length_hint(matches):
-                        misfit = "trailing input after derivation"
-                        raise ValueError
-                    return node
-    except ValueError:
-        # find the rejected match again; offsets are found only here
-        m = next(islice(_DPLL_NODE.finditer(text), len(found) - 1 - length_hint(matches), None))
-        if misfit is None:
-            _read_node(text, m.start())
-        # the first token after the conflict and the ')' it closed nodes with;
-        # there is none only when a ')' was owed
-        tok = next(islice(_DPLL_TOKEN.finditer(text, m.start(5)),
-                          conflict.count(")") - owed + 1, None), None)
-        _fail(text, tok, "')'", misfit)
+                    node = cls(a, b, node)
+            else:
+                if owed or end != closes[-1][1] or rest or length_hint(pending):
+                    _misfit(text, parts, pending, end - owed, "trailing input after derivation")
+                return node
+        if rest:
+            _misfit(text, parts, pending, closes[-1][1] if closes else 0, "unexpected token {!r}")
     _read_node(text, len(text))  # the text ended with nodes still open
+
+
+def _decode_piece(part: str) -> list:
+    """Read the piece ``part``, the text after an '(', with _DPLL_PIECE, and
+    return [frame, closes, rest]: the frame its head opens, or None when it
+    does not start with a valid head; for each conflict, the number of ')'
+    after it and the index of the token after them, counting tokens from the
+    first conflict; and the text after the conflicts."""
+    unary, reducing, inside, lit, after = _DPLL_PIECE.match("(" + part).groups("")
+    frame = None
+    try:
+        lit = int(lit)  # a piece without a head has no literal
+        if lit and unary:
+            frame = (Unit if unary == "unit" else Split, lit, None)
+        elif lit:
+            clause = (*map(int, inside.split()),)
+            if 0 not in clause:
+                frame = (Red if reducing == "red" else Elim, clause, lit)
+    except ValueError:
+        pass
+    runs, rest = _DPLL_CLOSES.match(after).groups()
+    closes, end = [], 0
+    for run in islice(runs.split("conflict"), 1, None):
+        owed = run.count(")")
+        end += 1 + owed
+        closes.append((owed, end))
+    return [frame, closes, rest]
+
+
+def _piece(text: str, parts: list[str], pending) -> re.Match:
+    """The piece ``parse_dpll`` has reached, matched again where it stands
+    in ``text``: ``pending`` iterates over the parts after it."""
+    k = len(parts) - length_hint(pending) - 1
+    return _DPLL_PIECE.match(text, sum(map(len, islice(parts, k))) + k - 1)
+
+
+def _misfit(text: str, parts: list[str], pending, index: int, message: str) -> NoReturn:
+    """Raise ``message`` at token ``index`` of the rest of the piece
+    ``parse_dpll`` has reached; there is none only when a ')' was owed."""
+    tokens = _DPLL_TOKEN.finditer(text, _piece(text, parts, pending).start(5))
+    _fail(text, next(islice(tokens, index, None), None), "')'", message)
 
 
 def _read_node(text: str, start: int) -> NoReturn:
@@ -246,47 +308,54 @@ def serialize_res(r: ResDerivation) -> str:
 
 @collector_paused
 def parse_res(text: str) -> ResDerivation:
-    """Parse a resolution trace, one ``split`` per line, with the cyclic
-    collector paused.  A malformed line raises ``ProofParseError`` at the
-    line's offset."""
+    """Parse a resolution trace, with the cyclic collector paused.  Each line
+    is split into its head fields and its conclusion text, and each distinct
+    conclusion text is decoded once.  A malformed line raises
+    ``ProofParseError`` at the line's offset."""
     nodes: dict[int, ResDerivation] = {}
-    conclusions: dict[Clause, Clause] = {}  # one tuple per distinct conclusion
-    root = None
-    for i, line in enumerate(text.splitlines()):
-        fields = line.split()
+    conclusions: dict[str, Clause] = {}  # a conclusion's text -> its one tuple
+    lines = text.splitlines()
+    pending = iter(lines)
+    for line in pending:
+        fields = line.split(None, 3)
         if not fields or fields[0][0] == "c":
             continue
         try:
             nid = int(fields[0])
             kind = fields[1]
-            if fields[-1] != "0":
-                raise ValueError
-            nums = list(map(int, fields[2:]))  # the head's numbers, the lits, the 0
+            # the head's numbers, then the conclusion's text; in a line too
+            # short for both, the last number is the text too
+            if kind == "R":
+                fields = line.split(None, 5)
+            lits = conclusions.get(fields[-1])
+            if lits is None:
+                tokens = fields[-1].split()
+                if tokens.pop() != "0":
+                    raise ValueError
+                lits = conclusions[fields[-1]] = (*map(int, tokens),)
             if kind == "S":
-                lits = tuple(nums[1:-1])
-                node = Sub(nums[0], conclusions.setdefault(lits, lits))
+                node = Sub(int(fields[2]), lits)
             elif kind == "R":
-                lits = tuple(nums[3:-1])
-                node = Res(nums[0], nodes[nums[1]], nodes[nums[2]],
-                           conclusions.setdefault(lits, lits))
+                nums = [*map(int, fields[2:5])]
+                node = Res(nums[0], nodes[nums[1]], nodes[nums[2]], lits)
             else:
                 raise ValueError
         except (ValueError, IndexError):
-            raise ProofParseError(f"malformed trace line {line!r}", _line_offset(text, i))
+            _line_error(text, lines, pending, f"malformed trace line {line!r}")
         except KeyError:
-            raise ProofParseError(f"undefined node reference in line {line!r}",
-                                  _line_offset(text, i))
-        if 0 in node.conclusion:
-            raise ProofParseError("zero literal inside conclusion", _line_offset(text, i))
+            _line_error(text, lines, pending, f"undefined node reference in line {line!r}")
+        if 0 in lits:
+            _line_error(text, lines, pending, "zero literal inside conclusion")
         if nid in nodes:
-            raise ProofParseError(f"duplicate node id in line {line!r}", _line_offset(text, i))
+            _line_error(text, lines, pending, f"duplicate node id in line {line!r}")
         nodes[nid] = node
-        root = node
-    if root is None:
+    if not nodes:
         raise ProofParseError("empty resolution trace", 0)
-    return root
+    return node
 
 
-def _line_offset(text: str, i: int) -> int:
-    """Offset of line ``i`` of ``text``, as ``str.splitlines`` counts lines."""
-    return sum(map(len, islice(text.splitlines(keepends=True), i)))
+def _line_error(text: str, lines: list[str], pending, message: str) -> NoReturn:
+    """Raise ``message`` at the offset of the line ``parse_res`` has
+    reached: ``pending`` iterates over ``lines`` after it."""
+    i = len(lines) - length_hint(pending) - 1
+    raise ProofParseError(message, sum(map(len, islice(text.splitlines(keepends=True), i))))

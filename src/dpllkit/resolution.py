@@ -74,12 +74,57 @@ def check_res(d0: Formula, d: ResDerivation) -> CheckReport:
     """Validate every node of a resolution derivation against ``d0``, in
     preorder, left child first; the first violation is reported with its
     child-index path and ``(d0, node)`` as context.  A node met again is
-    skipped: its subtree was checked the first time without a violation."""
+    skipped: its subtree was checked the first time without a violation.
+    The walk keeps no paths; the one reported is found again only at the
+    violation."""
     d0 = canonical_formula(d0)
+    seen: set[int] = set()
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, Sub):
+            if not 1 <= node.premise_index <= len(d0):
+                reason = "premise-index"
+            elif not set(node.conclusion).issuperset(d0[node.premise_index - 1]):
+                reason = "subsumption"
+            else:
+                continue
+        elif isinstance(node, Res):
+            pivot, left, right = node.pivot, node.left.conclusion, node.right.conclusion
+            if -pivot not in left:
+                reason = "pivot-not-in-left"
+            elif pivot not in right:
+                reason = "pivot-not-in-right"
+            else:
+                # each premise loses only its resolved literal: a
+                # tautological premise keeps the other polarity of the pivot
+                resolvent = set(left)
+                resolvent.discard(-pivot)
+                kept = pivot in resolvent
+                resolvent.update(right)
+                if not kept:
+                    resolvent.discard(pivot)
+                if resolvent != set(node.conclusion):
+                    reason = "conclusion-mismatch"
+                else:
+                    stack += (node.right, node.left)
+                    continue
+        else:
+            raise TypeError(f"not a resolution derivation node: {node!r}")
+        return CheckReport(False, _path_to(d, node), reason, (d0, node))
+    return VALID
+
+
+def _path_to(d: ResDerivation, target: ResDerivation) -> tuple[int, ...]:
+    """The child-index path at which ``check_res``'s walk first meets
+    ``target``, every node before it having passed."""
     path: list[int] = []
     seen: set[int] = set()
     stack = [(d, 0, 0)]  # (node, depth, child index)
-    while stack:
+    while True:
         node, depth, branch = stack.pop()
         if id(node) in seen:
             continue
@@ -87,29 +132,10 @@ def check_res(d0: Formula, d: ResDerivation) -> CheckReport:
         if depth:
             del path[depth - 1:]
             path.append(branch)
-        reason = None
-        if isinstance(node, Sub):
-            if not 1 <= node.premise_index <= len(d0):
-                reason = "premise-index"
-            elif not set(d0[node.premise_index - 1]) <= set(node.conclusion):
-                reason = "subsumption"
-        elif isinstance(node, Res):
-            if -node.pivot not in node.left.conclusion:
-                reason = "pivot-not-in-left"
-            elif node.pivot not in node.right.conclusion:
-                reason = "pivot-not-in-right"
-            # each premise loses only its resolved literal: a tautological
-            # premise keeps the other polarity of the pivot
-            elif set(node.conclusion) != (set(node.left.conclusion).difference((-node.pivot,))
-                                          | set(node.right.conclusion).difference((node.pivot,))):
-                reason = "conclusion-mismatch"
-            else:
-                stack += ((node.right, depth + 1, 1), (node.left, depth + 1, 0))
-        else:
-            raise TypeError(f"not a resolution derivation node: {node!r}")
-        if reason is not None:
-            return CheckReport(False, tuple(path), reason, (d0, node))
-    return VALID
+        if node is target:
+            return tuple(path)
+        if isinstance(node, Res):
+            stack += ((node.right, depth + 1, 1), (node.left, depth + 1, 0))
 
 
 def _res(pivot: Lit, left: ResDerivation, right: ResDerivation) -> Res:

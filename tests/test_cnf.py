@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from dpllkit import cnf
@@ -48,6 +48,17 @@ def test_evaluate():
 @given(assignments, literals)
 def test_model_property(m, l):
     assert evaluate(m, l) == (not evaluate(m, -l))
+
+
+@given(assignments, formulas)
+@example(Assignment({}), ())
+@example(Assignment({}), ((),))
+@example(Assignment({1: False}), ((1, 2), (-2,)))
+@example(Assignment({1: False}), ((-1, 3), (1, -3)))
+def test_evaluate_formula_by_literal_values(m, d):
+    # a formula holds iff each clause has a literal the assignment makes
+    # true; variables the assignment leaves out are true
+    assert evaluate(m, d) == all(any(m.lit_value(l) for l in c) for c in d)
 
 
 def test_literals_outside():

@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,10 @@ def test_dpll_round_trip(p):
     ("(red[1 -2]1_0 conflict)", Red((1, -2), 10, CONFLICT)),
     ("(elim [ ]\u0663 conflict)", Elim((), 3, CONFLICT)),
     ("\x1c conflict\u2028", CONFLICT),
+    ("(unit 1 (red[ 1 ] 2 (unit 1 conflict)))", Unit(1, Red((1,), 2, Unit(1, CONFLICT)))),
+    ("(red [ 1 ] 2\t(unit\t3 conflict))", Red((1,), 2, Unit(3, CONFLICT))),
+    ("(elim [] 2 (unit 1 conflict))", Elim((), 2, Unit(1, CONFLICT))),
+    ("(red  [ 1 ] 2 (unit 1 conflict))", Red((1,), 2, Unit(1, CONFLICT))),
 ])
 def test_parse_dpll_reads_tokens_however_spelled(text, proof):
     assert parse_dpll(text) == proof
@@ -112,6 +117,19 @@ def test_parse_dpll_reads_tokens_however_spelled(text, proof):
     ("(unit 1 conflict x", 17, "expected ')', got 'x'"),
     ("(unit 1 conflict))", 17, "trailing input after derivation"),
     ("conflict conflict", 9, "trailing input after derivation"),
+    # a piece a space apart from the serializer's spacing, or with one
+    # token wrong, is read with the full grammar
+    ("(elim] 2 (unit 1 conflict))", 5, "expected '[', got ']'"),
+    ("(red [ 1 ]2 ] 3 (unit 1 conflict))", 12, "unexpected token ']'"),
+    ("( unit 1 (unit 1 conflict))", 0, "unexpected token '('"),
+    ("(unit 1x (unit 1 conflict))", 6, "expected a literal, got '1x'"),
+    ("(red [ 1 0 ] 2 (unit 1 conflict))", 9, "literal must be nonzero"),
+    ("(red [ 1 ] 0 (unit 1 conflict))", 11, "literal must be nonzero"),
+    # the same piece closes a node once and fails the next time
+    ("(unit 2 conflict) (unit 2 conflict)", 18, "trailing input after derivation"),
+    ("(split 1 (unit 2 conflict) (unit 2 conflict)))", 45, "trailing input after derivation"),
+    ("(split 1 (unit 2 conflict) (unit 2 conflict (unit 3 conflict)))", 44,
+     "expected ')', got '(unit'"),
 ])
 def test_parse_dpll_rejects_what_the_token_walk_rejects(text, at, message):
     with pytest.raises(ProofParseError) as err:
@@ -310,15 +328,94 @@ def parse_outcome(fmt, text):
     return {"ok": hashlib.sha256(serialize(proof).encode()).hexdigest()}
 
 
+def _piece_edits(piece):
+    """(label, edited piece) pairs for a DPLL piece, the text after one '(':
+    its literal made zero or not a number, a ')' appended, a space put
+    before it, its first space made a tab, and for an Elim or a Red a zero
+    put in its clause or its '[' taken out."""
+    head, sep, rest = piece.partition("] " if "[" in piece else " ")
+    lit, space, tail = rest.partition(" ")
+    edits = [("zero", f"{head}{sep}0{space}{tail}"), ("alpha", f"{head}{sep}{lit}x{space}{tail}"),
+             ("paren", piece + ")"), ("lead-space", " " + piece),
+             ("tab", piece.replace(" ", "\t", 1))]
+    if "[" in piece:
+        edits.append(("clause-zero", piece.replace("[ ", "[ 0 ", 1)))
+        edits.append(("no-bracket", piece.replace("[", "", 1)))
+    return edits
+
+
+def _conclusion_edits(fields, at):
+    """(label, edited line) pairs for a trace line whose conclusion starts
+    at field ``at``: a literal that is not a number, a zero literal before
+    the first, and no terminating 0."""
+    head, lits = fields[:at], fields[at:-1]
+    return [("alpha", " ".join(head + [lits[0] + "x"] + lits[1:] + ["0"])),
+            ("zero", " ".join(head + ["0"] + lits + ["0"])),
+            ("unterminated", " ".join(head + lits))]
+
+
+def occurrences(at):
+    """The second and, when it is another, the last of indices ``at``."""
+    return [("second", at[1])] + ([("last", at[-1])] if len(at) > 2 else [])
+
+
+def memo_corpus():
+    """(name, format, text) entries whose texts repeat the same pieces, from
+    the PHP(4,3) and PHP(5,4) refutations: the DPLL text respaced with tabs,
+    newlines or CRLF; the most repeated DPLL piece of three kinds (a Unit or
+    Split head, an Elim or Red head, and a piece ending in a conflict), each
+    edited only at its second or only at its last occurrence; and the most
+    repeated nonempty resolution conclusion, edited likewise."""
+    corpus = []
+    for name, g, d, p in checker_corpus()[2:4]:
+        text = serialize_dpll(p)
+        for label, space in (("tab", "\t"), ("lf", "\n"), ("crlf", "\r\n")):
+            corpus.append((f"memo-dpll-{name}-{label}", "dpll", text.replace(" ", space)))
+        pieces = text.split("(")
+        counts = Counter(pieces[1:])
+        kinds = {"unary": lambda q: q.startswith(("unit ", "split ")) and "conflict" not in q,
+                 "reducing": lambda q: q.startswith(("red ", "elim ")) and "conflict" not in q,
+                 "closing": lambda q: "conflict" in q}
+        for kind, fits in kinds.items():
+            piece = max(filter(fits, counts), key=counts.__getitem__)
+            at = [i for i, q in enumerate(pieces) if q == piece]
+            for which, i in occurrences(at):
+                for label, edited in _piece_edits(piece):
+                    corpus.append((f"memo-dpll-{name}-{kind}-{which}-{label}", "dpll",
+                                   "(".join(pieces[:i] + [edited] + pieces[i + 1:])))
+        lines = serialize_res(dpll_to_res(g, d, p)).splitlines(keepends=True)
+        fields = [line.split() for line in lines]
+        starts = [3 if f[1] == "S" else 5 for f in fields]
+        conclusions = [tuple(f[s:]) for f, s in zip(fields, starts)]
+        common = max((c for c in Counter(conclusions) if len(c) > 1),
+                     key=Counter(conclusions).__getitem__)
+        at = [i for i, c in enumerate(conclusions) if c == common]
+        for which, i in occurrences(at):
+            for label, edited in _conclusion_edits(fields[i], starts[i]):
+                corpus.append((f"memo-res-{name}-{which}-{label}", "res",
+                               "".join(lines[:i] + [edited + "\n"] + lines[i + 1:])))
+    return corpus
+
+
 def test_parse_outcomes_match_recorded_digests():
     recorded = json.loads(PARSE_DIGESTS.read_text())
-    corpus = parse_corpus()
+    corpus = parse_corpus() + memo_corpus()
     assert [name for name, *_ in corpus] == list(recorded)
     for name, fmt, text in corpus:
         assert parse_outcome(fmt, text) == recorded[name], name
 
 
+def test_parse_dpll_reads_tabs_as_it_reads_spaces():
+    # parse_dpll reads a piece in the serializer's spacing from its fields
+    # and any other with the full grammar: with every space made a tab, each
+    # piece takes the second way, and each outcome must stay the same
+    for name, fmt, text in parse_corpus() + memo_corpus():
+        if fmt == "dpll":
+            assert parse_outcome(fmt, text.replace(" ", "\t")) == parse_outcome(fmt, text), name
+
+
 if __name__ == "__main__":
-    outcomes = {name: parse_outcome(fmt, text) for name, fmt, text in parse_corpus()}
+    outcomes = {name: parse_outcome(fmt, text)
+                for name, fmt, text in parse_corpus() + memo_corpus()}
     PARSE_DIGESTS.write_text(json.dumps(outcomes, indent=1) + "\n")
     print(f"wrote {len(outcomes)} outcomes to {PARSE_DIGESTS}", file=sys.stderr)
