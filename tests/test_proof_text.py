@@ -294,10 +294,11 @@ def test_res_round_trip(r):
 
 
 # Parse outcomes.  tests/data/parse_digests.json records, for seeded
-# single-edit mutants of serialized DPLL and resolution proofs, either the
-# SHA-256 of the re-serialized parse or the ProofParseError message and
-# position.  A change made on purpose regenerates the file with
-# ``python tests/test_proof_text.py`` (``src`` on PYTHONPATH).
+# single-edit mutants of serialized DPLL and resolution proofs and for the
+# edits of repeated pieces in memo_corpus(), either the SHA-256 of the
+# re-serialized parse or the ProofParseError message and position.  A change
+# made on purpose regenerates the file with ``python tests/test_proof_text.py``
+# (``src`` on PYTHONPATH).
 
 PARSE_DIGESTS = Path(__file__).parent / "data" / "parse_digests.json"
 
@@ -354,7 +355,7 @@ def _conclusion_edits(fields, at):
             ("unterminated", " ".join(head + lits))]
 
 
-def occurrences(at):
+def _occurrences(at):
     """The second and, when it is another, the last of indices ``at``."""
     return [("second", at[1])] + ([("last", at[-1])] if len(at) > 2 else [])
 
@@ -379,7 +380,7 @@ def memo_corpus():
         for kind, fits in kinds.items():
             piece = max(filter(fits, counts), key=counts.__getitem__)
             at = [i for i, q in enumerate(pieces) if q == piece]
-            for which, i in occurrences(at):
+            for which, i in _occurrences(at):
                 for label, edited in _piece_edits(piece):
                     corpus.append((f"memo-dpll-{name}-{kind}-{which}-{label}", "dpll",
                                    "(".join(pieces[:i] + [edited] + pieces[i + 1:])))
@@ -390,7 +391,7 @@ def memo_corpus():
         common = max((c for c in Counter(conclusions) if len(c) > 1),
                      key=Counter(conclusions).__getitem__)
         at = [i for i, c in enumerate(conclusions) if c == common]
-        for which, i in occurrences(at):
+        for which, i in _occurrences(at):
             for label, edited in _conclusion_edits(fields[i], starts[i]):
                 corpus.append((f"memo-res-{name}-{which}-{label}", "res",
                                "".join(lines[:i] + [edited + "\n"] + lines[i + 1:])))
@@ -406,9 +407,10 @@ def test_parse_outcomes_match_recorded_digests():
 
 
 def test_parse_dpll_reads_tabs_as_it_reads_spaces():
-    # parse_dpll reads a piece in the serializer's spacing from its fields
-    # and any other with the full grammar: with every space made a tab, each
-    # piece takes the second way, and each outcome must stay the same
+    # parse_dpll reads a head alone in the serializer's spacing with
+    # str.partition and any other piece with the full grammar: with every
+    # space made a tab, each piece takes the second way, and each outcome
+    # must stay the same
     for name, fmt, text in parse_corpus() + memo_corpus():
         if fmt == "dpll":
             assert parse_outcome(fmt, text.replace(" ", "\t")) == parse_outcome(fmt, text), name
