@@ -4,6 +4,7 @@ import json
 import random
 import sys
 from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -303,6 +304,7 @@ def test_res_round_trip(r):
 PARSE_DIGESTS = Path(__file__).parent / "data" / "parse_digests.json"
 
 
+@cache
 def parse_corpus():
     """(name, format, text) entries from a fixed seed: 2400 mutants of the
     DPLL texts and 1600 of the resolution texts of the PHP refutations and
@@ -360,6 +362,7 @@ def _occurrences(at):
     return [("second", at[1])] + ([("last", at[-1])] if len(at) > 2 else [])
 
 
+@cache
 def memo_corpus():
     """(name, format, text) entries whose texts repeat the same pieces, from
     the PHP(4,3) and PHP(5,4) refutations: the DPLL text respaced with tabs,
