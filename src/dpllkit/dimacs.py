@@ -1,11 +1,16 @@
 """DIMACS CNF parsing and emission.
 
-The parser rejects out-of-range literals and clause-count mismatches.
+The parser rejects out-of-range literals and clause-count mismatches.  A line
+ends only at ``\\n``, ``\\r\\n`` or ``\\r`` (``split_lines``, which the
+resolution trace reader shares).  ``str.splitlines`` also breaks at
+``\\x0b \\x0c \\x1c \\x1d \\x1e \\x85 \\u2028 \\u2029``; both formats read
+them as whitespace, as ``str.split`` does.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 from typing import Optional, Union
 
 from .cnf import Formula, canonical_formula
@@ -18,6 +23,24 @@ class DimacsError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
+
+
+def split_lines(text: str) -> list[str]:
+    """The lines of ``text``, cut only at ``\\n``, ``\\r\\n`` and ``\\r``."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
+def line_start(text: str, lines: list[str], i: int) -> int:
+    """The offset in ``text`` of ``lines[i]``, ``lines`` being
+    ``split_lines(text)``: each line before it ends in one break, two
+    characters if it is ``\\r\\n`` and one otherwise."""
+    offset = 0
+    for line in islice(lines, i):
+        offset += len(line)
+        offset += 2 if text.startswith("\r\n", offset) else 1
+    return offset
 
 
 def parse_dimacs(text: Union[str, bytes]) -> Formula:
@@ -42,7 +65,7 @@ def _read_clauses(text: str) -> Optional[list[list[int]]]:
     off."""
     header = None
     data = []
-    for line in text.splitlines():
+    for line in split_lines(text):
         stripped = line.lstrip()
         if not stripped or stripped[0] == "c":
             continue
@@ -81,7 +104,7 @@ def _read_tokens(text: str) -> list[list[int]]:
     clauses: list[list[int]] = []
     current: list[int] = []
     open_clause_pos = (1, 1)
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         stripped = line.lstrip()
         if not stripped or stripped.startswith("c"):
             continue

@@ -50,7 +50,10 @@ class ProofNode:
     once, so shared nodes (``parse_res`` makes them) cost one visit and trees
     of any depth need no recursion.  ``hash`` reads only the root's fields
     that are not nodes: equal nodes have equal ones, and it costs O(1)
-    however large the derivation.  ``repr`` spells the unfolded tree."""
+    however large the derivation.  ``repr`` spells the tree, but writes a
+    node with subderivations that it has already spelled as ``...``, as
+    ``reprlib`` writes a container it meets again: a node shared by many
+    steps is spelled once, and leaves are always spelled."""
 
     __slots__ = ()
 
@@ -81,19 +84,28 @@ class ProofNode:
 
     def __repr__(self) -> str:
         # the stack holds text still to be written and nodes still to be
-        # spelled, the next piece on top
+        # spelled, the next piece on top; spelled holds the ids of the nodes
+        # with subderivations spelled so far
         out = []
+        spelled: set[int] = set()
         stack: list = [self]
         while stack:
             item = stack.pop()
             if not isinstance(item, ProofNode):
                 out.append(item)
                 continue
+            if id(item) in spelled:
+                out.append("...")
+                continue
             pieces = [f"{item.__class__.__qualname__}("]
             for k, name in enumerate(item.__dataclass_fields__):
                 value = getattr(item, name)
                 pieces.append(f", {name}=" if k else f"{name}=")
-                pieces.append(value if isinstance(value, ProofNode) else repr(value))
+                if isinstance(value, ProofNode):
+                    spelled.add(id(item))
+                    pieces.append(value)
+                else:
+                    pieces.append(repr(value))
             pieces.append(")")
             stack += reversed(pieces)
         return "".join(out)

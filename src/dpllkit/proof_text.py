@@ -19,10 +19,11 @@ with any ``conflict`` and ``)`` run after it; the piece before the first
 ``(`` is empty or a lone ``conflict``.  Each distinct piece is decoded once
 per call: a head alone in the serializer's spacing with ``str.partition``
 and ``int``, any other piece with the grammar's regex.  An explicit stack of
-open nodes builds the tree from the decoded pieces.  ``parse_res`` splits
-each line into its head fields and its conclusion text, and decodes each
-distinct conclusion text once into one tuple.  Both build their trees with
-the cyclic garbage collector paused (``dpll_proof.collector_paused``).
+open nodes builds the tree from the decoded pieces.  ``parse_res`` cuts
+lines as ``parse_dimacs`` does, only at ``\\n``, ``\\r\\n`` and ``\\r``,
+splits each line into its head fields and its conclusion text, and decodes
+each distinct conclusion text once into one tuple.  Both build their trees
+with the cyclic garbage collector paused (``dpll_proof.collector_paused``).
 Errors name the first token that does not fit, in text order: a rejected
 head is read again token by token, as the grammar reads it, and a
 ``conflict``'s ``)`` run names the token after the ``)`` it could use.
@@ -38,6 +39,7 @@ from operator import length_hint
 from typing import NoReturn, Union
 
 from .cnf import Clause
+from .dimacs import line_start, split_lines
 from .dpll_proof import (CONFLICT, Conflict, DpllDerivation, Elim, Red, Split, Unit,
                          collector_paused)
 from .resolution import Res, ResDerivation, Sub
@@ -314,7 +316,7 @@ def parse_res(text: str) -> ResDerivation:
     ``ProofParseError`` at the line's offset."""
     nodes: dict[int, ResDerivation] = {}
     conclusions: dict[str, Clause] = {}  # a conclusion's text -> its one tuple
-    lines = text.splitlines()
+    lines = split_lines(text)
     pending = iter(lines)
     for line in pending:
         fields = line.split(None, 3)
@@ -357,5 +359,4 @@ def parse_res(text: str) -> ResDerivation:
 def _line_error(text: str, lines: list[str], pending, message: str) -> NoReturn:
     """Raise ``message`` at the offset of the line ``parse_res`` has
     reached: ``pending`` iterates over ``lines`` after it."""
-    i = len(lines) - length_hint(pending) - 1
-    raise ProofParseError(message, sum(map(len, islice(text.splitlines(keepends=True), i))))
+    raise ProofParseError(message, line_start(text, lines, len(lines) - length_hint(pending) - 1))

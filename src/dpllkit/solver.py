@@ -1,14 +1,14 @@
 """Measure-decreasing DPLL search producing models or refutation trees.
 
-The search state is a triple (g, d, t): the current valuation, the working
-formula, and the clean clauses (clauses sharing no variable with the
-valuation, on which only a split can act).  Each step takes the head clause
-of ``d`` and applies one rule: Elim, Conflict, Unit, Red, or a move of the
-clause to ``t``; an empty ``d`` ends in a model or a Split on ``t``.  The
-steps run in one loop, and an explicit stack holds the open Splits, so the
-search needs no recursion however long it runs.  Witness mode builds an
+The search state is a triple (g, d, t): the current valuation, one set of
+literals, the working formula, and the clean clauses (clauses sharing no
+variable with the valuation, on which only a split can act).  Each step
+takes the head clause of ``d`` and applies one rule: Elim, Conflict, Unit,
+Red, or a move of the clause to ``t``; an empty ``d`` ends in a model or a
+Split on ``t``.  The steps run in one loop, and an explicit stack holds the
+open Splits, so the search needs no recursion however long it runs.  Witness mode builds an
 ``Assignment`` or a ``DpllDerivation``; decide mode runs the identical
-control flow with evidence construction elided.
+control flow with evidence construction elided, and returns a bool.
 
 ``d`` and ``t`` are one ring, a list read through a cursor: ``d`` runs from
 the cursor to a boundary and ``t`` from the boundary to the end.  A move
@@ -20,20 +20,20 @@ clause, or a state given to ``solve_aux``) makes it scan ``t`` to drop the
 clause's second copy.
 
 Most steps are moves, which emit no proof node.  An occurrence index maps
-each variable to the positions of the input clauses holding it; the clauses
-of variables ever assumed, the clauses shorter than two literals and the
-reducts form a growing set ``hits``, and a byte mask marks the input
-positions of its clauses.  A clause outside it can only be moved, and stays
-in the ring inside a ``range`` of input positions, so a run of such clauses
-moves as one appended range found by one scan of the mask.  Derivations,
-models and rule logs are those of one-step moves.
+each variable to the positions of the input clauses holding it, and a byte
+mask marks the hit positions: those of the clauses of variables ever
+assumed, of the clauses shorter than two literals and of the reducts.  A
+clause at an unmarked position can only be moved, and stays in the ring
+inside a ``range`` of input positions, so a run of such clauses moves as one
+appended range found by one scan of the mask.  Derivations, models and rule
+logs are those of one-step moves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import chain, filterfalse, islice
-from typing import Optional, Union
+from typing import Collection, Optional, Union
 
 from .cnf import (
     Assignment,
@@ -65,7 +65,13 @@ class InconsistentValuation(ValueError):
 class SolverConfig:
     mode: str = "witness"  # "witness" | "decide"
     assert_measure: bool = False
-    trace: bool = False
+    trace: bool = False  # witness mode only
+
+    def __post_init__(self):
+        if self.mode not in ("witness", "decide"):
+            raise ValueError(f"SolverConfig.mode must be 'witness' or 'decide', not {self.mode!r}")
+        if self.trace and self.mode == "decide":
+            raise ValueError("SolverConfig.trace needs mode='witness': decide mode keeps no log")
 
 
 @dataclass(frozen=True)
@@ -83,13 +89,9 @@ class ResVerdict:
     proof: Optional[ResDerivation] = None
 
 
-_SAT_DECIDED = Verdict(True)
-_UNSAT_DECIDED = Verdict(False)
-
-
-def complete_model(g: Valuation) -> Assignment:
-    """Assignment making every literal of a consistent valuation true;
-    other variables are true."""
+def complete_model(g: Collection[Lit]) -> Assignment:
+    """Assignment making every literal of a consistent valuation (any
+    collection of literals) true; other variables are true."""
     if not is_consistent(g):
         raise InconsistentValuation(f"valuation is inconsistent: {g}")
     return Assignment({abs(l): l > 0 for l in g})
@@ -110,11 +112,9 @@ def solve(d, cfg: SolverConfig = SolverConfig()) -> Union[Verdict, bool]:
     satisfiability boolean.
     """
     witness = cfg.mode == "witness"
-    log: Optional[list[str]] = [] if (cfg.trace and witness) else None
+    log: Optional[list[str]] = [] if cfg.trace else None
     search = _witness_search if witness else _search
     v = search((), canonical_formula(d), (), witness, cfg.assert_measure, log)
-    if not witness:
-        return v.satisfiable
     if log is not None:
         v = replace(v, trace=tuple(log))
     return v
@@ -122,7 +122,12 @@ def solve(d, cfg: SolverConfig = SolverConfig()) -> Union[Verdict, bool]:
 
 def solve_aux(g: Valuation, d, t=(), cfg: SolverConfig = SolverConfig()) -> Verdict:
     """Search from an intermediate state: valuation ``g``, working formula
-    ``d``, clean clauses ``t``.  Always returns a full witness Verdict."""
+    ``d``, clean clauses ``t``.  Always returns a full witness Verdict
+    without a rule log, so ``cfg`` may set only ``assert_measure``."""
+    if cfg.mode != "witness":
+        raise ValueError(f"solve_aux always runs witness mode, not SolverConfig.mode={cfg.mode!r}")
+    if cfg.trace:
+        raise ValueError("solve_aux keeps no rule log: SolverConfig.trace must be False")
     return _witness_search(canonical_valuation(g), canonical_formula(d), canonical_formula(t),
                            True, cfg.assert_measure, None)
 
@@ -144,7 +149,7 @@ class _Split:
     what to build once both branches are refuted."""
 
     lit: Lit
-    g: Valuation  # valuation before the split
+    g: frozenset  # valuation before the split
     t: tuple  # ring entries of the clean clauses: the working formula of both branches
     wrappers: list  # the enclosing segment's Elim/Unit/Red wrappers
     prev: Optional[tuple[int, int]]
@@ -155,7 +160,8 @@ class _Split:
 def _check_state(g, d, t, prev: Optional[tuple[int, int]], hits: set) -> tuple[int, int]:
     """Debug-mode invariants of a search state; returns its measure, which
     must be below ``prev``, the measure of the state it came from.  Every
-    clause of ``d`` outside ``hits`` must be one that only a move can take."""
+    clause of ``d`` not among its hit clauses ``hits`` must be one that only
+    a move can take."""
     if not all(t):
         raise InvariantViolation("empty clause among clean clauses")
     if not is_consistent(g):
@@ -172,8 +178,8 @@ def _check_state(g, d, t, prev: Optional[tuple[int, int]], hits: set) -> tuple[i
     return cur
 
 
-# Ring entries.  An entry is a clause in hits, or a range of positions in the
-# input tuple, whose clauses may or may not be in hits.
+# Ring entries.  An entry is a hit clause, or a range of positions in the
+# input tuple, whose clauses are hit where the mask marks their positions.
 
 def _expand(entries, inp: Formula) -> list:
     """The clauses of ring entries, in order."""
@@ -182,7 +188,7 @@ def _expand(entries, inp: Formula) -> list:
 
 
 def _hit_positions(e: range, hitmask: bytearray):
-    """The positions of a range entry whose clauses are in hits."""
+    """The hit positions of a range entry."""
     p = hitmask.find(1, e.start, e.stop)
     while p >= 0:
         yield p
@@ -190,7 +196,7 @@ def _hit_positions(e: range, hitmask: bytearray):
 
 
 def _hit_set(entries, inp: Formula, hitmask: bytearray) -> set:
-    """The clauses of ring entries that are in hits."""
+    """The hit clauses of ring entries."""
     out = set(entries)
     if range in map(type, entries):
         ranges = [e for e in out if type(e) is range]
@@ -201,7 +207,7 @@ def _hit_set(entries, inp: Formula, hitmask: bytearray) -> set:
 
 
 def _without(entries, drop: set, inp: Formula, hitmask: bytearray) -> list:
-    """Ring entries less the clauses of ``drop``, all of which are in hits."""
+    """Ring entries less the clauses of ``drop``, all of which are hit."""
     out = []
     for e in entries:
         if type(e) is tuple:
@@ -219,85 +225,81 @@ def _without(entries, drop: set, inp: Formula, hitmask: bytearray) -> list:
     return out
 
 
-def _assume(positions, inp: Formula, hitmask: bytearray, hits: set) -> list:
-    """Put the input clauses at ``positions`` in hits; returns those new to it."""
+def _assume(positions, inp: Formula, hitmask: bytearray) -> list:
+    """Mark the input ``positions`` hit; returns the clauses newly marked."""
     new = []
     for p in positions:
         if not hitmask[p]:
             hitmask[p] = 1
             new.append(inp[p])
-    hits.update(new)
     return new
 
 
 def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
-            log: Optional[list[str]]) -> Verdict:
-    # g is a list with the set gset beside it.  In the ring q, q[i:b] is the
-    # working formula and q[b:] the clean clauses: a move appends its clause
-    # to q, a reduct is inserted at b, and a Unit or Split moves b to the end
-    # of q, so every clean clause rejoins the working formula untouched.
-    # Entries before i are spent, and dropped now and then.
-    # live and tset are the clauses in hits of the working formula and of
-    # the clean clauses.  wrappers holds a (rule, first, second) triple for
-    # each Elim, Unit and Red step taken since the last Split began,
-    # outermost first: a refuted leaf is wrapped in them, innermost first, as
-    # rule(first, second, leaf), or Unit(first, leaf) (second unused).
-    g, gset = list(g0), set(g0)
-    # The occurrence index.  inp is the input, (*d0, *t0); occ maps each
-    # variable to the positions in inp of the clauses that hold it, and hits
-    # is a superset of the clauses a rule other than a move may act on: those
-    # shorter than two literals, those in both d0 and t0, every reduct that
-    # joins d, and occ[v] for each variable v ever assumed (popped from occ
-    # when v is first assumed).  hitmask marks the positions in inp of the
-    # clauses in hits.  Any other clause is an input clause sharing no
-    # variable with g that is in the ring once, at its position in a range
-    # entry, so a run of them moves as one range.  hits only grows, so
-    # backtracking undoes nothing; a clean clause in it takes the one-step
-    # path.
+            log: Optional[list[str]]) -> Union[Verdict, bool]:
+    # gset is the valuation.  In the ring q, q[i:b] is the working formula
+    # and q[b:] the clean clauses: a move appends its clause to q, a reduct
+    # is inserted at b, and a Unit or Split moves b to the end of q, so every
+    # clean clause rejoins the working formula untouched.  Entries before i
+    # are spent, and dropped now and then.  inp is the input, (*d0, *t0), and
+    # occ maps each variable to the positions in inp of the clauses holding
+    # it.  Every clause a rule other than a move may act on is hit: a tuple
+    # entry always, a position of a range entry when hitmask marks it.  The
+    # mask marks the clauses shorter than two literals, those in both d0 and
+    # t0, the input copy of every reduct that joins d, and occ[v] for each
+    # variable v ever assumed (popped from occ when first assumed).  A clause
+    # at an unmarked position shares no variable with gset and is in the ring
+    # once, in a range entry, so a run of them moves as one range.  The mask
+    # only grows, so backtracking undoes nothing; a clean clause marked in it
+    # takes the one-step path.  live and tset are the hit clauses of the
+    # working formula and of the clean clauses.  wrappers holds a (rule,
+    # first, second) triple for each Elim, Unit and Red step taken since the
+    # last Split began, outermost first: a refuted leaf is wrapped in them,
+    # innermost first, as rule(first, second, leaf), or Unit(first, leaf).
+    gset = set(g0)
     inp = (*d0, *t0)
     occ: dict[int, list[int]] = {}
     pos = {c: p for p, c in enumerate(inp)}
-    hits = set(d0).intersection(t0)
+    both = set(d0).intersection(t0)
     hitmask = bytearray(len(inp))
     for p, c in enumerate(inp):
-        if len(c) < 2 or c in hits:
-            hits.add(c)
+        if len(c) < 2 or c in both:
             hitmask[p] = 1
         for l in c:
             occ.setdefault(abs(l), []).append(p)
 
     for l in g0:
-        _assume(occ.pop(abs(l), ()), inp, hitmask, hits)
-    live, tset = hits.intersection(d0), hits.intersection(t0)
+        _assume(occ.pop(abs(l), ()), inp, hitmask)
     q: list = [range(0, len(d0))] if d0 else []
     i, b = 0, len(q)
     if t0:
         q.append(range(len(d0), len(inp)))
+    live, tset = _hit_set(q[:b], inp, hitmask), _hit_set(q[b:], inp, hitmask)
     wrappers: list = []
     splits: list[_Split] = []
     prev = None
     while True:
         if check:
-            prev = _check_state(g, _expand(q[i:b], inp), _expand(q[b:], inp), prev, hits)
+            prev = _check_state(gset, _expand(q[i:b], inp), _expand(q[b:], inp), prev,
+                                _hit_set(q[i:b], inp, hitmask))
 
         if i == b:
             if b == len(q):
                 if log is not None:
                     log.append("model")
-                return Verdict(True, complete_model(g)) if witness else _SAT_DECIDED
+                return Verdict(True, complete_model(gset)) if witness else True
             e = q[b]
             lit = choose_split((e if type(e) is tuple else inp[e.start],))
             if log is not None:
                 log.append("split")
             del q[:b]
-            splits.append(_Split(lit, tuple(g), tuple(q), wrappers, prev))
-            g.append(lit)
+            splits.append(_Split(lit, frozenset(gset), tuple(q), wrappers, prev))
             gset.add(lit)
             i, b = 0, len(q)
             live, tset, wrappers = tset, set(), []
-            # b is at the end of q, so the clauses that join hits are in d
+            # b is at the end of q, so the newly hit clauses are in d
             if abs(lit) in occ:
-                live.update(_assume(occ.pop(abs(lit)), inp, hitmask, hits))
+                live.update(_assume(occ.pop(abs(lit)), inp, hitmask))
             continue
 
         e = q[i]
@@ -307,8 +309,8 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
         else:
             p = e.start
             if not hitmask[p]:
-                # inp[p] and the clauses behind it in e up to the next one in
-                # hits are clean: move them as one range (one at a time when
+                # inp[p] and the clauses behind it in e up to the next hit
+                # one are clean: move them as one range (one at a time when
                 # every state is checked)
                 k = p + 1 if check else hitmask.find(1, p + 1, e.stop)
                 if k < 0 or k == e.stop:
@@ -354,7 +356,6 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
                     log.append("unit")
                 if witness:
                     wrappers.append((Unit, lit, None))
-                g.append(lit)
                 gset.add(lit)
                 # the clean clauses rejoin the working formula behind it, less
                 # those already in it
@@ -367,7 +368,7 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
                 live |= tset
                 tset = set()
                 if abs(lit) in occ:
-                    live.update(_assume(occ.pop(abs(lit)), inp, hitmask, hits))
+                    live.update(_assume(occ.pop(abs(lit)), inp, hitmask))
                 continue
         else:
             for falsified in c:
@@ -390,9 +391,9 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
             if reduct not in live:
                 p = pos.get(reduct)
                 if p is not None and not hitmask[p]:
-                    # an input clause outside hits, in the ring once: if it
-                    # is in the working formula, so is the reduct already;
-                    # else its copy among the clean clauses joins hits
+                    # an input clause not hit, in the ring once: if it is in
+                    # the working formula, so is the reduct already; else its
+                    # copy among the clean clauses is now hit
                     if any(type(e) is range and p in e for e in islice(q, i, b)):
                         continue
                     hitmask[p] = 1
@@ -400,7 +401,6 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
                 q.insert(b, reduct)
                 b += 1
                 live.add(reduct)
-                hits.add(reduct)
             continue
 
         # The branch is refuted: wrap the leaf, then either start the right
@@ -411,12 +411,11 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
                 for rule, first, second in reversed(wrappers):
                     proof = Unit(first, proof) if rule is Unit else rule(first, second, proof)
             if not splits:
-                return Verdict(False, proof=proof) if witness else _UNSAT_DECIDED
+                return Verdict(False, proof=proof) if witness else False
             s = splits[-1]
             if not s.in_right:
                 s.left, s.in_right = proof, True
-                g = [*s.g, -s.lit]
-                gset = set(g)
+                gset = {*s.g, -s.lit}
                 q, i, b = list(s.t), 0, len(s.t)
                 live, tset = _hit_set(q, inp, hitmask), set()
                 wrappers, prev = [], s.prev

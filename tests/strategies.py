@@ -128,6 +128,11 @@ def mutate_res(node, rng):
     return replace(node, premise_index=node.premise_index + rng.choice((-1, 1, 7)))
 
 
+# The characters other than \n and \r at which str.splitlines breaks; the
+# line formats read them as whitespace.
+OTHER_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
 # Single-edit mutations of proof texts.
 
 TEXT_CHARS = "()[]-019 \nxSRc"

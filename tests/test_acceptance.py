@@ -24,7 +24,8 @@ from dpllkit.proof_text import parse_dpll, parse_res, serialize_dpll, serialize_
 from dpllkit.resolution import Res, Sub, check_res, dpll_to_res, res_size
 from dpllkit.solver import SolverConfig, solve
 
-from strategies import clause_mutants, dpll_nodes, dpll_put, mutate_dpll, random_formula
+from strategies import (clause_mutants, dpll_nodes, dpll_put, mutate_dpll, random_formula,
+                        res_nodes, res_put)
 
 DATA = Path(__file__).parent / "data"
 
@@ -161,21 +162,6 @@ def test_criterion_5_soundness_cross_check():
 
 # ------------------------------------------------- criterion 6 mutation kit
 
-def _res_nodes(p, path=()):
-    yield path, p
-    if isinstance(p, Res):
-        yield from _res_nodes(p.left, path + (0,))
-        yield from _res_nodes(p.right, path + (1,))
-
-
-def _res_put(p, path, new):
-    if not path:
-        return new
-    if path[0] == 0:
-        return replace(p, left=_res_put(p.left, path[1:], new))
-    return replace(p, right=_res_put(p.right, path[1:], new))
-
-
 def _mutate_res(node, rng, npremises):
     if isinstance(node, Sub):
         if rng.random() < 0.5:
@@ -221,9 +207,9 @@ def test_criterion_6_checker_robustness():
         rejected = accepted = 0
         for _ in range(100):
             d, p = rng.choice(res_pool)
-            spots = list(_res_nodes(p))
+            spots = list(res_nodes(p))
             path, node = rng.choice(spots)
-            mutant = _res_put(p, path, _mutate_res(node, rng, len(d)))
+            mutant = res_put(p, path, _mutate_res(node, rng, len(d)))
             r = check_res(d, mutant)
             if r.valid:
                 accepted += 1

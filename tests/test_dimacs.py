@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from dpllkit import dimacs
 from dpllkit.dimacs import DimacsError, emit_dimacs, parse_dimacs
 
-from strategies import formulas
+from strategies import OTHER_BREAKS, formulas
 
 
 def test_parse_basic():
@@ -116,3 +116,15 @@ def test_clause_pass_reads_what_the_token_loop_reads(d, rng):
     text = rng.choice(["\n", "\r\n"]).join(lines) + "\n"
     assert dimacs._read_clauses(text) == dimacs._read_tokens(text)
     assert parse_dimacs(text) == d
+
+
+@pytest.mark.parametrize("ch", OTHER_BREAKS, ids=[f"U+{ord(c):04X}" for c in OTHER_BREAKS])
+def test_lines_end_only_at_newlines(ch):
+    # inside a comment and between literals, the character is whitespace
+    text = f"c note{ch}more\np cnf 2 2\n1{ch}-2 0{ch}2 0\n"
+    assert dimacs._read_clauses(text) == dimacs._read_tokens(text) == [[1, -2], [2]]
+    assert parse_dimacs(text) == ((1, -2), (2,))
+    # line numbers count \n, \r\n and \r, and nothing else
+    with pytest.raises(DimacsError) as e:
+        parse_dimacs(f"c a{ch}b\r\nc x\rp cnf 1 1\n1{ch}x 0\n")
+    assert (e.value.line, e.value.column) == (4, 3)

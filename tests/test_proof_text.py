@@ -24,7 +24,8 @@ from dpllkit.proof_text import (
 from dpllkit.resolution import InvalidDerivation, Res, Sub, dpll_to_res
 from dpllkit.solver import refute, solve, solve_aux
 
-from strategies import DPLL_TOKENS, RES_TOKENS, checker_corpus, clauses, literals, mutate_text
+from strategies import (DPLL_TOKENS, OTHER_BREAKS, RES_TOKENS, checker_corpus, clauses, literals,
+                        mutate_text)
 
 PHP21_PROOF = Unit(1, Unit(2, Red((-1, -2), 1, Red((-2,), 2, CONFLICT))))
 PHP21_TEXT = "(unit 1 (unit 2 (red [ -1 -2 ] 1 (red [ -2 ] 2 conflict))))"
@@ -286,6 +287,17 @@ def test_parse_res_error_offset_counts_line_breaks(eol):
     with pytest.raises(ProofParseError) as err:
         parse_res(text)
     assert err.value.position == {"\n": 16, "\r\n": 18}[eol] == text.index("x S")
+
+
+@pytest.mark.parametrize("ch", OTHER_BREAKS, ids=[f"U+{ord(c):04X}" for c in OTHER_BREAKS])
+def test_parse_res_lines_end_only_at_newlines(ch):
+    # inside a comment and between literals, the character is whitespace
+    assert parse_res(f"c note{ch}more\n1 S 1{ch}1 -2{ch}0\n") == Sub(1, (1, -2))
+    # offsets count \n, \r\n and \r as the line breaks, and nothing else
+    text = f"c a{ch}b\r\n1 S 1 1 0\r2 S 1 0{ch}\nx S\n"
+    with pytest.raises(ProofParseError) as err:
+        parse_res(text)
+    assert err.value.position == text.index("x S")
 
 
 @given(res_trees)

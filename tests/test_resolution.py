@@ -190,8 +190,8 @@ def test_shared_nodes_are_checked_and_sized_once():
 
 
 def test_shared_nodes_are_written_compared_and_hashed_once():
-    # each result is named before it is asserted: on a failure, pytest's
-    # report would spell the operands with repr, which unfolds the DAG
+    # each result is named before it is asserted, so a failure's report
+    # names the comparison that failed
     start = time.perf_counter()
     text = shared_trace(60)
     r, again, other = parse_res(text), parse_res(text), parse_res(shared_trace(60, 2))
@@ -206,6 +206,17 @@ def test_shared_nodes_are_written_compared_and_hashed_once():
     unfolds = parse_res(shared_trace(6)) == unfolded_chain(6)
     assert unfolds
     assert time.perf_counter() - start < 1.0
+
+
+def test_shared_nodes_repr_once():
+    # a node with subderivations that repr has already spelled is "...", so
+    # the 60 lines spell in linear text, not 2**59 leaves; leaves are spelled
+    start = time.perf_counter()
+    text = repr(parse_res(shared_trace(60)))
+    assert time.perf_counter() - start < 1.0
+    leaf, c = "Sub(premise_index=1, conclusion=(1, -1, 2))", "conclusion=(1, -1, 2)"
+    assert text == ("Res(pivot=1, left=" * 59 + f"{leaf}, right={leaf}, {c})"
+                    + f", right=..., {c})" * 58)
 
 
 @pytest.mark.parametrize("premise_index", [1, 2])

@@ -78,6 +78,20 @@ def test_complete_model():
     assert not evaluate(m, 7)
     with pytest.raises(ValueError):
         complete_model((1, -1))
+    # the search passes its valuation as one set
+    assert complete_model({1, -2}).values == {1: True, 2: False}
+
+
+@pytest.mark.parametrize("run, field", [
+    (lambda: SolverConfig(mode="witnes"), "mode"),
+    (lambda: SolverConfig(mode="decide", trace=True), "trace"),
+    (lambda: solve_aux((), PHP21, (), SolverConfig(mode="decide")), "mode"),
+    (lambda: solve_aux((), PHP21, (), SolverConfig(trace=True)), "trace"),
+], ids=["unknown-mode", "decide-trace", "solve-aux-mode", "solve-aux-trace"])
+def test_options_that_would_be_ignored_raise(run, field):
+    # an option the run cannot honour names its field instead of running
+    with pytest.raises(ValueError, match=f"SolverConfig\\.{field}"):
+        run()
 
 
 def test_choose_split():
