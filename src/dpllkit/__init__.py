@@ -26,7 +26,6 @@ from .dpll_proof import (
     check_dpll,
     dpll_size,
 )
-from .oracle import OracleCapExceeded, OracleVerdict, brute_force_sat, compatible
 from .php import PhpSpec, gen_php
 from .proof_text import parse_dpll, parse_res, serialize_dpll, serialize_res
 from .resolution import (

@@ -111,11 +111,17 @@ def _cmd_check(args) -> int:
     if report.valid:
         print("valid")
         return 0
-    return _invalid(report)
+    return _invalid(report, sizes=args.system == "dpll")
 
 
-def _invalid(report) -> int:
-    print(f"invalid: {report.reason} at path {list(report.path)}", file=sys.stderr)
+def _invalid(report, sizes: bool) -> int:
+    """Report a failed check; ``sizes`` adds the sizes of the valuation and
+    the formula at the failing node, from a ``check_dpll`` report."""
+    where = f"at path {list(report.path)}"
+    if sizes:
+        g, d = report.context
+        where += f" (|g|={len(g)}, |d|={len(d)})"
+    print(f"invalid: {report.reason} {where}", file=sys.stderr)
     return EXIT_INVALID
 
 
@@ -125,7 +131,7 @@ def _cmd_convert(args) -> int:
     try:
         res_proof = dpll_to_res((), formula, proof)
     except InvalidDerivation as e:
-        return _invalid(e.report)
+        return _invalid(e.report, sizes=True)
     n, m = dpll_size(proof), res_size(res_proof)
     if m > n:
         print(f"error: translation grew the proof: {m} > {n}", file=sys.stderr)

@@ -5,8 +5,9 @@ literals, the working formula, and the clean clauses (clauses sharing no
 variable with the valuation, on which only a split can act).  Each step
 takes the head clause of ``d`` and applies one rule: Elim, Conflict, Unit,
 Red, or a move of the clause to ``t``; an empty ``d`` ends in a model or a
-Split on ``t``.  The steps run in one loop, and an explicit stack holds the
-open Splits, so the search needs no recursion however long it runs.  Witness mode builds an
+Split on the Jeroslow–Wang literal of ``t`` (``choose_split``).  The steps
+run in one loop, and an explicit stack holds the open Splits, so the search
+needs no recursion however long it runs.  Witness mode builds an
 ``Assignment`` or a ``DpllDerivation``; decide mode runs the identical
 control flow with evidence construction elided, and returns a bool.
 
@@ -98,10 +99,19 @@ def complete_model(g: Collection[Lit]) -> Assignment:
 
 
 def choose_split(t: Formula) -> Lit:
-    """Split literal: the first literal of the first clean clause."""
+    """Split literal by the Jeroslow–Wang rule: each literal scores the sum
+    of 2^(L - |c|) over the clauses c of ``t`` holding it, where L is the
+    longest clause, so the integer weights are proportional to 2^-|c|.  The
+    best score wins, and a tie goes to the literal met first in ``t``."""
     if not t:
         raise ValueError("cannot choose a split literal from an empty formula")
-    return t[0][0]
+    top = max(map(len, t))
+    score: dict[Lit, int] = {}
+    for c in t:
+        w = 1 << (top - len(c))
+        for l in c:
+            score[l] = score.get(l, 0) + w
+    return max(score, key=score.__getitem__)
 
 
 def solve(d, cfg: SolverConfig = SolverConfig()) -> Union[Verdict, bool]:
@@ -288,11 +298,10 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
                 if log is not None:
                     log.append("model")
                 return Verdict(True, complete_model(gset)) if witness else True
-            e = q[b]
-            lit = choose_split((e if type(e) is tuple else inp[e.start],))
             if log is not None:
                 log.append("split")
             del q[:b]
+            lit = choose_split(_expand(q, inp))
             splits.append(_Split(lit, frozenset(gset), tuple(q), wrappers, prev))
             gset.add(lit)
             i, b = 0, len(q)

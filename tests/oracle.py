@@ -1,4 +1,4 @@
-"""Brute-force truth-table oracle.
+"""Brute-force truth-table oracle, the tests' independent ground truth.
 
 This module is the trust anchor for everything else: it decides satisfiability
 and valuation/formula compatibility by exhaustive enumeration of assignments.
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cnf import Assignment, Formula, Valuation, vars_of
+from dpllkit.cnf import Assignment, Formula, Valuation, vars_of
 
 DEFAULT_CAP = 24
 

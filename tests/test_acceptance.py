@@ -18,12 +18,12 @@ from pathlib import Path
 from dpllkit.cnf import evaluate, measure
 from dpllkit.dimacs import emit_dimacs, parse_dimacs
 from dpllkit.dpll_proof import Conflict, Red, Split, Unit, check_dpll, dpll_size
-from dpllkit.oracle import brute_force_sat, compatible
 from dpllkit.php import PhpSpec, gen_php
 from dpllkit.proof_text import parse_dpll, parse_res, serialize_dpll, serialize_res
 from dpllkit.resolution import Res, Sub, check_res, dpll_to_res, res_size
 from dpllkit.solver import SolverConfig, solve
 
+from oracle import brute_force_sat, compatible
 from strategies import (clause_mutants, dpll_nodes, dpll_put, mutate_dpll, random_formula,
                         res_nodes, res_put)
 

@@ -98,7 +98,18 @@ def test_convert_invalid_proof(php21_file, tmp_path, capsys):
     checked = capsys.readouterr().err
     assert main(["convert", "dpll2res", php21_file, str(proof)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == checked == "invalid: unit-clause-missing at path [0]\n"
+    assert captured.err == checked == "invalid: unit-clause-missing at path [0] (|g|=1, |d|=2)\n"
+    assert captured.out == ""
+
+
+def test_check_dpll_failure_gives_context_sizes(php21_file, tmp_path, capsys):
+    # the Red leaves (-1) of (-1 -2) under {1, 2}, so the Conflict below it
+    # finds no empty clause; |g| and |d| are read at that Conflict
+    proof = tmp_path / "bad.dpll"
+    proof.write_text("(unit 1 (unit 2 (red [ -1 -2 ] 2 conflict)))")
+    assert main(["check", "dpll", php21_file, str(proof)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "invalid: conflict-empty-clause-missing at path [0, 0, 0] (|g|=2, |d|=1)\n"
     assert captured.out == ""
 
 
@@ -162,6 +173,20 @@ def test_python_m_dpllkit_solves(php21_file):
     run = _run_module("dpllkit", "solve", php21_file)
     assert run.returncode == 20
     assert run.stdout.startswith("s UNSATISFIABLE\n")
+
+
+def test_cli_smoke_script(tmp_path):
+    # the CLI smoke run CI makes with the installed script, here through
+    # `python -m dpllkit`; `python` on PATH is this interpreter
+    (tmp_path / "python").symlink_to(sys.executable)
+    script = Path(__file__).resolve().parent / "cli_smoke.sh"
+    src = str(script.parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+               PATH=os.pathsep.join((str(tmp_path), os.environ.get("PATH", ""))))
+    run = subprocess.run(["bash", str(script), "python", "-m", "dpllkit"], capture_output=True,
+                         text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.endswith("cli smoke: ok\n")
 
 
 def test_python_m_dpllkit_cli_reports_bad_input():

@@ -18,11 +18,11 @@ from dpllkit.dpll_proof import (
     check_dpll,
     dpll_size,
 )
-from dpllkit.oracle import compatible
 from dpllkit.php import PhpSpec, gen_php
 from dpllkit.proof_text import parse_dpll, parse_res, serialize_dpll, serialize_res
 from dpllkit.resolution import InvalidDerivation, Res, Sub, dpll_to_res
 
+from oracle import compatible
 from strategies import checker_corpus, formulas
 
 PHP21 = gen_php(PhpSpec(2, 1))

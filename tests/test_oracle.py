@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 
 from dpllkit.cnf import Assignment, evaluate
-from dpllkit.oracle import OracleCapExceeded, brute_force_sat, compatible
 from dpllkit.php import PhpSpec, gen_php
 
+from oracle import OracleCapExceeded, brute_force_sat, compatible
 from strategies import formulas
 
 

@@ -1,8 +1,9 @@
 import pytest
 
-from dpllkit.oracle import brute_force_sat
 from dpllkit.php import PhpSpec, gen_php, php_comment_lines, php_var
 from dpllkit.solver import solve
+
+from oracle import brute_force_sat
 
 
 def test_php_2_1():

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 
 from dpllkit.dpll_proof import CONFLICT, Red, Split, Unit, check_dpll, dpll_size
-from dpllkit.oracle import brute_force_sat
 from dpllkit.php import PhpSpec, gen_php
 from dpllkit.proof_text import parse_dpll, parse_res, serialize_dpll, serialize_res
 from dpllkit.resolution import (
@@ -24,6 +23,7 @@ from dpllkit.resolution import (
 )
 from dpllkit.solver import refute, solve, solve_aux
 
+from oracle import brute_force_sat
 from strategies import (
     checker_corpus,
     consistent_valuations,

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from dpllkit import solver
 from dpllkit.cnf import Assignment, canonical_formula, evaluate
 from dpllkit.dpll_proof import CONFLICT, Conflict, Red, Unit, check_dpll, dpll_size
-from dpllkit.oracle import brute_force_sat, compatible
 from dpllkit.php import PhpSpec, gen_php
 from dpllkit.proof_text import serialize_dpll
+from dpllkit.resolution import dpll_to_res, res_size
 from dpllkit.solver import (
     InvariantViolation,
     SolverConfig,
@@ -24,6 +24,7 @@ from dpllkit.solver import (
     solve_aux,
 )
 
+from oracle import brute_force_sat, compatible
 from strategies import formulas, horn_chain, random_3sat, random_formula
 
 PHP21 = gen_php(PhpSpec(2, 1))
@@ -95,10 +96,23 @@ def test_options_that_would_be_ignored_raise(run, field):
 
 
 def test_choose_split():
-    assert choose_split(((3, 4), (-3,))) == 3
+    # Jeroslow-Wang: -3 scores 2^(3-3) + 2^(3-2) = 3, and 3 scores only 2
+    assert choose_split(((3, 4), (-3, 5, 6), (-3, 7))) == -3
     assert choose_split(((-2,),)) == -2
+    # every score ties: the literal met first wins
+    assert choose_split(((1, 2), (-1, -2))) == 1
     with pytest.raises(ValueError):
         choose_split(())
+
+
+@pytest.mark.parametrize("k, nodes, steps", [(2, 31, 10), (3, 215, 42), (4, 1527, 188),
+                                             (5, 12594, 970)])
+def test_php_proof_sizes_under_the_split_rule(k, nodes, steps):
+    # the split rule fixes the proofs: DPLL nodes and resolution steps
+    # of PHP(k+1,k), exactly
+    d = gen_php(PhpSpec(k + 1, k))
+    v = solve(d)
+    assert (dpll_size(v.proof), res_size(dpll_to_res((), d, v.proof))) == (nodes, steps)
 
 
 def test_php_2_1_never_splits():
@@ -162,7 +176,7 @@ def test_measure_assertion_clean_on_horn_chain(unsat):
 # Calls of _check_state made by the search when it moved one clause per step,
 # one per search step.  Debug mode must still check every one of those states.
 CHECKS_PER_SOLVE = [(horn_chain(200, False), 20101), (horn_chain(200, True), 10300),
-                    (gen_php(PhpSpec(4, 3)), 738)]
+                    (gen_php(PhpSpec(4, 3)), 484)]
 
 
 @pytest.mark.parametrize("d, checks", CHECKS_PER_SOLVE)
