@@ -40,12 +40,10 @@ from .resolution import (
 from .solver import (
     InvariantViolation,
     MeasureViolation,
-    ResVerdict,
     SolverConfig,
     Verdict,
     choose_split,
     complete_model,
-    refute,
     solve,
     solve_aux,
 )

@@ -228,11 +228,12 @@ def check_dpll(g0: Valuation, d0: Formula, proof: DpllDerivation) -> CheckReport
 
 
 # The walk keeps one frame (kind, node, a, b) per node it is inside.  _UNIT:
-# a is the unit clause's rank, b whether the literal was newly assumed.
-# _ELIM: a is the clause's rank.  _RED: a is the clause's rank, b the reduct
-# if the node added it, else None.  A Split is _LEFT while in its left branch
-# (a: whether the literal was new), then _RIGHT (a: whether its complement
-# was new; b: whether the nodes around the Split are being folded).
+# a is the unit clause's formula entry, b whether the literal was newly
+# assumed.  _ELIM: a is the clause's entry.  _RED: a is the clause's entry, b
+# the reduct if the node added it, else None.  A Split is _LEFT while in its
+# left branch (a: whether the literal was new), then _RIGHT (a: whether its
+# complement was new; b: whether the nodes around the Split are being
+# folded).
 _UNIT, _ELIM, _RED, _LEFT, _RIGHT = range(5)
 
 
@@ -241,27 +242,29 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
     """Check ``proof`` against ``g0 |- d0`` in one depth-first walk, left
     branch first, and return ``(report, value)``.
 
-    The valuation is a list beside a set, the formula a dict from clause to
-    insertion rank (a reduct joins at the back).  Each node tests its side
-    conditions, applies its delta on the way down and undoes it on the way
-    up.  Consistency is tested once at the root and then only for each newly
-    assumed literal.  The first violation ends the walk with a failing report
-    whose context is the violating node's (valuation, formula).
+    The valuation is an insertion-ordered dict of literals.  The formula is
+    a dict from each clause to its entry ``(rank, premise)``: its insertion
+    rank (a reduct joins at the back) and the 1-based index in ``d0`` of the
+    premise it was reduced from, a clause of ``d0`` being its own premise.
+    Each node tests its side conditions, applies its delta on the way down
+    and undoes it on the way up, restoring the entries it replaced, so a
+    reduct re-created inside a subtree names its own premise there and the
+    outer one again after it.  Consistency is tested once at the root and
+    then only for each newly assumed literal.  The first violation ends the
+    walk with a failing report whose context is the violating node's
+    (valuation, formula).
 
     With a ``fold``, the walk also folds the derivation bottom-up into
-    ``value`` (otherwise ``None``): ``fold.conflict()`` at a leaf;
-    ``fold.unit(node, v)`` and ``fold.red(node, v, reduct)`` from the
-    child's value, ``reduct`` being the Red's reduct if it was new to the
-    formula, else ``None`` (a new reduct is also announced on the way down,
-    by ``fold.fresh(node, reduct)`` before the Red's subtree is folded); and
-    for a Split, ``fold.needs_right(node, left)`` after the left branch, then
+    ``value`` (otherwise ``None``): ``fold.conflict(premise)`` at a leaf,
+    with the premise of the empty clause; ``fold.unit(node, v, premise)``
+    from the child's value and the premise of the unit clause; and for a
+    Split, ``fold.needs_right(node, left)`` after the left branch, then
     ``fold.split(node, left, right)`` when it said so.  Otherwise the Split's
     value is ``left``, and its right branch is checked but not folded.  An
-    Elim's value is its child's.
+    Elim's and a Red's value is its child's.
     """
-    g = list(canonical_valuation(g0))
-    gset = set(g)
-    d = {c: rank for rank, c in enumerate(canonical_formula(d0))}
+    g = dict.fromkeys(canonical_valuation(g0))
+    d = {c: (rank, rank + 1) for rank, c in enumerate(canonical_formula(d0))}
     next_rank = len(d)
     frames: list[tuple] = []
     values: list = []
@@ -274,7 +277,7 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
         context = (tuple(g), tuple(sorted(d, key=d.__getitem__)))
         return CheckReport(False, path, reason, context), None
 
-    if any(-l in gset for l in gset):
+    if any(-l in g for l in g):
         return fail("inconsistent-context")
     node = proof
     while True:
@@ -283,25 +286,24 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
         while True:
             if isinstance(node, Unit):
                 lit = node.lit
-                rank = d.pop((lit,), None)
-                if rank is None:
+                entry = d.pop((lit,), None)
+                if entry is None:
                     return fail("unit-clause-missing")
-                new = lit not in gset
+                new = lit not in g
                 if new:
-                    g.append(lit)
-                    gset.add(lit)
-                frames.append((_UNIT, node, rank, new))
-                if new and -lit in gset:
+                    g[lit] = None
+                frames.append((_UNIT, node, entry, new))
+                if new and -lit in g:
                     return fail("inconsistent-context")
                 node = node.sub
             elif isinstance(node, Red):
                 lit, clause = node.lit, node.clause
-                if lit not in gset:
+                if lit not in g:
                     return fail("red-literal-not-in-valuation")
                 if -lit not in clause:
                     return fail("red-complement-not-in-clause")
-                rank = d.pop(clause, None)
-                if rank is None:
+                entry = d.pop(clause, None)
+                if entry is None:
                     return fail("red-clause-missing")
                 # the clause was just in d, so -lit occurs in it once
                 k = clause.index(-lit)
@@ -309,82 +311,99 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                 if reduct in d:
                     reduct = None
                 else:
-                    d[reduct] = next_rank
+                    d[reduct] = (next_rank, entry[1])
                     next_rank += 1
-                    if folding:
-                        fold.fresh(node, reduct)
-                frames.append((_RED, node, rank, reduct))
+                frames.append((_RED, node, entry, reduct))
                 node = node.sub
             elif isinstance(node, Elim):
-                if node.lit not in gset:
+                if node.lit not in g:
                     return fail("elim-literal-not-in-valuation")
                 if node.lit not in node.clause:
                     return fail("elim-literal-not-in-clause")
-                rank = d.pop(node.clause, None)
-                if rank is None:
+                entry = d.pop(node.clause, None)
+                if entry is None:
                     return fail("elim-clause-missing")
-                frames.append((_ELIM, node, rank, None))
+                frames.append((_ELIM, node, entry, None))
                 node = node.sub
             elif isinstance(node, Split):
                 lit = node.lit
-                new = lit not in gset
+                new = lit not in g
                 if new:
-                    g.append(lit)
-                    gset.add(lit)
+                    g[lit] = None
                 frames.append((_LEFT, node, new, None))
-                if new and -lit in gset:
+                if new and -lit in g:
                     return fail("inconsistent-context")
                 node = node.left
             elif isinstance(node, Conflict):
-                if () not in d:
+                entry = d.get(())
+                if entry is None:
                     return fail("conflict-empty-clause-missing")
                 if folding:
-                    values.append(fold.conflict())
+                    values.append(fold.conflict(entry[1]))
                 break
             else:
                 raise TypeError(f"not a DPLL derivation node: {node!r}")
 
         # Up: undo the deltas of finished nodes and fold their values, until
         # a Split's left branch is done; then step into its right branch.
+        # The valuation's literals leave in the reverse order they joined.
         while frames:
             kind, node, a, b = frames.pop()
             if kind == _UNIT:
                 if b:
-                    g.pop()
-                    gset.discard(node.lit)
+                    g.popitem()
                 d[(node.lit,)] = a
                 if folding:
-                    values[-1] = fold.unit(node, values[-1])
+                    values[-1] = fold.unit(node, values[-1], a[1])
             elif kind == _RED:
                 if b is not None:
                     del d[b]
                 d[node.clause] = a
-                if folding:
-                    values[-1] = fold.red(node, values[-1], b)
             elif kind == _ELIM:
                 d[node.clause] = a
             elif kind == _LEFT:
                 lit = node.lit
                 if a:
-                    g.pop()
-                    gset.discard(lit)
-                new = -lit not in gset
+                    g.popitem()
+                new = -lit not in g
                 if new:
-                    g.append(-lit)
-                    gset.add(-lit)
+                    g[-lit] = None
                 frames.append((_RIGHT, node, new, folding))
                 folding = folding and fold.needs_right(node, values[-1])
-                if new and lit in gset:
+                if new and lit in g:
                     return fail("inconsistent-context")
                 node = node.right
                 break
             else:
                 if a:
-                    g.pop()
-                    gset.discard(-node.lit)
+                    g.popitem()
                 if folding:
                     right = values.pop()
                     values[-1] = fold.split(node, values[-1], right)
                 folding = b
         else:
             return VALID, (values[0] if values else None)
+
+
+def close(frames: list, node: DpllDerivation) -> DpllDerivation:
+    """Wrap ``node`` in the open nodes on top of ``frames``, innermost first,
+    up to the innermost Split still in its left branch, and return the last
+    node built.  A frame is ``(class, a, b)``, the fields before the
+    subderivation (``b`` is ``None`` for a Unit or a Split); a Split whose
+    left branch is done is ``(None, lit, left)``.  The Split frame reached
+    becomes ``(None, lit, node)``; when no Split is open, the frames are
+    emptied and the return value is the whole derivation.  The witness
+    search and ``parse_dpll`` build their trees only through it."""
+    pop = frames.pop
+    while frames:
+        cls, a, b = pop()
+        if cls is Split:
+            frames.append((None, a, node))
+            break
+        if cls is Unit:
+            node = Unit(a, node)
+        elif cls is None:
+            node = Split(a, b, node)
+        else:
+            node = cls(a, b, node)
+    return node

@@ -19,7 +19,8 @@ with any ``conflict`` and ``)`` run after it; the piece before the first
 ``(`` is empty or a lone ``conflict``.  Each distinct piece is decoded once
 per call: a head alone in the serializer's spacing with ``str.partition``
 and ``int``, any other piece with the grammar's regex.  An explicit stack of
-open nodes builds the tree from the decoded pieces.  ``parse_res`` cuts
+open nodes builds the tree from the decoded pieces through
+``dpll_proof.close``.  ``parse_res`` cuts
 lines as ``parse_dimacs`` does, only at ``\\n``, ``\\r\\n`` and ``\\r``,
 splits each line into its head fields and its conclusion text, and decodes
 each distinct conclusion text once into one tuple.  Both build their trees
@@ -40,7 +41,7 @@ from typing import NoReturn, Union
 
 from .cnf import Clause
 from .dimacs import line_start, split_lines
-from .dpll_proof import (CONFLICT, Conflict, DpllDerivation, Elim, Red, Split, Unit,
+from .dpll_proof import (CONFLICT, Conflict, DpllDerivation, Elim, Red, Split, Unit, close,
                          collector_paused)
 from .resolution import Res, ResDerivation, Sub
 
@@ -158,10 +159,9 @@ def parse_dpll(text: str) -> DpllDerivation:
             actions[part] = frame
         except ValueError:
             actions[part] = _decode_piece(part)
-    # open nodes: (class, a, b), a and b being the fields before the
-    # subderivation; a Split whose left child is done is (None, lit, left)
+    # open nodes, as dpll_proof.close reads them
     frames: list[tuple] = []
-    push, pop = frames.append, frames.pop
+    push = frames.append
     pending = iter(parts)
     next(pending)
     for action in map(actions.__getitem__, pending):
@@ -175,27 +175,17 @@ def parse_dpll(text: str) -> DpllDerivation:
         for owed, end in closes:
             # close the open nodes the conflict completes, one ')' each, up
             # to a Split still waiting for its right child
-            node = CONFLICT
-            while frames:
-                cls, a, b = pop()
-                if cls is Split:
-                    if owed:
-                        _misfit(text, parts, pending, end - owed, "unexpected token {!r}")
-                    push((None, a, node))
-                    break
-                if not owed:
-                    _misfit(text, parts, pending, end, "expected ')', got {!r}")
-                owed -= 1
-                if cls is Unit:
-                    node = Unit(a, node)
-                elif cls is None:
-                    node = Split(a, b, node)
-                else:
-                    node = cls(a, b, node)
-            else:
+            opened = len(frames)
+            node = close(frames, CONFLICT)
+            owed -= opened - len(frames)
+            if owed < 0:
+                _misfit(text, parts, pending, end, "expected ')', got {!r}")
+            if not frames:
                 if owed or end != closes[-1][1] or rest or length_hint(pending):
                     _misfit(text, parts, pending, end - owed, "trailing input after derivation")
                 return node
+            if owed:
+                _misfit(text, parts, pending, end - owed, "unexpected token {!r}")
         if rest:
             _misfit(text, parts, pending, closes[-1][1] if closes else 0, "unexpected token {!r}")
     _read_node(text, len(text))  # the text ended with nodes still open

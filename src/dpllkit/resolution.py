@@ -8,16 +8,16 @@ premise contains the pivot's complement, the right premise the pivot itself.
 checker-valid DPLL derivation of ``g |- d0`` into a resolution derivation
 from ``d0`` concluding a subset of the negated valuation, never larger than
 the DPLL derivation: it builds the public nodes bottom-up, each leaf citing
-from the start the premise its clause was reduced from.
+the premise that the checking walk names for its clause.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .cnf import Clause, Formula, Lit, Valuation, canonical_clause, canonical_formula
-from .dpll_proof import (CheckReport, DpllDerivation, ProofNode, Red, Split, Unit, VALID,
+from .dpll_proof import (CheckReport, DpllDerivation, ProofNode, Split, Unit, VALID,
                          collector_paused, slot_init, walk)
 
 
@@ -150,42 +150,19 @@ class _Translation:
     """The DPLL-to-resolution translation as a fold over the checking walk
     (``dpll_proof.walk``): each method builds a node's translation from its
     children's, whose conclusions are subsets of the negated valuation at
-    that node.  Each DPLL node adds at most one resolution step.
-
-    A leaf cites the premise its clause was reduced from: ``origin`` maps
-    each reduct a Red added to the formula to that premise, the origin of the
-    Red's own clause.  A Red that re-creates a reduct of an outer Red shadows
-    the outer entry until its subtree is folded."""
+    that node.  Each DPLL node adds at most one resolution step, and a leaf
+    cites the premise the walk names for its clause."""
 
     def __init__(self, d0: Formula):
-        self.positions = {c: i + 1 for i, c in enumerate(d0)}
-        self.origin: dict[Clause, Clause] = {}
-        self.shadowed: list[Optional[Clause]] = []
+        self.d0 = d0
 
-    def _leaf(self, clause: Clause) -> Sub:
-        premise = self.origin.get(clause, clause)
-        return Sub(self.positions[premise], premise)
+    def conflict(self, premise: int) -> Sub:
+        return Sub(premise, self.d0[premise - 1])
 
-    def conflict(self) -> Sub:
-        return self._leaf(())
-
-    def unit(self, node: Unit, r: ResDerivation) -> ResDerivation:
+    def unit(self, node: Unit, r: ResDerivation, premise: int) -> ResDerivation:
         if -node.lit not in r.conclusion:
             return r
-        return _res(node.lit, r, self._leaf((node.lit,)))
-
-    def fresh(self, node: Red, reduct: Clause) -> None:
-        self.shadowed.append(self.origin.get(reduct))
-        self.origin[reduct] = self.origin.get(node.clause, node.clause)
-
-    def red(self, node: Red, r: ResDerivation, reduct: Optional[Clause]) -> ResDerivation:
-        if reduct is not None:
-            outer = self.shadowed.pop()
-            if outer is None:
-                del self.origin[reduct]
-            else:
-                self.origin[reduct] = outer
-        return r
+        return _res(node.lit, r, Sub(premise, self.d0[premise - 1]))
 
     def needs_right(self, node: Split, left: ResDerivation) -> bool:
         return -node.lit in left.conclusion

@@ -46,8 +46,7 @@ from .cnf import (
     is_consistent,
     measure,
 )
-from .dpll_proof import CONFLICT, DpllDerivation, Elim, Red, Split, Unit, collector_paused
-from .resolution import ResDerivation, dpll_to_res
+from .dpll_proof import CONFLICT, DpllDerivation, Elim, Red, Split, Unit, close, collector_paused
 
 
 class InvariantViolation(Exception):
@@ -81,13 +80,6 @@ class Verdict:
     model: Optional[Assignment] = None
     proof: Optional[DpllDerivation] = None
     trace: Optional[tuple[str, ...]] = None
-
-
-@dataclass(frozen=True)
-class ResVerdict:
-    satisfiable: bool
-    model: Optional[Assignment] = None
-    proof: Optional[ResDerivation] = None
 
 
 def complete_model(g: Collection[Lit]) -> Assignment:
@@ -140,31 +132,6 @@ def solve_aux(g: Valuation, d, t=(), cfg: SolverConfig = SolverConfig()) -> Verd
         raise ValueError("solve_aux keeps no rule log: SolverConfig.trace must be False")
     return _witness_search(canonical_valuation(g), canonical_formula(d), canonical_formula(t),
                            True, cfg.assert_measure, None)
-
-
-@collector_paused
-def refute(d0) -> ResVerdict:
-    """Solve and, when unsatisfiable, emit a resolution refutation of size
-    bounded by the DPLL derivation's, with the cyclic collector paused."""
-    d0 = canonical_formula(d0)
-    v = solve(d0, SolverConfig(mode="witness"))
-    if v.satisfiable:
-        return ResVerdict(True, model=v.model)
-    return ResVerdict(False, proof=dpll_to_res((), d0, v.proof))
-
-
-@dataclass
-class _Split:
-    """An open Split: the state to restart from for the right branch, and
-    what to build once both branches are refuted."""
-
-    lit: Lit
-    g: frozenset  # valuation before the split
-    t: tuple  # ring entries of the clean clauses: the working formula of both branches
-    wrappers: list  # the enclosing segment's Elim/Unit/Red wrappers
-    prev: Optional[tuple[int, int]]
-    left: Optional[DpllDerivation] = None
-    in_right: bool = False
 
 
 def _check_state(g, d, t, prev: Optional[tuple[int, int]], hits: set) -> tuple[int, int]:
@@ -262,10 +229,12 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
     # once, in a range entry, so a run of them moves as one range.  The mask
     # only grows, so backtracking undoes nothing; a clean clause marked in it
     # takes the one-step path.  live and tset are the hit clauses of the
-    # working formula and of the clean clauses.  wrappers holds a (rule,
-    # first, second) triple for each Elim, Unit and Red step taken since the
-    # last Split began, outermost first: a refuted leaf is wrapped in them,
-    # innermost first, as rule(first, second, leaf), or Unit(first, leaf).
+    # working formula and of the clean clauses.  In witness mode frames holds
+    # the open nodes outermost first, as dpll_proof.close reads them: (rule,
+    # first, second) for each Elim, Unit, Red and Split step on the path to
+    # the current state.  splits holds (lit, valuation, clean clauses,
+    # measure) for each Split still in its left branch, the state its right
+    # branch restarts from.
     gset = set(g0)
     inp = (*d0, *t0)
     occ: dict[int, list[int]] = {}
@@ -285,8 +254,8 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
     if t0:
         q.append(range(len(d0), len(inp)))
     live, tset = _hit_set(q[:b], inp, hitmask), _hit_set(q[b:], inp, hitmask)
-    wrappers: list = []
-    splits: list[_Split] = []
+    frames: list = []
+    splits: list[tuple] = []
     prev = None
     while True:
         if check:
@@ -302,10 +271,12 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
                 log.append("split")
             del q[:b]
             lit = choose_split(_expand(q, inp))
-            splits.append(_Split(lit, frozenset(gset), tuple(q), wrappers, prev))
+            splits.append((lit, frozenset(gset), tuple(q), prev))
+            if witness:
+                frames.append((Split, lit, None))
             gset.add(lit)
             i, b = 0, len(q)
-            live, tset, wrappers = tset, set(), []
+            live, tset = tset, set()
             # b is at the end of q, so the newly hit clauses are in d
             if abs(lit) in occ:
                 live.update(_assume(occ.pop(abs(lit)), inp, hitmask))
@@ -346,25 +317,25 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
                 for l in c:
                     if l in gset:
                         break
-                wrappers.append((Elim, c, l))
+                frames.append((Elim, c, l))
             continue
 
         if not c:
             if log is not None:
                 log.append("conflict")
-            leaf = CONFLICT
         elif len(c) == 1:
             lit = c[0]
             if -lit in gset:
                 if log is not None:
                     log.append("red")
                     log.append("conflict")
-                leaf = Red(c, -lit, CONFLICT)
+                if witness:
+                    frames.append((Red, c, -lit))
             else:
                 if log is not None:
                     log.append("unit")
                 if witness:
-                    wrappers.append((Unit, lit, None))
+                    frames.append((Unit, lit, None))
                 gset.add(lit)
                 # the clean clauses rejoin the working formula behind it, less
                 # those already in it
@@ -394,7 +365,7 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
             if log is not None:
                 log.append("red")
             if witness:
-                wrappers.append((Red, c, -falsified))
+                frames.append((Red, c, -falsified))
             k = c.index(falsified)
             reduct = c[:k] + c[k + 1:]
             if reduct not in live:
@@ -412,26 +383,17 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
                 live.add(reduct)
             continue
 
-        # The branch is refuted: wrap the leaf, then either start the right
-        # branch of the innermost open Split or close it and keep unwinding.
-        proof = leaf
-        while True:
-            if witness:
-                for rule, first, second in reversed(wrappers):
-                    proof = Unit(first, proof) if rule is Unit else rule(first, second, proof)
-            if not splits:
-                return Verdict(False, proof=proof) if witness else False
-            s = splits[-1]
-            if not s.in_right:
-                s.left, s.in_right = proof, True
-                gset = {*s.g, -s.lit}
-                q, i, b = list(s.t), 0, len(s.t)
-                live, tset = _hit_set(q, inp, hitmask), set()
-                wrappers, prev = [], s.prev
-                break
-            splits.pop()
-            proof = Split(s.lit, s.left, proof) if witness else None
-            wrappers = s.wrappers
+        # The branch is refuted: close the nodes around its Conflict up to
+        # the innermost Split still in its left branch, and start that
+        # Split's right branch.
+        if witness:
+            proof = close(frames, CONFLICT)
+        if not splits:
+            return Verdict(False, proof=proof) if witness else False
+        lit, g, t, prev = splits.pop()
+        gset = {*g, -lit}
+        q, i, b = list(t), 0, len(t)
+        live, tset = _hit_set(q, inp, hitmask), set()
 
 
 _witness_search = collector_paused(_search)

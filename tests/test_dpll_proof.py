@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import importlib
 import json
 import sys
 from dataclasses import FrozenInstanceError, fields, replace
@@ -232,20 +234,23 @@ def test_equality_is_same_class_and_equal_fields():
     assert len({Unit(1, CONFLICT), Unit(1, Conflict()), Unit(-1, CONFLICT)}) == 2
 
 
-def test_checker_is_solver_independent():
-    import dpllkit.dpll_proof as mod
-
-    imports = [line for line in open(mod.__file__)
-               if line.startswith(("import", "from"))]
-    assert not any("solver" in line for line in imports)
-
-
-def test_resolution_is_solver_independent():
-    import dpllkit.resolution as mod
-
-    imports = [line for line in open(mod.__file__)
-               if line.startswith(("import", "from"))]
-    assert not any("solver" in line for line in imports)
+@pytest.mark.parametrize("module, forbidden", [
+    ("dpll_proof", {"solver"}),
+    ("resolution", {"solver"}),
+    ("solver", {"resolution", "proof_text"}),
+], ids=["dpll_proof", "resolution", "solver"])
+def test_module_imports_nothing_from(module, forbidden):
+    # the checkers import nothing from the search, and the search nothing
+    # from the translator or the text formats
+    tree = ast.parse(Path(importlib.import_module(f"dpllkit.{module}").__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not {name.rpartition(".")[2] for name in imported} & forbidden
 
 
 @given(formulas)

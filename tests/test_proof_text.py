@@ -22,7 +22,7 @@ from dpllkit.proof_text import (
     serialize_res,
 )
 from dpllkit.resolution import InvalidDerivation, Res, Sub, dpll_to_res
-from dpllkit.solver import refute, solve, solve_aux
+from dpllkit.solver import solve, solve_aux
 
 from strategies import (DPLL_TOKENS, OTHER_BREAKS, RES_TOKENS, checker_corpus, clauses, literals,
                         mutate_text)
@@ -182,7 +182,6 @@ TREE_BUILDS = [
     (parse_res, "1 S 1 0\n", True), (parse_res, "1 S 1\n", False),
     pytest.param(solve, PHP21, True, id="solve"),
     pytest.param(lambda d: solve_aux((1,), d), PHP21, True, id="solve_aux"),
-    pytest.param(refute, PHP21, True, id="refute"),
     pytest.param(lambda p: dpll_to_res((), PHP21, p), PHP21_PROOF, True, id="dpll_to_res"),
     pytest.param(lambda p: dpll_to_res((), PHP21, p), Unit(3, CONFLICT), False,
                  id="dpll_to_res-invalid"),
@@ -218,9 +217,8 @@ def test_tree_builders_run_with_the_collector_paused():
     d = gen_php(PhpSpec(5, 4))
     p = solve(d).proof
     dpll_text, res_text = serialize_dpll(p), serialize_res(dpll_to_res((), d, p))
-    builds = [lambda: solve(d), lambda: solve_aux((), d), lambda: refute(d),
-              lambda: dpll_to_res((), d, p), lambda: parse_dpll(dpll_text),
-              lambda: parse_res(res_text)]
+    builds = [lambda: solve(d), lambda: solve_aux((), d), lambda: dpll_to_res((), d, p),
+              lambda: parse_dpll(dpll_text), lambda: parse_res(res_text)]
     started = []
 
     def on_collect(phase, info):

@@ -21,7 +21,7 @@ from dpllkit.resolution import (
     res_conclusion,
     res_size,
 )
-from dpllkit.solver import refute, solve, solve_aux
+from dpllkit.solver import solve, solve_aux
 
 from oracle import brute_force_sat
 from strategies import (
@@ -166,6 +166,19 @@ def test_redundant_unit_keeps_the_pivot_of_a_tautological_premise():
     assert res_size(r) == 2 <= dpll_size(p)
 
 
+def test_reduct_recreated_in_a_left_branch_cites_the_outer_premise_on_the_right():
+    # the outer Red makes (2) from (-1 | 2); the left branch's Unit(2) drops
+    # it and its Red makes (2) again, from (2 | -3), only for that branch, so
+    # the right branch's Unit(2) leaf cites (-1 | 2) and the refutation
+    # concludes (), not (-3)
+    d0 = ((1,), (-1, 2), (2, -3), (-2,))
+    leaf = Unit(2, Red((-2,), 2, CONFLICT))
+    p = Unit(1, Red((-1, 2), 1, Split(3, Unit(2, Red((2, -3), 3, leaf)), leaf)))
+    r = dpll_to_res((), d0, p)
+    assert r == Res(1, Res(2, Sub(4, (-2,)), Sub(2, (-1, 2)), (-1,)), Sub(1, (1,)), ())
+    assert check_res(d0, r).valid
+
+
 def shared_trace(n, premise_index=1):
     """Line 1 weakens premise ``premise_index`` to (1 -1 2); line i resolves
     line i-1 with itself on 1, so the n lines unfold into a tree of 2**(n-1)
@@ -248,24 +261,21 @@ def test_translation_leaves_no_cyclic_garbage():
 
 
 def test_refute_php_2_1():
-    v = refute(PHP21)
-    assert not v.satisfiable
-    assert res_conclusion(v.proof) == ()
-    assert res_size(v.proof) <= 4
+    r = dpll_to_res((), PHP21, solve(PHP21).proof)
+    assert res_conclusion(r) == ()
+    assert res_size(r) <= 4
 
 
 def test_refute_sat_passthrough():
-    f = gen_php(PhpSpec(2, 2))
-    v = refute(f)
+    v = solve(gen_php(PhpSpec(2, 2)))
     assert v.satisfiable
     assert v.proof is None
 
 
 def test_refute_single_empty_clause():
-    v = refute(((),))
-    assert not v.satisfiable
-    assert v.proof == Sub(1, ())
-    assert res_size(v.proof) == 0
+    r = dpll_to_res((), ((),), solve(((),)).proof)
+    assert r == Sub(1, ())
+    assert res_size(r) == 0
 
 
 def test_size_bound_on_php_family():
