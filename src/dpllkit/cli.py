@@ -39,7 +39,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="decide a DIMACS CNF file")
     p.add_argument("--mode", choices=["witness", "decide"], default="witness")
-    p.add_argument("--proof", choices=["dpll", "res", "none"], default="dpll")
+    p.add_argument("--proof", choices=["dpll", "res", "none"],
+                   help="proof format of an unsat answer, witness mode only (default dpll)")
     p.add_argument("--out", help="write the proof to this file instead of stdout")
     p.add_argument("input")
 
@@ -78,6 +79,11 @@ def _write_out(text: str, out: Optional[str]) -> None:
 
 
 def _cmd_solve(args) -> int:
+    if args.mode == "decide":
+        ignored = [f"--{name}" for name in ("proof", "out") if getattr(args, name) is not None]
+        if ignored:
+            raise _UsageError(f"decide mode writes no proof, so {' and '.join(ignored)} "
+                              "would be ignored")
     formula = parse_dimacs(_read(args.input))
     if args.mode == "decide":
         sat = solve(formula, SolverConfig(mode="decide"))
@@ -90,7 +96,7 @@ def _cmd_solve(args) -> int:
         print("v " + " ".join(str(l) for l in lits) + " 0" if lits else "v 0")
         return EXIT_SAT
     print("s UNSATISFIABLE")
-    if args.proof == "dpll":
+    if args.proof in ("dpll", None):
         _write_out(serialize_dpll(verdict.proof), args.out)
     elif args.proof == "res":
         _write_out(serialize_res(dpll_to_res((), formula, verdict.proof)), args.out)

@@ -14,22 +14,25 @@ starting at 1, root last:
     <id> S <premise_index> <lits...> 0
     <id> R <pivot> <left_id> <right_id> <lits...> 0
 
-``parse_dpll`` cuts the text at each ``(`` into pieces: one node head each,
-with any ``conflict`` and ``)`` run after it; the piece before the first
-``(`` is empty or a lone ``conflict``.  Each distinct piece is decoded once
-per call: a head alone in the serializer's spacing with ``str.partition``
-and ``int``, any other piece with the grammar's regex.  An explicit stack of
-open nodes builds the tree from the decoded pieces through
-``dpll_proof.close``.  ``parse_res`` cuts
-lines as ``parse_dimacs`` does, only at ``\\n``, ``\\r\\n`` and ``\\r``,
-splits each line into its head fields and its conclusion text, and decodes
-each distinct conclusion text once into one tuple.  Both build their trees
-with the cyclic garbage collector paused (``dpll_proof.collector_paused``).
-Errors name the first token that does not fit, in text order: a rejected
-head is read again token by token, as the grammar reads it, and a
-``conflict``'s ``)`` run names the token after the ``)`` it could use.
-Offsets are found only when an error is raised.  The serializers render
-each distinct clause once per call.
+``parse_dpll`` reads the text in one of two ways.  A fast pass reads text
+spaced as ``serialize_dpll`` spaces it, with any whitespace after it: it cuts
+the text at each ``(`` into pieces, one node head each with the conflicts and
+``)`` runs after it, decodes each distinct piece once per call with
+``str.partition`` and ``int``, and builds the tree from the decoded pieces
+through ``dpll_proof.close``.  It never reports an error: at a piece it does
+not recognise, a ``)`` run that does not match the nodes a conflict
+completes, or text after the derivation, it hands the whole text to the
+token walk, ``_read_tokens``.  The walk reads any legal spacing token by
+token, as the grammar reads it, builds the tree through ``close`` too, and
+raises at the first token that does not fit, in text order; the offset is
+found only when it raises.
+
+``parse_res`` cuts lines as ``parse_dimacs`` does, only at ``\\n``,
+``\\r\\n`` and ``\\r``, splits each line into its head fields and its
+conclusion text, and decodes each distinct conclusion text once into one
+tuple.  Both parsers build their trees with the cyclic garbage collector
+paused (``dpll_proof.collector_paused``).  The serializers render each
+distinct clause once per call.
 """
 
 from __future__ import annotations
@@ -94,180 +97,131 @@ def serialize_dpll(p: DpllDerivation) -> str:
 # Every non-whitespace character belongs to a token, so none is skipped.
 _DPLL_TOKEN = re.compile(r"\(\w*|\)|\[|\]|[^\s()\[\]]+")
 
-# One DPLL piece per match: an '(', the node head it opens (a Unit's or
-# Split's in group 1, an Elim's or Red's in group 2 with the inside of its
-# clause in group 3) and the head's literal (group 4), then the rest up to
-# the next '(' from its first token on (group 5).  Groups 1-4 are empty when
-# the piece does not start with a head.  The rest of a piece that closes
-# nodes is conflicts with the ')' runs (and whitespace) after them, which
-# _DPLL_CLOSES reads, then nothing.  Tokens end where _DPLL_TOKEN's do: a
-# head only where no word character follows it ("(unit1" is one token,
-# "(unit-1" two), "conflict" only where whitespace, a parenthesis, a
-# bracket or the end follows it, and a literal is a whole token, which
-# int() then reads.  No group reaches past an '(', so a piece matches alike
-# in the text and on its own.
-_DPLL_PIECE = re.compile(r"""
-    \( (?: (?: (unit|split)\b | (red|elim)\b \s*\[ ([^()\[\]]*) \] ) \s*([^\s()\[\]]+) | ) \s*([^(]*)
-    """, re.VERBOSE)
-_DPLL_CLOSES = re.compile(r"((?:conflict(?![^\s()\[\]])[\s)]*)*)([\s\S]*)")
-
 
 @collector_paused
 def parse_dpll(text: str) -> DpllDerivation:
-    """Parse the DPLL text format, with the cyclic collector paused.  The
-    text is cut at each '(' into pieces, one node head each, and each
-    distinct piece is decoded once; an explicit stack of the nodes still
-    open builds the tree.  Text that is not a valid derivation raises
-    ``ProofParseError`` with the offset of the first token that does not
-    fit."""
-    parts = text.split("(")  # what follows each '(', after what precedes the first
-    if parts[0] and not parts[0].isspace():
-        # tokens before the first '(': the derivation is a lone conflict
-        tokens = _DPLL_TOKEN.finditer(text)
-        tok = next(tokens)
-        if tok.group() != "conflict":
-            _fail(text, tok, "", "unexpected token {!r}")
-        tok = next(tokens, None)
-        if tok:
-            _fail(text, tok, "", "trailing input after derivation")
-        return CONFLICT
-    # each distinct piece -> its action: the frame its head opens when the
-    # piece holds nothing else, otherwise what _decode_piece returns
+    """Parse the DPLL text format, with the cyclic collector paused.  Text
+    spaced as ``serialize_dpll`` spaces it, with any whitespace after it, is
+    cut at each '(' into pieces, and each distinct piece is decoded once;
+    an explicit stack of the nodes still open builds the tree.  Any other
+    text is read by ``_read_tokens``, which raises ``ProofParseError`` with
+    the offset of the first token that does not fit."""
+    stripped = text.rstrip()
+    parts = stripped.split("(")  # what follows each '(', after what precedes the first
+    if parts[0]:
+        return CONFLICT if stripped == "conflict" else _read_tokens(text)
+    # each distinct piece -> the frame its head opens or, when the piece
+    # also holds conflicts, [frame, the number of ')' after each conflict]
     actions: dict[str, Union[tuple, list, None]] = dict.fromkeys(islice(parts, 1, None))
     for part in actions:
-        # a head alone, spaced as serialize_dpll spaces it: "unit L ",
-        # "split L ", "red [ C ] L " or "elim [ C ] L ", with at most
-        # whitespace after L, which int() reads with the whitespace around
-        # it.  Any other piece fails here and is read with the grammar.
-        head, _, lit = part.partition(" ")
+        # a head as serialize_dpll spaces it, "unit L ", "split L ",
+        # "red [ C ] L " or "elim [ C ] L ", then conflicts, each followed
+        # by a run of ')', one space apart.  int() reads a literal with the
+        # whitespace around it, and fails on any ( ) [ ] in it.
+        head, _, rest = part.partition(" ")
         try:
             if head == "unit" or head == "split":
+                lit, _, rest = rest.partition(" ")
                 lit = int(lit)
                 frame = (Unit if head == "unit" else Split, lit, None)
             else:
-                head, _, lit = part.partition("] ")
-                head, bracket, inside = head.partition(" [")
-                if not bracket or head != "red" and head != "elim":
+                inside, _, rest = rest.partition("] ")
+                if head != "red" and head != "elim" or inside[:1] != "[":
                     raise ValueError
-                clause = (*map(int, inside.split()),)
+                clause = (*map(int, inside[1:].split()),)
+                lit, _, rest = rest.partition(" ")
                 lit = int(lit)
                 if 0 in clause:
                     raise ValueError
                 frame = (Red if head == "red" else Elim, clause, lit)
             if not lit:
                 raise ValueError
+            if rest:
+                runs = rest.split(" ")
+                if not runs[-1]:
+                    runs.pop()  # the space before the next '('
+                if any(run.rstrip(")") != "conflict" for run in runs):
+                    raise ValueError
+                frame = [frame, [len(run) - 8 for run in runs]]
             actions[part] = frame
         except ValueError:
-            actions[part] = _decode_piece(part)
-    # open nodes, as dpll_proof.close reads them
-    frames: list[tuple] = []
+            return _read_tokens(text)
+    # open nodes, as dpll_proof.close reads them, above a Split frame of
+    # literal 0 that close stops at: the finished tree becomes its left branch
+    frames: list[tuple] = [(Split, 0, None)]
     push = frames.append
-    pending = iter(parts)
-    next(pending)
-    for action in map(actions.__getitem__, pending):
+    for action in map(actions.__getitem__, islice(parts, 1, None)):
         if action.__class__ is tuple:
             push(action)
             continue
-        frame, closes, rest = action
-        if frame is None:
-            _read_node(text, _piece(text, parts, pending).start())
+        frame, closes = action
         push(frame)
-        for owed, end in closes:
-            # close the open nodes the conflict completes, one ')' each, up
-            # to a Split still waiting for its right child
+        for owed in closes:
+            opened = len(frames)
+            close(frames, CONFLICT)
+            if opened - len(frames) != owed:
+                return _read_tokens(text)
+    # the tree is finished once, at the end: a ')' or a piece after it
+    # would have taken the bottom frame, or left a frame above it
+    if len(frames) == 1 and frames[0][:2] == (None, 0):
+        return frames[0][2]
+    return _read_tokens(text)
+
+
+def _read_tokens(text: str) -> DpllDerivation:
+    """Read ``text`` token by token, as the grammar reads it, and return its
+    derivation, built through ``dpll_proof.close``; raise
+    ``ProofParseError`` at the first token that does not fit."""
+    walk = iter(_DPLL_TOKEN.findall(text))
+    frames: list[tuple] = []
+    for tok in walk:
+        if tok == "conflict":
             opened = len(frames)
             node = close(frames, CONFLICT)
-            owed -= opened - len(frames)
-            if owed < 0:
-                _misfit(text, parts, pending, end, "expected ')', got {!r}")
+            for _ in range(opened - len(frames)):
+                if (tok := next(walk, None)) != ")":
+                    _fail(text, walk, tok, "')'", "expected ')', got {!r}")
             if not frames:
-                if owed or end != closes[-1][1] or rest or length_hint(pending):
-                    _misfit(text, parts, pending, end - owed, "trailing input after derivation")
+                if (tok := next(walk, None)) is not None:
+                    _fail(text, walk, tok, "", "trailing input after derivation")
                 return node
-            if owed:
-                _misfit(text, parts, pending, end - owed, "unexpected token {!r}")
-        if rest:
-            _misfit(text, parts, pending, closes[-1][1] if closes else 0, "unexpected token {!r}")
-    _read_node(text, len(text))  # the text ended with nodes still open
+        elif tok == "(unit" or tok == "(split":
+            lit = _lit(text, walk, next(walk, None), "a literal")
+            frames.append((Unit if tok == "(unit" else Split, lit, None))
+        elif tok == "(red" or tok == "(elim":
+            cls = Red if tok == "(red" else Elim
+            if (tok := next(walk, None)) != "[":
+                _fail(text, walk, tok, "'['", "expected '[', got {!r}")
+            clause = []
+            while (tok := next(walk, None)) != "]":
+                clause.append(_lit(text, walk, tok, "a literal or ']'"))
+            frames.append((cls, (*clause,), _lit(text, walk, next(walk, None), "a literal")))
+        else:
+            _fail(text, walk, tok, "a derivation node", "unexpected token {!r}")
+    _fail(text, walk, None, "a derivation node", "")
 
 
-def _decode_piece(part: str) -> list:
-    """Read the piece ``part``, the text after an '(', with _DPLL_PIECE, and
-    return [frame, closes, rest]: the frame its head opens, or None when it
-    does not start with a valid head; for each conflict, the number of ')'
-    after it and the index of the token after them, counting tokens from the
-    first conflict; and the text after the conflicts."""
-    unary, reducing, inside, lit, after = _DPLL_PIECE.match("(" + part).groups("")
-    frame = None
+def _lit(text: str, walk, tok: str | None, expected: str) -> int:
+    """``tok`` as a nonzero literal; raise unless it is one."""
     try:
-        lit = int(lit)  # a piece without a head has no literal
-        if lit and unary:
-            frame = (Unit if unary == "unit" else Split, lit, None)
-        elif lit:
-            clause = (*map(int, inside.split()),)
-            if 0 not in clause:
-                frame = (Red if reducing == "red" else Elim, clause, lit)
+        if tok is not None and (lit := int(tok)):
+            return lit
     except ValueError:
-        pass
-    runs, rest = _DPLL_CLOSES.match(after).groups()
-    closes, end = [], 0
-    for run in islice(runs.split("conflict"), 1, None):
-        owed = run.count(")")
-        end += 1 + owed
-        closes.append((owed, end))
-    return [frame, closes, rest]
+        _fail(text, walk, tok, expected, "expected a literal, got {!r}")
+    _fail(text, walk, tok, expected, "literal must be nonzero")
 
 
-def _piece(text: str, parts: list[str], pending) -> re.Match:
-    """The piece ``parse_dpll`` has reached, matched again where it stands
-    in ``text``: ``pending`` iterates over the parts after it."""
-    k = len(parts) - length_hint(pending) - 1
-    return _DPLL_PIECE.match(text, sum(map(len, islice(parts, k))) + k - 1)
-
-
-def _misfit(text: str, parts: list[str], pending, index: int, message: str) -> NoReturn:
-    """Raise ``message`` at token ``index`` of the rest of the piece
-    ``parse_dpll`` has reached; there is none only when a ')' was owed."""
-    tokens = _DPLL_TOKEN.finditer(text, _piece(text, parts, pending).start(5))
-    _fail(text, next(islice(tokens, index, None), None), "')'", message)
-
-
-def _read_node(text: str, start: int) -> NoReturn:
-    """Read the node at offset ``start`` token by token, as the grammar
-    does, and raise at the first token that does not fit."""
-    tokens = _DPLL_TOKEN.finditer(text, start)
-    tok = next(tokens, None)
-    head = tok and tok.group()
-    if head not in ("(unit", "(split", "(red", "(elim"):
-        _fail(text, tok, "a derivation node", "unexpected token {!r}")
-    if head == "(red" or head == "(elim":
-        tok = next(tokens, None)
-        if not tok or tok.group() != "[":
-            _fail(text, tok, "'['", "expected '[', got {!r}")
-        while (tok := next(tokens, None)) is None or tok.group() != "]":
-            _lit(text, tok, "a literal or ']'")
-    _lit(text, next(tokens, None), "a literal")
-    raise AssertionError(f"no error in the node at offset {start}")
-
-
-def _lit(text: str, tok: re.Match | None, expected: str) -> None:
-    """Raise unless ``tok`` is a nonzero literal."""
-    try:
-        if tok and int(tok.group()):
-            return
-    except ValueError:
-        _fail(text, tok, expected, "expected a literal, got {!r}")
-    _fail(text, tok, expected, "literal must be nonzero")
-
-
-def _fail(text: str, tok: re.Match | None, expected: str, message: str) -> NoReturn:
-    """Raise ``message``, formatted with the token, at token ``tok`` or,
-    when the input ended before it, "unexpected end of input" at the end of
-    the last token: ``str.rstrip`` strips exactly what ``\\s`` matches."""
+def _fail(text: str, walk, tok: str | None, expected: str, message: str) -> NoReturn:
+    """Raise ``message``, formatted with ``tok``, at the offset of ``tok``,
+    the token ``walk`` took last, or, when the input ended before it,
+    "unexpected end of input" at the end of the last token: ``str.rstrip``
+    strips exactly what ``\\s`` matches."""
     if tok is None:
         raise ProofParseError(f"unexpected end of input, expected {expected}",
                               len(text.rstrip())) from None
-    raise ProofParseError(message.format(tok.group()), tok.start()) from None
+    tokens = [*_DPLL_TOKEN.finditer(text)]
+    raise ProofParseError(message.format(tok),
+                          tokens[len(tokens) - length_hint(walk) - 1].start()) from None
 
 
 def serialize_res(r: ResDerivation) -> str:

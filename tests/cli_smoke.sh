@@ -36,8 +36,8 @@ test "$rc" -eq 1
 grep -qxF "error: offset 16: unexpected end of input, expected ')'" cut.err
 dpllkit convert dpll2res php32.cnf php32.dpll --out php32.res
 dpllkit check res php32.cnf php32.res
-# PHP(5,4)'s proof repeats its node heads: the parser decodes
-# each distinct piece of text once, here one token per line
+# PHP(5,4)'s proof one token per line: not the serializer's
+# spacing, so the token walk reads it, token by token
 dpllkit gen php 5 4 --out php54.cnf
 rc=0; dpllkit solve php54.cnf --out php54.dpll || rc=$?
 test "$rc" -eq 20

@@ -146,10 +146,20 @@ def test_solve_deep_horn_chain(unsat, code, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(php21_file, tmp_path, capsys):
     assert main(["frobnicate"]) == 1
     assert main(["solve", "--mode", "bogus", "x.cnf"]) == 1
     assert main(["bench", "--php-max", "2"]) == 1
+    # decide mode writes no proof, so it rejects the options that shape one
+    out = tmp_path / "F"
+    for options, named in [(["--proof", "res", "--out", str(out)], "--proof and --out"),
+                           (["--proof", "dpll"], "--proof"), (["--out", str(out)], "--out")]:
+        capsys.readouterr()
+        assert main(["solve", "--mode", "decide", *options, php21_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: decide mode writes no proof, so {named} would be ignored\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 
 def test_missing_file_exit_code(capsys):

@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpllkit import proof_text
 from dpllkit.dpll_proof import CONFLICT, Elim, Red, Split, Unit
 from dpllkit.php import PhpSpec, gen_php
 from dpllkit.proof_text import (
     _DPLL_TOKEN,
     ProofParseError,
+    _read_tokens,
     parse_dpll,
     parse_res,
     serialize_dpll,
@@ -166,11 +168,30 @@ def test_parse_dpll_reads_any_legal_spacing(p, rng):
     assert serialize_dpll(parse_dpll(respaced)) == text
 
 
-def test_dpll_round_trip_of_checker_corpus_and_php_proofs():
+@cache
+def corpus_and_php_proofs():
+    """The derivations of checker_corpus() and the refutations of PHP(k+1,k)
+    for k <= 5."""
     proofs = [p for _, _, _, p in checker_corpus()]
-    proofs += [solve(gen_php(PhpSpec(k + 1, k))).proof for k in range(1, 6)]
-    for p in proofs:
+    return proofs + [solve(gen_php(PhpSpec(k + 1, k))).proof for k in range(1, 6)]
+
+
+def test_dpll_round_trip_of_checker_corpus_and_php_proofs():
+    for p in corpus_and_php_proofs():
         assert parse_dpll(serialize_dpll(p)) == p
+
+
+def test_serializer_text_never_reaches_the_token_walk(monkeypatch):
+    def walk(text):
+        raise AssertionError("the token walk was reached")
+
+    monkeypatch.setattr(proof_text, "_read_tokens", walk)
+    with pytest.raises(AssertionError):
+        parse_dpll(PHP21_TEXT.replace(" ", "\t"))
+    for p in (CONFLICT, *corpus_and_php_proofs()):
+        text = serialize_dpll(p)
+        for end in ("", "\n", "\r\n"):
+            assert parse_dpll(text + end) == p
 
 
 PHP21 = gen_php(PhpSpec(2, 1))
@@ -332,10 +353,11 @@ def parse_corpus():
     return corpus
 
 
-def parse_outcome(fmt, text):
-    parse, serialize = (parse_dpll, serialize_dpll) if fmt == "dpll" else (parse_res, serialize_res)
+def parse_outcome(fmt, text, parse=None):
+    default, serialize = (parse_dpll, serialize_dpll) if fmt == "dpll" else (
+        parse_res, serialize_res)
     try:
-        proof = parse(text)
+        proof = (parse or default)(text)
     except ProofParseError as e:
         return {"error": str(e), "position": e.position}
     return {"ok": hashlib.sha256(serialize(proof).encode()).hexdigest()}
@@ -420,13 +442,17 @@ def test_parse_outcomes_match_recorded_digests():
 
 
 def test_parse_dpll_reads_tabs_as_it_reads_spaces():
-    # parse_dpll reads a head alone in the serializer's spacing with
-    # str.partition and any other piece with the full grammar: with every
-    # space made a tab, each piece takes the second way, and each outcome
-    # must stay the same
+    # parse_dpll's fast pass reads only the serializer's spacing and hands
+    # any other text to the token walk: with every space made a tab, every
+    # text takes the walk, and each outcome must stay the same; the walk on
+    # its own must give the same outcome on both texts
     for name, fmt, text in parse_corpus() + memo_corpus():
         if fmt == "dpll":
-            assert parse_outcome(fmt, text.replace(" ", "\t")) == parse_outcome(fmt, text), name
+            outcome = parse_outcome(fmt, text)
+            tabbed = text.replace(" ", "\t")
+            assert parse_outcome(fmt, tabbed) == outcome, name
+            for spaced in (text, tabbed):
+                assert parse_outcome(fmt, spaced, _read_tokens) == outcome, name
 
 
 if __name__ == "__main__":
