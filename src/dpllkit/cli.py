@@ -41,7 +41,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=["witness", "decide"], default="witness")
     p.add_argument("--proof", choices=["dpll", "res", "none"],
                    help="proof format of an unsat answer, witness mode only (default dpll)")
-    p.add_argument("--out", help="write the proof to this file instead of stdout")
+    p.add_argument("--out", help="write the proof or the model's v line to this file, not stdout")
     p.add_argument("input")
 
     p = sub.add_parser("check", help="verify a proof against a CNF file")
@@ -84,6 +84,8 @@ def _cmd_solve(args) -> int:
         if ignored:
             raise _UsageError(f"decide mode writes no proof, so {' and '.join(ignored)} "
                               "would be ignored")
+    elif args.proof == "none" and args.out is not None:
+        raise _UsageError("--proof none writes no proof, so --out would be ignored")
     formula = parse_dimacs(_read(args.input))
     if args.mode == "decide":
         sat = solve(formula, SolverConfig(mode="decide"))
@@ -93,7 +95,7 @@ def _cmd_solve(args) -> int:
     if verdict.satisfiable:
         print("s SATISFIABLE")
         lits = [v if verdict.model.lit_value(v) else -v for v in sorted(vars_of(formula))]
-        print("v " + " ".join(str(l) for l in lits) + " 0" if lits else "v 0")
+        _write_out(" ".join(["v", *map(str, lits), "0"]) + "\n", args.out)
         return EXIT_SAT
     print("s UNSATISFIABLE")
     if args.proof in ("dpll", None):

@@ -111,23 +111,26 @@ class ProofNode:
         return "".join(out)
 
 
-def slot_init(cls):
-    """Give a slotted frozen dataclass an ``__init__`` that writes each field
-    through its slot's member descriptor, and return the class.
+def proof_node(cls):
+    """Declare a node class of either proof system, a ``ProofNode``
+    subclass: a frozen, slotted dataclass that keeps ``ProofNode``'s ``==``,
+    ``hash`` and ``repr``, with an ``__init__`` that writes each field
+    through its slot's member descriptor.
 
-    The generated frozen ``__init__`` sets each field with
+    A frozen dataclass's own ``__init__`` sets each field with
     ``object.__setattr__``, which looks the name up on the type at every
     call; one node is built per rule application, so that lookup is a large
     share of building a derivation.  The descriptor's ``__set__`` is what
     the lookup finds, bound here once per field.  The parameters are the
     field names in order, so positional and keyword construction and
-    ``dataclasses.replace`` work as before.
+    ``dataclasses.replace`` work as for any dataclass.
 
     Setting or deleting any name on a built node raises
     ``FrozenInstanceError``.  The frozen dataclass's own ``__setattr__`` and
     ``__delattr__`` do so only for fields: for any other name they call
     ``super()`` with the class from before ``slots=True`` rebuilt it, which
     raises ``TypeError``."""
+    cls = dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)(cls)
     names = [f.name for f in fields(cls)]
     namespace = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
     body = "".join(f"\n    _set_{name}(self, {name})" for name in names) or "\n    pass"
@@ -143,37 +146,32 @@ def _frozen(self, name, *value):
     raise FrozenInstanceError(f"cannot set or delete {name!r}: proof nodes are frozen")
 
 
-@slot_init
-@dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)
+@proof_node
 class Conflict(ProofNode):
     pass
 
 
-@slot_init
-@dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)
+@proof_node
 class Unit(ProofNode):
     lit: Lit
     sub: "DpllDerivation"
 
 
-@slot_init
-@dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)
+@proof_node
 class Elim(ProofNode):
     clause: Clause
     lit: Lit
     sub: "DpllDerivation"
 
 
-@slot_init
-@dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)
+@proof_node
 class Red(ProofNode):
     clause: Clause
     lit: Lit  # the valuation literal; its complement is removed from `clause`
     sub: "DpllDerivation"
 
 
-@slot_init
-@dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)
+@proof_node
 class Split(ProofNode):
     lit: Lit  # left child assumes `lit`, right child its complement
     left: "DpllDerivation"

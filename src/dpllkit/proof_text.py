@@ -5,7 +5,7 @@ tokens):
 
     node   := "conflict" | "(unit" lit node ")" | "(elim" clause lit node ")"
             | "(red" clause lit node ")" | "(split" lit node node ")"
-    clause := "[" lit* "]"
+    clause := "[" lit* "]"   (literals in canonical order, as serialize_dpll writes them)
     lit    := nonzero signed decimal
 
 Resolution derivations use a line-oriented trace, ids assigned in post-order

@@ -13,23 +13,20 @@ the premise that the checking walk names for its clause.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .cnf import Clause, Formula, Lit, Valuation, canonical_clause, canonical_formula
 from .dpll_proof import (CheckReport, DpllDerivation, ProofNode, Split, Unit, VALID,
-                         collector_paused, slot_init, walk)
+                         collector_paused, proof_node, walk)
 
 
-@slot_init
-@dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)
+@proof_node
 class Sub(ProofNode):
     premise_index: int  # 1-based index into the premise formula
     conclusion: Clause
 
 
-@slot_init
-@dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)
+@proof_node
 class Res(ProofNode):
     pivot: Lit
     left: "ResDerivation"   # conclusion contains complement(pivot)
@@ -75,13 +72,13 @@ def check_res(d0: Formula, d: ResDerivation) -> CheckReport:
     preorder, left child first; the first violation is reported with its
     child-index path and ``(d0, node)`` as context.  A node met again is
     skipped: its subtree was checked the first time without a violation.
-    The walk keeps no paths; the one reported is found again only at the
-    violation."""
+    Each stacked node carries its path as a ``(child index, parent link)``
+    chain, read out only at the violation."""
     d0 = canonical_formula(d0)
     seen: set[int] = set()
-    stack = [d]
+    stack = [(d, None)]
     while stack:
-        node = stack.pop()
+        node, link = stack.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
@@ -110,32 +107,16 @@ def check_res(d0: Formula, d: ResDerivation) -> CheckReport:
                 if resolvent != set(node.conclusion):
                     reason = "conclusion-mismatch"
                 else:
-                    stack += (node.right, node.left)
+                    stack += ((node.right, (1, link)), (node.left, (0, link)))
                     continue
         else:
             raise TypeError(f"not a resolution derivation node: {node!r}")
-        return CheckReport(False, _path_to(d, node), reason, (d0, node))
-    return VALID
-
-
-def _path_to(d: ResDerivation, target: ResDerivation) -> tuple[int, ...]:
-    """The child-index path at which ``check_res``'s walk first meets
-    ``target``, every node before it having passed."""
-    path: list[int] = []
-    seen: set[int] = set()
-    stack = [(d, 0, 0)]  # (node, depth, child index)
-    while True:
-        node, depth, branch = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if depth:
-            del path[depth - 1:]
+        path: list[int] = []
+        while link is not None:
+            branch, link = link
             path.append(branch)
-        if node is target:
-            return tuple(path)
-        if isinstance(node, Res):
-            stack += ((node.right, depth + 1, 1), (node.left, depth + 1, 0))
+        return CheckReport(False, tuple(reversed(path)), reason, (d0, node))
+    return VALID
 
 
 def _res(pivot: Lit, left: ResDerivation, right: ResDerivation) -> Res:

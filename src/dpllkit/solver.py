@@ -50,7 +50,8 @@ from .dpll_proof import CONFLICT, DpllDerivation, Elim, Red, Split, Unit, close,
 
 
 class InvariantViolation(Exception):
-    """A debug-mode precondition of the search was violated."""
+    """A search state broke an invariant: ``solve_aux`` checks its input
+    state in every mode, and debug mode (``assert_measure``) every state."""
 
 
 class MeasureViolation(InvariantViolation):
@@ -107,31 +108,37 @@ def choose_split(t: Formula) -> Lit:
 
 
 def solve(d, cfg: SolverConfig = SolverConfig()) -> Union[Verdict, bool]:
-    """Decide a CNF formula.
+    """Decide a CNF formula: ``solve_aux`` from the empty valuation."""
+    return solve_aux((), d, (), cfg)
 
-    Witness mode returns a ``Verdict`` carrying a model or a derivation,
-    built with the cyclic collector paused; decide mode returns only the
-    satisfiability boolean.
-    """
+
+def solve_aux(g: Valuation, d, t=(), cfg: SolverConfig = SolverConfig()) -> Union[Verdict, bool]:
+    """Search from the state (g, d, t): valuation ``g``, working formula
+    ``d``, clean clauses ``t``.  Witness mode returns a ``Verdict`` with a
+    model or a derivation, built with the cyclic collector paused, and with
+    ``cfg.trace`` the rule log; decide mode returns only the satisfiability
+    boolean.  In every mode, the state is first checked (``_check_clean``):
+    ``InvariantViolation`` unless ``g`` is consistent and ``t`` holds no
+    empty clause and no variable of ``g``."""
+    g, d, t = canonical_valuation(g), canonical_formula(d), canonical_formula(t)
+    _check_clean(g, t)
     witness = cfg.mode == "witness"
     log: Optional[list[str]] = [] if cfg.trace else None
-    search = _witness_search if witness else _search
-    v = search((), canonical_formula(d), (), witness, cfg.assert_measure, log)
+    v = (_witness_search if witness else _search)(g, d, t, witness, cfg.assert_measure, log)
     if log is not None:
         v = replace(v, trace=tuple(log))
     return v
 
 
-def solve_aux(g: Valuation, d, t=(), cfg: SolverConfig = SolverConfig()) -> Verdict:
-    """Search from an intermediate state: valuation ``g``, working formula
-    ``d``, clean clauses ``t``.  Always returns a full witness Verdict
-    without a rule log, so ``cfg`` may set only ``assert_measure``."""
-    if cfg.mode != "witness":
-        raise ValueError(f"solve_aux always runs witness mode, not SolverConfig.mode={cfg.mode!r}")
-    if cfg.trace:
-        raise ValueError("solve_aux keeps no rule log: SolverConfig.trace must be False")
-    return _witness_search(canonical_valuation(g), canonical_formula(d), canonical_formula(t),
-                           True, cfg.assert_measure, None)
+def _check_clean(g, t) -> None:
+    """Raise ``InvariantViolation`` unless the valuation ``g`` is consistent
+    and the clean clauses ``t`` are nonempty and share no variable with it."""
+    if not all(t):
+        raise InvariantViolation("empty clause among clean clauses")
+    if not is_consistent(g):
+        raise InvariantViolation(f"inconsistent valuation: {g}")
+    if not set(map(abs, g)).isdisjoint(map(abs, chain.from_iterable(t))):
+        raise InvariantViolation("clean clauses share variables with the valuation")
 
 
 def _check_state(g, d, t, prev: Optional[tuple[int, int]], hits: set) -> tuple[int, int]:
@@ -139,13 +146,8 @@ def _check_state(g, d, t, prev: Optional[tuple[int, int]], hits: set) -> tuple[i
     must be below ``prev``, the measure of the state it came from.  Every
     clause of ``d`` not among its hit clauses ``hits`` must be one that only
     a move can take."""
-    if not all(t):
-        raise InvariantViolation("empty clause among clean clauses")
-    if not is_consistent(g):
-        raise InvariantViolation(f"inconsistent valuation: {g}")
+    _check_clean(g, t)
     gvars = set(map(abs, g))
-    if not gvars.isdisjoint(map(abs, chain.from_iterable(t))):
-        raise InvariantViolation("clean clauses share variables with the valuation")
     for c in filterfalse(hits.__contains__, d):
         if len(c) < 2 or not gvars.isdisjoint(map(abs, c)):
             raise InvariantViolation(f"clause {c} outside the occurrence index is not clean")

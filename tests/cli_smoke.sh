@@ -47,6 +47,18 @@ dpllkit convert dpll2res php54.cnf php54-lines.dpll --out php54.res
 test "$(dpllkit check res php54.cnf php54.res)" = valid
 rc=0; python -m dpllkit solve --mode decide php32.cnf || rc=$?
 test "$rc" -eq 20
+# --proof none writes no proof, so --out is a usage error before solving
+dpllkit gen php 2 1 --out php21.cnf
+rc=0; dpllkit solve --proof none --out none.out php21.cnf 2> none.err || rc=$?
+test "$rc" -eq 1
+grep -qF -- '--out' none.err
+test ! -e none.out
+# a model goes to --out, and the answer line stays on stdout
+dpllkit gen php 2 2 --out php22.cnf
+rc=0; dpllkit solve --out php22.model php22.cnf > php22.out || rc=$?
+test "$rc" -eq 10
+test "$(cat php22.out)" = "s SATISFIABLE"
+test "$(cat php22.model)" = "v 1 -2 -3 4 0"
 # unsorted and repeated literals, and one clause twice: the clauses
 # are canonicalized once, and the proof is pinned
 printf 'p cnf 2 5\n2 1 1 0\n1 2 0\n-1 2 0\n1 -2 0\n-2 -1 0\n' > messy.cnf

@@ -160,6 +160,19 @@ def test_usage_error_exit_code(php21_file, tmp_path, capsys):
         assert captured.err == f"error: decide mode writes no proof, so {named} would be ignored\n"
         assert captured.out == ""
         assert not out.exists()
+    # nor does --proof none, so it rejects --out before solving
+    assert main(["solve", "--proof", "none", "--out", str(out), php21_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --proof none writes no proof, so --out would be ignored\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_solve_sat_writes_the_model_to_out(php22_file, tmp_path, capsys):
+    out = tmp_path / "G"
+    assert main(["solve", "--out", str(out), php22_file]) == 10
+    assert capsys.readouterr().out == "s SATISFIABLE\n"
+    assert out.read_text() == "v 1 -2 -3 4 0\n"
 
 
 def test_missing_file_exit_code(capsys):

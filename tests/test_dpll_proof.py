@@ -90,6 +90,12 @@ def test_split_child_inconsistency_detected():
     assert r.reason == "inconsistent-context"
 
 
+def test_split_right_child_inconsistency_detected():
+    # the right branch assumes -1 on top of valuation (1,)
+    r = check_dpll((1,), ((),), Split(1, CONFLICT, CONFLICT))
+    assert (r.valid, r.path, r.reason) == (False, (1,), "inconsistent-context")
+
+
 def test_repeated_assignment_is_tolerated():
     # re-adding a literal already present is harmless
     proof = Unit(1, Unit(2, Red((-1, -2), 1, Red((-2,), 2, CONFLICT))))

@@ -232,11 +232,33 @@ def test_shared_nodes_repr_once():
                     + f", right=..., {c})" * 58)
 
 
-@pytest.mark.parametrize("premise_index", [1, 2])
-def test_shared_nodes_report_as_the_unfolded_tree(premise_index):
-    shared, unfolded = parse_res(shared_trace(6, premise_index)), unfolded_chain(6, premise_index)
-    assert res_size(shared) == res_size(unfolded) == 31
-    assert repr(check_res(((1, 2),), shared)) == repr(check_res(((1, 2),), unfolded))
+def met_again(shared):
+    """Two steps that each cite the leaf ``s``, the second beside a leaf
+    citing no premise of ``((1, 2),)``: the walk meets ``s`` again at path
+    (1, 0), skips it, and reports the other leaf at (1, 1).  Unless
+    ``shared``, each citation of ``s`` is its own copy."""
+    c = (1, -1, 2)
+    s = [Sub(1, c)] * 3 if shared else [Sub(1, c) for _ in range(3)]
+    return Res(1, Res(1, s[0], s[1], c), Res(1, s[2], Sub(2, c), c), c)
+
+
+# case -> (shared derivation, unfolded tree), size, (reason, path) of the report
+SHARED_CASES = {
+    "1": (lambda: (parse_res(shared_trace(6, 1)), unfolded_chain(6, 1)), 31, (None, ())),
+    "2": (lambda: (parse_res(shared_trace(6, 2)), unfolded_chain(6, 2)), 31,
+          ("premise-index", (0, 0, 0, 0, 0))),
+    "met-again": (lambda: (met_again(True), met_again(False)), 3, ("premise-index", (1, 1))),
+}
+
+
+@pytest.mark.parametrize("case", SHARED_CASES)
+def test_shared_nodes_report_as_the_unfolded_tree(case):
+    build, size, (reason, path) = SHARED_CASES[case]
+    shared, unfolded = build()
+    assert res_size(shared) == res_size(unfolded) == size
+    report = check_res(((1, 2),), shared)
+    assert (report.reason, report.path) == (reason, path)
+    assert repr(report) == repr(check_res(((1, 2),), unfolded))
 
 
 def test_translation_leaves_no_cyclic_garbage():

@@ -86,13 +86,15 @@ def test_complete_model():
 @pytest.mark.parametrize("run, field", [
     (lambda: SolverConfig(mode="witnes"), "mode"),
     (lambda: SolverConfig(mode="decide", trace=True), "trace"),
-    (lambda: solve_aux((), PHP21, (), SolverConfig(mode="decide")), "mode"),
-    (lambda: solve_aux((), PHP21, (), SolverConfig(trace=True)), "trace"),
-], ids=["unknown-mode", "decide-trace", "solve-aux-mode", "solve-aux-trace"])
+], ids=["unknown-mode", "decide-trace"])
 def test_options_that_would_be_ignored_raise(run, field):
     # an option the run cannot honour names its field instead of running
     with pytest.raises(ValueError, match=f"SolverConfig\\.{field}"):
         run()
+
+
+def test_trace_of_an_empty_clause_is_one_conflict():
+    assert solve(((),), SolverConfig(trace=True)).trace == ("conflict",)
 
 
 def test_choose_split():
@@ -248,6 +250,17 @@ def test_precondition_violations_raise_in_debug_mode():
         solve_aux((1,), (), ((1, 2),), cfg)
 
 
+@pytest.mark.parametrize("mode", ["witness", "decide"])
+def test_precondition_violations_raise_in_every_mode(mode):
+    # solve_aux checks its state before searching, not only in debug mode:
+    # an inconsistent valuation, an empty clean clause, and a clean clause
+    # sharing a variable with the valuation
+    cfg = SolverConfig(mode=mode)
+    for g, d, t in [((1, -1), ((),), ()), ((), (), ((),)), ((1,), (), ((-1, 2),))]:
+        with pytest.raises(InvariantViolation):
+            solve_aux(g, d, t, cfg)
+
+
 # Derivation identity.  tests/data/solver_digests.json records, for a fixed
 # corpus, what the search produced when the file was made: verdict, evidence,
 # rule log and decide verdict.  Any change to the search that alters one of
@@ -349,10 +362,17 @@ def test_solve_aux_matches_recorded_digests():
 
 
 def test_solve_aux_bulk_moves_match_one_step_moves():
-    checked = SolverConfig(assert_measure=True)
+    bulk_cfg, one_cfg = SolverConfig(trace=True), SolverConfig(trace=True, assert_measure=True)
     for name, g, d, t in aux_corpus():
-        bulk, one = solve_aux(g, d, t), solve_aux(g, d, t, checked)
-        assert (bulk.satisfiable, evidence(bulk)) == (one.satisfiable, evidence(one)), name
+        bulk, one = solve_aux(g, d, t, bulk_cfg), solve_aux(g, d, t, one_cfg)
+        assert (bulk.satisfiable, evidence(bulk), bulk.trace) == \
+            (one.satisfiable, evidence(one), one.trace), name
+
+
+def test_solve_aux_decides_as_it_witnesses():
+    decide = SolverConfig(mode="decide")
+    for name, g, d, t in aux_corpus():
+        assert solve_aux(g, d, t, decide) is solve_aux(g, d, t).satisfiable, name
 
 
 if __name__ == "__main__":
