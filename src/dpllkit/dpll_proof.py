@@ -383,15 +383,16 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
             return VALID, (values[0] if values else None)
 
 
-def close(frames: list, node: DpllDerivation) -> DpllDerivation:
+def close(frames: list, node: DpllDerivation, splits: Optional[list] = None) -> DpllDerivation:
     """Wrap ``node`` in the open nodes on top of ``frames``, innermost first,
     up to the innermost Split still in its left branch, and return the last
     node built.  A frame is ``(class, a, b)``, the fields before the
     subderivation (``b`` is ``None`` for a Unit or a Split); a Split whose
     left branch is done is ``(None, lit, left)``.  The Split frame reached
     becomes ``(None, lit, node)``; when no Split is open, the frames are
-    emptied and the return value is the whole derivation.  The witness
-    search and ``parse_dpll`` build their trees only through it."""
+    emptied and the return value is the whole derivation.  Each Split node
+    built, innermost first, is appended to ``splits`` when given.  The
+    witness search and ``parse_dpll`` build their trees only through it."""
     pop = frames.pop
     while frames:
         cls, a, b = pop()
@@ -402,6 +403,8 @@ def close(frames: list, node: DpllDerivation) -> DpllDerivation:
             node = Unit(a, node)
         elif cls is None:
             node = Split(a, b, node)
+            if splits is not None:
+                splits.append(node)
         else:
             node = cls(a, b, node)
     return node

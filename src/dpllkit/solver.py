@@ -26,8 +26,13 @@ mask marks the hit positions: those of the clauses of variables ever
 assumed, of the clauses shorter than two literals and of the reducts.  A
 clause at an unmarked position can only be moved, and stays in the ring
 inside a ``range`` of input positions, so a run of such clauses moves as one
-appended range found by one scan of the mask.  Derivations, models and rule
-logs are those of one-step moves.
+appended range found by one scan of the mask.
+
+Below a Split the search depends only on the clean clauses, in ring order,
+so a Split on clean clauses refuted before is refuted by what the earlier
+Split produced: the derivation shares that Split node, and the rule log
+repeats its span.  Derivations, models and rule logs are those of a search
+with one-step moves and without that reuse, as debug mode runs it.
 """
 
 from __future__ import annotations
@@ -77,6 +82,12 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Verdict:
+    """A witness-mode answer: a model of a satisfiable formula, or else a
+    derivation, and with ``trace=True`` the rule log.  The derivation may
+    share a refuted Split subtree among several Splits, which ``repr``
+    writes as ``...`` after its first time; the text, size, checker and
+    translator read it unfolded."""
+
     satisfiable: bool
     model: Optional[Assignment] = None
     proof: Optional[DpllDerivation] = None
@@ -234,9 +245,19 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
     # working formula and of the clean clauses.  In witness mode frames holds
     # the open nodes outermost first, as dpll_proof.close reads them: (rule,
     # first, second) for each Elim, Unit, Red and Split step on the path to
-    # the current state.  splits holds (lit, valuation, clean clauses,
-    # measure) for each Split still in its left branch, the state its right
-    # branch restarts from.
+    # the current state.  splits holds, for each open Split, (lit, valuation,
+    # clean clauses, measure, key, start) while it is in its left branch, the
+    # state its right branch restarts from, and (None, key, start) while it is
+    # in its right branch.  key is the tuple of its clean clauses and start
+    # the length of the log before its "split".  At a Split d is empty and
+    # the clean clauses share no variable with gset, so every step below it
+    # (the split literal, each rule, the derivation and the log) depends on
+    # key alone, and ends in a model, which ends the search, or a refutation.
+    # refuted maps the key of each refuted Split to what it produced: its
+    # Split node in witness mode, True in decide mode, and with a log that
+    # and the span (start, end) of its steps in the log.  A Split whose key
+    # is there is refuted by it in place of a search; debug mode searches
+    # every Split, so that every state is checked.
     gset = set(g0)
     inp = (*d0, *t0)
     occ: dict[int, list[int]] = {}
@@ -258,141 +279,165 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
     live, tset = _hit_set(q[:b], inp, hitmask), _hit_set(q[b:], inp, hitmask)
     frames: list = []
     splits: list[tuple] = []
+    refuted: dict[tuple, object] = {}
     prev = None
     while True:
         if check:
             prev = _check_state(gset, _expand(q[i:b], inp), _expand(q[b:], inp), prev,
                                 _hit_set(q[i:b], inp, hitmask))
 
-        if i == b:
-            if b == len(q):
-                if log is not None:
-                    log.append("model")
-                return Verdict(True, complete_model(gset)) if witness else True
-            if log is not None:
-                log.append("split")
-            del q[:b]
-            lit = choose_split(_expand(q, inp))
-            splits.append((lit, frozenset(gset), tuple(q), prev))
-            if witness:
-                frames.append((Split, lit, None))
-            gset.add(lit)
-            i, b = 0, len(q)
-            live, tset = tset, set()
-            # b is at the end of q, so the newly hit clauses are in d
-            if abs(lit) in occ:
-                live.update(_assume(occ.pop(abs(lit)), inp, hitmask))
-            continue
-
-        e = q[i]
-        if type(e) is tuple:
-            c = e
-            i += 1
-        else:
-            p = e.start
-            if not hitmask[p]:
-                # inp[p] and the clauses behind it in e up to the next hit
-                # one are clean: move them as one range (one at a time when
-                # every state is checked)
-                k = p + 1 if check else hitmask.find(1, p + 1, e.stop)
-                if k < 0 or k == e.stop:
-                    q.append(e)
-                    i += 1
-                    k = e.stop
-                else:
-                    q.append(range(p, k))
-                    q[i] = range(k, e.stop)
-                if log is not None:
-                    log.extend(["move"] * (k - p))
-                continue
-            c = inp[p]
-            if p + 1 == e.stop:
+        if i < b:
+            e = q[i]
+            if type(e) is tuple:
+                c = e
                 i += 1
             else:
-                q[i] = range(p + 1, e.stop)
-        live.discard(c)
-        if not gset.isdisjoint(c):
-            # the clause is already satisfied by the valuation
-            if log is not None:
-                log.append("elim")
-            if witness:
-                for l in c:
-                    if l in gset:
-                        break
-                frames.append((Elim, c, l))
-            continue
+                p = e.start
+                if not hitmask[p]:
+                    # inp[p] and the clauses behind it in e up to the next
+                    # hit one are clean: move them as one range (one at a
+                    # time when every state is checked)
+                    k = p + 1 if check else hitmask.find(1, p + 1, e.stop)
+                    if k < 0 or k == e.stop:
+                        q.append(e)
+                        i += 1
+                        k = e.stop
+                    else:
+                        q.append(range(p, k))
+                        q[i] = range(k, e.stop)
+                    if log is not None:
+                        log.extend(["move"] * (k - p))
+                    continue
+                c = inp[p]
+                if p + 1 == e.stop:
+                    i += 1
+                else:
+                    q[i] = range(p + 1, e.stop)
+            live.discard(c)
+            if not gset.isdisjoint(c):
+                # the clause is already satisfied by the valuation
+                if log is not None:
+                    log.append("elim")
+                if witness:
+                    for l in c:
+                        if l in gset:
+                            break
+                    frames.append((Elim, c, l))
+                continue
 
-        if not c:
-            if log is not None:
-                log.append("conflict")
-        elif len(c) == 1:
-            lit = c[0]
-            if -lit in gset:
+            if not c:
+                if log is not None:
+                    log.append("conflict")
+            elif len(c) == 1:
+                lit = c[0]
+                if -lit in gset:
+                    if log is not None:
+                        log.append("red")
+                        log.append("conflict")
+                    if witness:
+                        frames.append((Red, c, -lit))
+                else:
+                    if log is not None:
+                        log.append("unit")
+                    if witness:
+                        frames.append((Unit, lit, None))
+                    gset.add(lit)
+                    # the clean clauses rejoin the working formula behind
+                    # it, less those already in it
+                    if not live.isdisjoint(tset):
+                        q[b:] = _without(q[b:], live & tset, inp, hitmask)
+                    if 2 * i > len(q):
+                        del q[:i]
+                        i = 0
+                    b = len(q)
+                    live |= tset
+                    tset = set()
+                    if abs(lit) in occ:
+                        live.update(_assume(occ.pop(abs(lit)), inp, hitmask))
+                    continue
+            else:
+                for falsified in c:
+                    if -falsified in gset:
+                        break
+                else:
+                    # no variable of c is decided: move it to the clean
+                    # clauses
+                    if log is not None:
+                        log.append("move")
+                    if c not in tset:
+                        q.append(c)
+                        tset.add(c)
+                    continue
                 if log is not None:
                     log.append("red")
-                    log.append("conflict")
                 if witness:
-                    frames.append((Red, c, -lit))
-            else:
+                    frames.append((Red, c, -falsified))
+                k = c.index(falsified)
+                reduct = c[:k] + c[k + 1:]
+                if reduct not in live:
+                    p = pos.get(reduct)
+                    if p is not None and not hitmask[p]:
+                        # an input clause not hit, in the ring once: if it is
+                        # in the working formula, so is the reduct already;
+                        # else its copy among the clean clauses is now hit
+                        if any(type(e) is range and p in e for e in islice(q, i, b)):
+                            continue
+                        hitmask[p] = 1
+                        tset.add(reduct)
+                    q.insert(b, reduct)
+                    b += 1
+                    live.add(reduct)
+                continue
+            node = CONFLICT
+        elif b == len(q):
+            if log is not None:
+                log.append("model")
+            return Verdict(True, complete_model(gset)) if witness else True
+        else:
+            del q[:b]
+            t = _expand(q, inp)
+            key = tuple(t)
+            found = None if check else refuted.get(key)
+            if found is None:
+                start = None
                 if log is not None:
-                    log.append("unit")
+                    start = len(log)
+                    log.append("split")
+                lit = choose_split(t)
+                splits.append((lit, frozenset(gset), tuple(q), prev, key, start))
                 if witness:
-                    frames.append((Unit, lit, None))
+                    frames.append((Split, lit, None))
                 gset.add(lit)
-                # the clean clauses rejoin the working formula behind it, less
-                # those already in it
-                if not live.isdisjoint(tset):
-                    q[b:] = _without(q[b:], live & tset, inp, hitmask)
-                if 2 * i > len(q):
-                    del q[:i]
-                    i = 0
-                b = len(q)
-                live |= tset
-                tset = set()
+                i, b = 0, len(q)
+                live, tset = tset, set()
+                # b is at the end of q, so the newly hit clauses are in d
                 if abs(lit) in occ:
                     live.update(_assume(occ.pop(abs(lit)), inp, hitmask))
                 continue
-        else:
-            for falsified in c:
-                if -falsified in gset:
-                    break
-            else:
-                # no variable of c is decided: move it to the clean clauses
-                if log is not None:
-                    log.append("move")
-                if c not in tset:
-                    q.append(c)
-                    tset.add(c)
-                continue
+            # a Split on these clean clauses was refuted before, and the
+            # search below it would repeat every step: take what it produced
             if log is not None:
-                log.append("red")
-            if witness:
-                frames.append((Red, c, -falsified))
-            k = c.index(falsified)
-            reduct = c[:k] + c[k + 1:]
-            if reduct not in live:
-                p = pos.get(reduct)
-                if p is not None and not hitmask[p]:
-                    # an input clause not hit, in the ring once: if it is in
-                    # the working formula, so is the reduct already; else its
-                    # copy among the clean clauses is now hit
-                    if any(type(e) is range and p in e for e in islice(q, i, b)):
-                        continue
-                    hitmask[p] = 1
-                    tset.add(reduct)
-                q.insert(b, reduct)
-                b += 1
-                live.add(reduct)
-            continue
+                found, start, end = found
+                log.extend(log[start:end])
+            node = found
 
-        # The branch is refuted: close the nodes around its Conflict up to
-        # the innermost Split still in its left branch, and start that
-        # Split's right branch.
+        # The branch is refuted by node: close the nodes around it up to the
+        # innermost Split still in its left branch, record each Split in its
+        # right branch that this refutes, innermost first, as close builds
+        # them, and start the right branch of the Split reached.
         if witness:
-            proof = close(frames, CONFLICT)
+            built: list = []
+            proof = close(frames, node, built)
+            built.reverse()
+        while splits and splits[-1][0] is None:
+            _, key, start = splits.pop()
+            node = built.pop() if witness else True
+            if not check:
+                refuted[key] = node if log is None else (node, start, len(log))
         if not splits:
             return Verdict(False, proof=proof) if witness else False
-        lit, g, t, prev = splits.pop()
+        lit, g, t, prev, key, start = splits[-1]
+        splits[-1] = (None, key, start)
         gset = {*g, -lit}
         q, i, b = list(t), 0, len(t)
         live, tset = _hit_set(q, inp, hitmask), set()

@@ -47,6 +47,18 @@ dpllkit convert dpll2res php54.cnf php54-lines.dpll --out php54.res
 test "$(dpllkit check res php54.cnf php54.res)" = valid
 rc=0; python -m dpllkit solve --mode decide php32.cnf || rc=$?
 test "$rc" -eq 20
+# PHP(6,5)'s derivation shares the Splits it refutes twice: the text
+# is the unfolded tree, and each stage reads it
+dpllkit gen php 6 5 --out php65.cnf
+rc=0; dpllkit solve php65.cnf --out php65.dpll || rc=$?
+test "$rc" -eq 20
+test "$(dpllkit check dpll php65.cnf php65.dpll)" = valid
+dpllkit convert dpll2res php65.cnf php65.dpll --out php65.res
+test "$(dpllkit check res php65.cnf php65.res)" = valid
+# PHP(8,7) decided without a proof: each refuted Split is searched once
+dpllkit gen php 8 7 --out php87.cnf
+rc=0; timeout 60 "${cmd[@]}" solve --mode decide php87.cnf || rc=$?
+test "$rc" -eq 20
 # --proof none writes no proof, so --out is a usage error before solving
 dpllkit gen php 2 1 --out php21.cnf
 rc=0; dpllkit solve --proof none --out none.out php21.cnf 2> none.err || rc=$?

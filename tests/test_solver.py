@@ -10,9 +10,9 @@ from hypothesis import given, settings
 
 from dpllkit import solver
 from dpllkit.cnf import Assignment, canonical_formula, evaluate
-from dpllkit.dpll_proof import CONFLICT, Conflict, Red, Unit, check_dpll, dpll_size
+from dpllkit.dpll_proof import CONFLICT, VALID, Conflict, Red, Split, Unit, check_dpll, dpll_size
 from dpllkit.php import PhpSpec, gen_php
-from dpllkit.proof_text import serialize_dpll
+from dpllkit.proof_text import parse_dpll, serialize_dpll, serialize_res
 from dpllkit.resolution import dpll_to_res, res_size
 from dpllkit.solver import (
     InvariantViolation,
@@ -117,6 +117,39 @@ def test_php_proof_sizes_under_the_split_rule(k, nodes, steps):
     assert (dpll_size(v.proof), res_size(dpll_to_res((), d, v.proof))) == (nodes, steps)
 
 
+def _split_counts(p):
+    """(occurrences, distinct objects) of the Split nodes in the unfolded
+    derivation ``p``."""
+    occurrences, distinct = 0, set()
+    stack = [p]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Split):
+            occurrences += 1
+            distinct.add(id(node))
+            stack += (node.left, node.right)
+        elif not isinstance(node, Conflict):
+            stack.append(node.sub)
+    return occurrences, len(distinct)
+
+
+@pytest.mark.parametrize("k, splits, distinct, nodes", [(4, 51, 41, 1527), (5, 374, 164, 12594),
+                                                        (6, 3245, 557, 122027)])
+def test_refuted_splits_are_shared_and_read_unfolded(k, splits, distinct, nodes):
+    # a Split on clean clauses refuted before reuses the earlier Split node,
+    # so the derivation shares it; the text, its size, the checker and the
+    # translator read the unfolded tree, as parse_dpll rebuilds it
+    d = gen_php(PhpSpec(k + 1, k))
+    p = solve(d).proof
+    assert _split_counts(p) == (splits, distinct)
+    parsed = parse_dpll(serialize_dpll(p))
+    assert _split_counts(parsed) == (splits, splits)
+    assert parsed == p
+    assert dpll_size(p) == dpll_size(parsed) == nodes
+    assert check_dpll((), d, p) == check_dpll((), d, parsed) == VALID
+    assert serialize_res(dpll_to_res((), d, p)) == serialize_res(dpll_to_res((), d, parsed))
+
+
 def test_php_2_1_never_splits():
     v = solve(PHP21, SolverConfig(trace=True))
     assert v.trace == ("unit", "unit", "red", "red", "conflict")
@@ -177,8 +210,10 @@ def test_measure_assertion_clean_on_horn_chain(unsat):
 
 # Calls of _check_state made by the search when it moved one clause per step,
 # one per search step.  Debug mode must still check every one of those states.
+# PHP(5,4) has Splits on clean clauses refuted before: debug mode searches
+# them again, so that every state is checked
 CHECKS_PER_SOLVE = [(horn_chain(200, False), 20101), (horn_chain(200, True), 10300),
-                    (gen_php(PhpSpec(4, 3)), 484)]
+                    (gen_php(PhpSpec(4, 3)), 484), (gen_php(PhpSpec(5, 4)), 3742)]
 
 
 @pytest.mark.parametrize("d, checks", CHECKS_PER_SOLVE)
