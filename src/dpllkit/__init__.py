@@ -23,6 +23,7 @@ from .dpll_proof import (
     Red,
     Split,
     Unit,
+    WalkLimitExceeded,
     check_dpll,
     dpll_size,
 )

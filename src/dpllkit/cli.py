@@ -1,7 +1,10 @@
 """Command line interface.
 
 Exit codes: 10 satisfiable, 20 unsatisfiable (solve); 0 valid / 2 invalid
-(check, convert); 0 success (gen); 1 usage or input errors.
+(check, convert); 0 success (gen); 1 usage or input errors.  A DPLL proof
+text whose check takes more steps than the text has characters is an input
+error: the text shares Splits that it meets in too many contexts.  A text
+that shares none is never one, since each node takes several characters.
 """
 
 from __future__ import annotations
@@ -108,7 +111,8 @@ def _cmd_solve(args) -> int:
 def _cmd_check(args) -> int:
     formula = parse_dimacs(_read(args.input))
     if args.system == "dpll":
-        report = check_dpll((), formula, parse_dpll(_read(args.proof)))
+        text = _read(args.proof)
+        report = check_dpll((), formula, parse_dpll(text), limit=len(text))
     else:
         proof = parse_res(_read(args.proof))
         report = check_res(formula, proof)
@@ -135,9 +139,10 @@ def _invalid(report, sizes: bool) -> int:
 
 def _cmd_convert(args) -> int:
     formula = parse_dimacs(_read(args.input))
-    proof = parse_dpll(_read(args.proof))
+    text = _read(args.proof)
+    proof = parse_dpll(text)
     try:
-        res_proof = dpll_to_res((), formula, proof)
+        res_proof = dpll_to_res((), formula, proof, limit=len(text))
     except InvalidDerivation as e:
         return _invalid(e.report, sizes=True)
     n, m = dpll_size(proof), res_size(res_proof)

@@ -7,8 +7,11 @@ side condition of every rule application; ``check_dpll`` is that walk, and
 the resolution translator folds its result over the same walk.  The walk
 keeps a single mutable context and undoes each node's delta when it leaves
 the node, so a node costs O(1) plus the reduct a Red builds, and a
-derivation of any depth is checked without recursion.  It is deliberately
-independent of the solver: nothing here imports the search code.
+derivation of any depth is checked without recursion.  A Split that the
+derivation shares is walked once per context it meets, so a shared
+derivation costs its distinct nodes, not its unfolded tree.  It is
+deliberately independent of the solver: nothing here imports the search
+code.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from __future__ import annotations
 import gc
 from dataclasses import FrozenInstanceError, dataclass, fields
 from functools import wraps
+from math import inf
+from sys import getrefcount
 from typing import Any, Optional, Union
 
 from .cnf import Clause, Formula, Lit, Valuation, canonical_formula, canonical_valuation
@@ -184,18 +189,28 @@ CONFLICT = Conflict()
 
 
 def dpll_size(d: DpllDerivation) -> int:
-    """Number of rule applications above the Conflict axioms."""
+    """Number of rule applications above the Conflict axioms in the unfolded
+    tree.  Each distinct Split is sized once, so a Split that several steps
+    share (the solver and ``parse_dpll`` share them) costs one visit, not
+    one per occurrence."""
+    sizes: dict[int, int] = {}  # id of each Split sized -> its unfolded size
     total = 0
-    stack = [d]
+    stack: list = [d]
     while stack:
         node = stack.pop()
-        if isinstance(node, Conflict):
-            continue
-        total += 1
         if isinstance(node, Split):
-            stack.append(node.left)
-            stack.append(node.right)
-        else:
+            size = sizes.get(id(node))
+            if size is None:
+                # the Split's size is what the count grows by until its marker
+                stack += ((node, total), node.right, node.left)
+                total += 1
+            else:
+                total += size
+        elif isinstance(node, tuple):
+            split, before = node
+            sizes[id(split)] = total - before
+        elif not isinstance(node, Conflict):
+            total += 1
             stack.append(node.sub)
     return total
 
@@ -214,43 +229,110 @@ class CheckReport:
 VALID = CheckReport(True)
 
 
-def check_dpll(g0: Valuation, d0: Formula, proof: DpllDerivation) -> CheckReport:
+def check_dpll(g0: Valuation, d0: Formula, proof: DpllDerivation,
+               limit: Optional[int] = None) -> CheckReport:
     """Validate ``proof`` as a derivation of the sequent ``g0 |- d0``.
 
     Contexts are rebuilt per rule: Unit extends the valuation and drops the
     unit clause, Elim drops the subsumed clause, Red replaces the clause by
     its reduct, Split branches on a literal and its complement.  Failures name
-    the leftmost violating node by its child-index path.
+    the leftmost violating node by its child-index path.  ``limit`` bounds
+    the walk's steps, as ``walk`` says.
     """
-    return walk(g0, d0, proof)[0]
+    return walk(g0, d0, proof, limit=limit)[0]
+
+
+class WalkLimitExceeded(ValueError):
+    """Raised by ``walk`` when checking a derivation takes more steps than
+    its ``limit``: the derivation shares Splits that it meets in too many
+    contexts."""
 
 
 # The walk keeps one frame (kind, node, a, b) per node it is inside.  _UNIT:
-# a is the unit clause's formula entry, b whether the literal was newly
-# assumed.  _ELIM: a is the clause's entry.  _RED: a is the clause's entry, b
-# the reduct if the node added it, else None.  A Split is _LEFT while in its
-# left branch (a: whether the literal was new), then _RIGHT (a: whether its
+# a is the unit clause's premise, b whether the literal was newly assumed.
+# _ELIM: a is the clause's premise.  _RED: a is the clause's premise, b the
+# reduct if the node added it, else None.  A Split is _LEFT while in its left
+# branch (a: whether the literal was new), then _RIGHT (a: whether its
 # complement was new; b: whether the nodes around the Split are being
 # folded).
 _UNIT, _ELIM, _RED, _LEFT, _RIGHT = range(5)
 
 
+def _one_referrer() -> int:
+    """What ``getrefcount`` gives in ``walk`` for a node that only its
+    parent refers to."""
+    parent = Split(1, Split(2, CONFLICT, CONFLICT), CONFLICT)
+    node = parent.left
+    return getrefcount(node)
+
+
+_ONE_REFERRER = _one_referrer()
+
+
+class _Context:
+    """A context that a shared Split was walked to its end in: whether the
+    walk was folding, the formula's clauses and their premises, the
+    valuation, the value the Split folded to, and the span of ``below`` that
+    its walk added.  ``split_lits`` (kept on a Split's first context) and
+    ``reads`` are filled in when first needed."""
+
+    __slots__ = ("folding", "clauses", "premises", "valuation", "value", "start", "end",
+                 "split_lits", "reads")
+
+    def __init__(self, folding, d, g, value, start, end):
+        self.folding, self.value, self.start, self.end = folding, value, start, end
+        self.clauses, self.premises, self.valuation = tuple(d), tuple(d.values()), tuple(g)
+        self.split_lits = self.reads = None
+
+
 def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
-         fold=None) -> tuple[CheckReport, Any]:
+         fold=None, limit: Optional[int] = None) -> tuple[CheckReport, Any]:
     """Check ``proof`` against ``g0 |- d0`` in one depth-first walk, left
     branch first, and return ``(report, value)``.
 
     The valuation is an insertion-ordered dict of literals.  The formula is
-    a dict from each clause to its entry ``(rank, premise)``: its insertion
-    rank (a reduct joins at the back) and the 1-based index in ``d0`` of the
-    premise it was reduced from, a clause of ``d0`` being its own premise.
-    Each node tests its side conditions, applies its delta on the way down
-    and undoes it on the way up, restoring the entries it replaced, so a
-    reduct re-created inside a subtree names its own premise there and the
-    outer one again after it.  Consistency is tested once at the root and
-    then only for each newly assumed literal.  The first violation ends the
-    walk with a failing report whose context is the violating node's
-    (valuation, formula).
+    a dict from each clause to its premise: the 1-based index in ``d0`` of
+    the clause it was reduced from, a clause of ``d0`` being its own
+    premise.  Each node tests its side conditions, applies its delta on the
+    way down and undoes it on the way up, restoring the premises it
+    replaced, so a reduct re-created inside a subtree names its own premise
+    there and the outer one again after it.  Consistency is tested once at
+    the root and then only for each newly assumed literal.  The first
+    violation ends the walk with a failing report whose context is the
+    violating node's (valuation, formula); the formula lists the clauses of
+    ``d0`` still in it, in ``d0``'s order, then the reducts in the order the
+    Reds on the path to the node last made them.
+
+    A Split node that the derivation shares is walked once per context, not
+    once per occurrence.  Below a Split, the rules read the formula's
+    (clause, premise) pairs, and the valuation only at the variables of the
+    formula's clauses (an Elim's, a Red's and a Unit's literal are in its
+    clause, and a reduct's variables are its clause's) and at the split
+    variables at and below the Split.  So each shared Split walked to its
+    end records its value under its context: the folding, the formula's
+    (clause, premise) pairs and the valuation.  A later occurrence is a
+    leaf that takes the recorded value and needs no frame when the record
+    was folding or the walk is not, the pairs are equal, and the valuations
+    agree on those variables.  Only Splits walked without a violation are
+    recorded, so the walk meets the violations in the preorder of the
+    unfolded tree, and reports the first one with its unfolded path and
+    context, as a walk of the unfolded tree would.
+
+    A Split is shared when something besides its parent refers to it
+    (CPython's ``sys.getrefcount`` tells); one that only its parent refers
+    to is met once and recorded by nothing.  So a tree costs no records, and
+    the split variables below a shared Split are collected only while a
+    shared Split is being walked: ``below`` gets each split literal walked
+    and the split literals of each recorded Split met again, and a record
+    keeps the span its walk added, read out when a later occurrence needs
+    it.
+
+    A shared Split met in many contexts is walked in each, so a short
+    derivation can take time exponential in its size.  ``limit`` bounds the
+    steps: each node stepped into, and each recorded context a Split met
+    again is compared with, is one step, and the walk raises
+    ``WalkLimitExceeded`` past ``limit`` steps.  With no limit it walks to
+    the end.
 
     With a ``fold``, the walk also folds the derivation bottom-up into
     ``value`` (otherwise ``None``): ``fold.conflict(premise)`` at a leaf,
@@ -259,38 +341,58 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
     Split, ``fold.needs_right(node, left)`` after the left branch, then
     ``fold.split(node, left, right)`` when it said so.  Otherwise the Split's
     value is ``left``, and its right branch is checked but not folded.  An
-    Elim's and a Red's value is its child's.
+    Elim's and a Red's value is its child's.  A Split met again in a
+    recorded context takes the value it folded to there, the same object, so
+    the value shares it as the derivation does.
     """
+    d0 = canonical_formula(d0)
     g = dict.fromkeys(canonical_valuation(g0))
-    d = {c: (rank, rank + 1) for rank, c in enumerate(canonical_formula(d0))}
-    next_rank = len(d)
+    d = {c: premise for premise, c in enumerate(d0, 1)}
     frames: list[tuple] = []
     values: list = []
     folding = fold is not None
+    # memo: for each shared Split met, by id, the contexts it was walked to
+    # its end in.  below: the split literals collected while a shared Split
+    # is being walked.  opened: for each Split being walked, where its span
+    # of below starts and its contexts if it is shared, else None;
+    # recording: how many of them are shared.  steps: the walk's steps up to
+    # the last leaf; top: the frames above which the current descent began.
+    memo: dict[int, list[_Context]] = {}
+    below: list[Lit] = []
+    opened: list[tuple[int, Optional[list]]] = []
+    recording = 0
+    steps, top = 0, 0
+    if limit is None:
+        limit = inf
 
     def fail(reason: str) -> tuple[CheckReport, None]:
         # the child index of each node the walk is inside: 1 in a Split's
         # right branch, else 0
         path = tuple(1 if frame[0] == _RIGHT else 0 for frame in frames)
-        context = (tuple(g), tuple(sorted(d, key=d.__getitem__)))
-        return CheckReport(False, path, reason, context), None
+        # the reducts made on the path, each where it was made last, last first
+        made = dict.fromkeys(frame[3] for frame in reversed(frames)
+                             if frame[0] == _RED and frame[3] is not None)
+        formula = [c for c in d0 if c in d and c not in made]
+        formula += [c for c in reversed(made) if c in d]
+        return CheckReport(False, path, reason, (tuple(g), tuple(formula))), None
 
     if any(-l in g for l in g):
         return fail("inconsistent-context")
     node = proof
     while True:
         # Down: test the node in its context, apply its delta and step into
-        # its (left) child, until a Conflict.
+        # its (left) child, until a Conflict or a Split met again in a
+        # recorded context.
         while True:
             if isinstance(node, Unit):
                 lit = node.lit
-                entry = d.pop((lit,), None)
-                if entry is None:
+                premise = d.pop((lit,), None)
+                if premise is None:
                     return fail("unit-clause-missing")
                 new = lit not in g
                 if new:
                     g[lit] = None
-                frames.append((_UNIT, node, entry, new))
+                frames.append((_UNIT, node, premise, new))
                 if new and -lit in g:
                     return fail("inconsistent-context")
                 node = node.sub
@@ -300,8 +402,8 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                     return fail("red-literal-not-in-valuation")
                 if -lit not in clause:
                     return fail("red-complement-not-in-clause")
-                entry = d.pop(clause, None)
-                if entry is None:
+                premise = d.pop(clause, None)
+                if premise is None:
                     return fail("red-clause-missing")
                 # the clause was just in d, so -lit occurs in it once
                 k = clause.index(-lit)
@@ -309,22 +411,38 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                 if reduct in d:
                     reduct = None
                 else:
-                    d[reduct] = (next_rank, entry[1])
-                    next_rank += 1
-                frames.append((_RED, node, entry, reduct))
+                    d[reduct] = premise
+                frames.append((_RED, node, premise, reduct))
                 node = node.sub
             elif isinstance(node, Elim):
                 if node.lit not in g:
                     return fail("elim-literal-not-in-valuation")
                 if node.lit not in node.clause:
                     return fail("elim-literal-not-in-clause")
-                entry = d.pop(node.clause, None)
-                if entry is None:
+                premise = d.pop(node.clause, None)
+                if premise is None:
                     return fail("elim-clause-missing")
-                frames.append((_ELIM, node, entry, None))
+                frames.append((_ELIM, node, premise, None))
                 node = node.sub
             elif isinstance(node, Split):
+                contexts = memo.get(id(node))
+                if contexts is not None:
+                    steps += len(contexts)
+                    context = _recorded(contexts, folding, d, g, below)
+                    if context is not None:
+                        if folding:
+                            values.append(context.value)
+                        if recording:
+                            below += contexts[0].split_lits
+                        break
+                elif getrefcount(node) > _ONE_REFERRER:
+                    contexts = memo[id(node)] = []
+                if contexts is not None:
+                    recording += 1
+                opened.append((len(below), contexts))
                 lit = node.lit
+                if recording:
+                    below.append(lit)
                 new = lit not in g
                 if new:
                     g[lit] = None
@@ -333,14 +451,17 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                     return fail("inconsistent-context")
                 node = node.left
             elif isinstance(node, Conflict):
-                entry = d.get(())
-                if entry is None:
+                premise = d.get(())
+                if premise is None:
                     return fail("conflict-empty-clause-missing")
                 if folding:
-                    values.append(fold.conflict(entry[1]))
+                    values.append(fold.conflict(premise))
                 break
             else:
                 raise TypeError(f"not a DPLL derivation node: {node!r}")
+        steps += len(frames) - top + 1
+        if steps > limit:
+            raise WalkLimitExceeded(f"checking the derivation takes more than {limit} steps")
 
         # Up: undo the deltas of finished nodes and fold their values, until
         # a Split's left branch is done; then step into its right branch.
@@ -352,7 +473,7 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                     g.popitem()
                 d[(node.lit,)] = a
                 if folding:
-                    values[-1] = fold.unit(node, values[-1], a[1])
+                    values[-1] = fold.unit(node, values[-1], a)
             elif kind == _RED:
                 if b is not None:
                     del d[b]
@@ -371,6 +492,7 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                 if new and lit in g:
                     return fail("inconsistent-context")
                 node = node.right
+                top = len(frames)
                 break
             else:
                 if a:
@@ -379,8 +501,41 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                     right = values.pop()
                     values[-1] = fold.split(node, values[-1], right)
                 folding = b
+                start, contexts = opened.pop()
+                if contexts is not None:
+                    # the context is the Split's again: record it
+                    recording -= 1
+                    contexts.append(_Context(folding, d, g, values[-1] if folding else None,
+                                             start, len(below)))
         else:
             return VALID, (values[0] if values else None)
+
+
+def _recorded(contexts: list[_Context], folding: bool, d: dict, g: dict,
+              below: list) -> Optional[_Context]:
+    """The context, of a Split's ``contexts``, that was folding if
+    ``folding`` is on, whose formula is ``d`` and whose valuation agrees with
+    ``g`` on the variables the Split reads there: those of ``d``'s clauses
+    and of the split literals at and below the Split, read from the span of
+    ``below`` that its first walk added.  Both sets hold both signs."""
+    for context in contexts:
+        if ((folding and not context.folding) or len(context.clauses) != len(d)
+                or [*map(d.get, context.clauses)] != [*context.premises]):
+            continue
+        first = contexts[0]
+        if first.split_lits is None:
+            lits = set(below[first.start:first.end])
+            lits.update([-l for l in lits])
+            first.split_lits = lits
+        if context.reads is None:
+            reads = first.split_lits.union(*context.clauses)
+            reads.update([-l for l in reads])
+            context.reads = reads
+        changed = g.keys() ^ context.valuation
+        if changed and not context.reads.isdisjoint(changed):
+            continue
+        return context
+    return None
 
 
 def close(frames: list, node: DpllDerivation, splits: Optional[list] = None) -> DpllDerivation:

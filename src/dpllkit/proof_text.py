@@ -3,10 +3,20 @@
 DPLL derivations use a parenthesized prefix grammar (whitespace-separated
 tokens):
 
-    node   := "conflict" | "(unit" lit node ")" | "(elim" clause lit node ")"
+    node   := "conflict" | "#" n | "(unit" lit node ")" | "(elim" clause lit node ")"
             | "(red" clause lit node ")" | "(split" lit node node ")"
     clause := "[" lit* "]"   (literals in canonical order, as serialize_dpll writes them)
     lit    := nonzero signed decimal
+    n      := positive decimal, written right after "#" as one token
+
+``#n`` cites the n-th Split finished so far: a Split is finished when its
+closing ``)`` is written, so the Splits are counted innermost first, in the
+order ``dpll_proof.close`` builds them.  ``serialize_dpll`` writes a Split
+object that it has written before as ``#n``, so a derivation that shares
+Splits is written at the size of its distinct nodes, and the parse shares
+them again; a tree that shares no Split is written without ``#``.  A number
+that no finished Split has yet, such as that of a Split still open around
+it, does not fit the grammar.
 
 Resolution derivations use a line-oriented trace, ids assigned in post-order
 starting at 1, root last:
@@ -16,16 +26,17 @@ starting at 1, root last:
 
 ``parse_dpll`` reads the text in one of two ways.  A fast pass reads text
 spaced as ``serialize_dpll`` spaces it, with any whitespace after it: it cuts
-the text at each ``(`` into pieces, one node head each with the conflicts and
-``)`` runs after it, decodes each distinct piece once per call with
-``str.partition`` and ``int``, and builds the tree from the decoded pieces
-through ``dpll_proof.close``.  It never reports an error: at a piece it does
-not recognise, a ``)`` run that does not match the nodes a conflict
-completes, or text after the derivation, it hands the whole text to the
-token walk, ``_read_tokens``.  The walk reads any legal spacing token by
-token, as the grammar reads it, builds the tree through ``close`` too, and
-raises at the first token that does not fit, in text order; the offset is
-found only when it raises.
+the text at each ``(`` into pieces, one node head each with the leaves
+(``conflict`` or ``#n``) and ``)`` runs after it, decodes each distinct piece
+once per call with ``str.partition`` and ``int``, and builds the derivation
+from the decoded pieces through ``dpll_proof.close``.  It never reports an
+error: at a piece it does not recognise, a ``#n`` past the Splits finished,
+a ``)`` run that does not match the nodes a leaf completes, or text after
+the derivation, it hands the whole text to the token walk,
+``_read_tokens``.  The walk reads any legal spacing token by token, as the
+grammar reads it, builds the derivation through ``close`` too, and raises
+at the first token that does not fit, in text order; the offset is found
+only when it raises.
 
 ``parse_res`` cuts lines as ``parse_dimacs`` does, only at ``\\n``,
 ``\\r\\n`` and ``\\r``, splits each line into its head fields and its
@@ -62,13 +73,22 @@ def _clause_text(c: Clause) -> str:
 def serialize_dpll(p: DpllDerivation) -> str:
     parts: list[str] = []
     heads: dict[tuple, str] = {}  # (class, clause) -> "(red [ ... ] ", once per call
-    stack = [p]  # Split right branches still to emit, and the text around them
+    written: dict[int, str] = {}  # id of each Split finished so far -> "#n"
+    # Split right branches still to emit, the text around them, and for each
+    # Split its ')' run with the Split that run finishes
+    stack: list = [p]
     while stack:
         p = stack.pop()
         if type(p) is str:
             parts.append(p)
             continue
-        # emit down the left spine, counting the ')' owed to its unary nodes
+        if type(p) is tuple:
+            run, split = p
+            parts.append(run)
+            written[id(split)] = f"#{len(written) + 1}"
+            continue
+        # emit down the left spine, counting the ')' owed to its unary nodes,
+        # to a conflict or a Split written before
         closers = 0
         while (cls := type(p)) is not Conflict:
             if cls is Unit:
@@ -81,8 +101,11 @@ def serialize_dpll(p: DpllDerivation) -> str:
                         f"({'red' if cls is Red else 'elim'} {_clause_text(p.clause)} ")
                 parts.append(f"{head}{p.lit} ")
             elif cls is Split:
+                leaf = written.get(id(p))
+                if leaf is not None:
+                    break
                 parts.append(f"(split {p.lit} ")
-                stack += (")" * (closers + 1), p.right, " ")
+                stack += ((")" * (closers + 1), p), p.right, " ")
                 closers = 0
                 p = p.left
                 continue
@@ -90,7 +113,9 @@ def serialize_dpll(p: DpllDerivation) -> str:
                 raise TypeError(f"not a DPLL derivation node: {p!r}")
             closers += 1
             p = p.sub
-        parts.append("conflict" + ")" * closers)
+        else:
+            leaf = "conflict"
+        parts.append(leaf + ")" * closers)
     return "".join(parts)
 
 
@@ -103,7 +128,8 @@ def parse_dpll(text: str) -> DpllDerivation:
     """Parse the DPLL text format, with the cyclic collector paused.  Text
     spaced as ``serialize_dpll`` spaces it, with any whitespace after it, is
     cut at each '(' into pieces, and each distinct piece is decoded once;
-    an explicit stack of the nodes still open builds the tree.  Any other
+    an explicit stack of the nodes still open builds the derivation, in
+    which each ``#n`` is the Split it cites.  Any other
     text is read by ``_read_tokens``, which raises ``ProofParseError`` with
     the offset of the first token that does not fit."""
     stripped = text.rstrip()
@@ -111,13 +137,15 @@ def parse_dpll(text: str) -> DpllDerivation:
     if parts[0]:
         return CONFLICT if stripped == "conflict" else _read_tokens(text)
     # each distinct piece -> the frame its head opens or, when the piece
-    # also holds conflicts, [frame, the number of ')' after each conflict]
+    # also holds leaves, [frame, (CONFLICT or n of "#n", the number of ')'
+    # after it) for each leaf]
     actions: dict[str, Union[tuple, list, None]] = dict.fromkeys(islice(parts, 1, None))
     for part in actions:
         # a head as serialize_dpll spaces it, "unit L ", "split L ",
-        # "red [ C ] L " or "elim [ C ] L ", then conflicts, each followed
-        # by a run of ')', one space apart.  int() reads a literal with the
-        # whitespace around it, and fails on any ( ) [ ] in it.
+        # "red [ C ] L " or "elim [ C ] L ", then leaves, "conflict" or "#n",
+        # each followed by a run of ')', one space apart.  int() reads a
+        # literal with the whitespace around it, and fails on any ( ) [ ] in
+        # it; the n of "#n" must be digits alone here.
         head, _, rest = part.partition(" ")
         try:
             if head == "unit" or head == "split":
@@ -140,9 +168,16 @@ def parse_dpll(text: str) -> DpllDerivation:
                 runs = rest.split(" ")
                 if not runs[-1]:
                     runs.pop()  # the space before the next '('
-                if any(run.rstrip(")") != "conflict" for run in runs):
-                    raise ValueError
-                frame = [frame, [len(run) - 8 for run in runs]]
+                leaves = []
+                for run in runs:
+                    leaf = run.rstrip(")")
+                    if leaf == "conflict":
+                        leaves.append((CONFLICT, len(run) - 8))
+                    elif leaf[:1] == "#" and leaf[1:].isdecimal():
+                        leaves.append((int(leaf[1:]), len(run) - len(leaf)))
+                    else:
+                        raise ValueError
+                frame = [frame, leaves]
             actions[part] = frame
         except ValueError:
             return _read_tokens(text)
@@ -150,15 +185,20 @@ def parse_dpll(text: str) -> DpllDerivation:
     # literal 0 that close stops at: the finished tree becomes its left branch
     frames: list[tuple] = [(Split, 0, None)]
     push = frames.append
+    splits: list[Split] = []  # the Splits finished so far, in the order "#n" counts them
     for action in map(actions.__getitem__, islice(parts, 1, None)):
         if action.__class__ is tuple:
             push(action)
             continue
-        frame, closes = action
+        frame, leaves = action
         push(frame)
-        for owed in closes:
+        for leaf, owed in leaves:
+            if leaf.__class__ is int:
+                if not 0 < leaf <= len(splits):
+                    return _read_tokens(text)
+                leaf = splits[leaf - 1]
             opened = len(frames)
-            close(frames, CONFLICT)
+            close(frames, leaf, splits)
             if opened - len(frames) != owed:
                 return _read_tokens(text)
     # the tree is finished once, at the end: a ')' or a piece after it
@@ -174,10 +214,12 @@ def _read_tokens(text: str) -> DpllDerivation:
     ``ProofParseError`` at the first token that does not fit."""
     walk = iter(_DPLL_TOKEN.findall(text))
     frames: list[tuple] = []
+    splits: list[Split] = []  # the Splits finished so far, in the order "#n" counts them
     for tok in walk:
-        if tok == "conflict":
+        if tok == "conflict" or tok[0] == "#":
+            leaf = CONFLICT if tok == "conflict" else _cited(text, walk, tok, splits)
             opened = len(frames)
-            node = close(frames, CONFLICT)
+            node = close(frames, leaf, splits)
             for _ in range(opened - len(frames)):
                 if (tok := next(walk, None)) != ")":
                     _fail(text, walk, tok, "')'", "expected ')', got {!r}")
@@ -199,6 +241,18 @@ def _read_tokens(text: str) -> DpllDerivation:
         else:
             _fail(text, walk, tok, "a derivation node", "unexpected token {!r}")
     _fail(text, walk, None, "a derivation node", "")
+
+
+def _cited(text: str, walk, tok: str, splits: list[Split]) -> Split:
+    """The finished Split that ``tok``, a "#n" token, cites; raise unless it
+    cites one."""
+    try:
+        n = int(tok[1:])
+    except ValueError:
+        _fail(text, walk, tok, "", "expected a Split number after '#', got {!r}")
+    if not 0 < n <= len(splits):
+        _fail(text, walk, tok, "", "{!r} cites no finished Split")
+    return splits[n - 1]
 
 
 def _lit(text: str, walk, tok: str | None, expected: str) -> int:

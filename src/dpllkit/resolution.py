@@ -13,7 +13,7 @@ the premise that the checking walk names for its clause.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Union
 
 from .cnf import Clause, Formula, Lit, Valuation, canonical_clause, canonical_formula
 from .dpll_proof import (CheckReport, DpllDerivation, ProofNode, Split, Unit, VALID,
@@ -155,16 +155,18 @@ class _Translation:
 
 
 @collector_paused
-def dpll_to_res(g: Valuation, d0: Formula, p: DpllDerivation) -> ResDerivation:
+def dpll_to_res(g: Valuation, d0: Formula, p: DpllDerivation,
+                limit: Optional[int] = None) -> ResDerivation:
     """Translate a valid DPLL derivation of ``g |- d0`` into a resolution
     derivation from ``d0`` whose conclusion is a subset of the negated
     valuation and whose size never exceeds the DPLL size.  The derivation is
     checked in the same walk that translates it; an invalid one raises
-    ``InvalidDerivation`` with the report ``check_dpll`` gives.  The
-    translation is built bottom-up and holds no reference cycle; the cyclic
-    collector is paused meanwhile."""
+    ``InvalidDerivation`` with the report ``check_dpll`` gives.  ``limit``
+    bounds the walk's steps, as ``dpll_proof.walk`` says.  The translation
+    is built bottom-up and holds no reference cycle; the cyclic collector is
+    paused meanwhile."""
     d0 = canonical_formula(d0)
-    report, root = walk(g, d0, p, _Translation(d0))
+    report, root = walk(g, d0, p, _Translation(d0), limit)
     if not report.valid:
         raise InvalidDerivation(report)
     return root

@@ -85,8 +85,9 @@ class Verdict:
     """A witness-mode answer: a model of a satisfiable formula, or else a
     derivation, and with ``trace=True`` the rule log.  The derivation may
     share a refuted Split subtree among several Splits, which ``repr``
-    writes as ``...`` after its first time; the text, size, checker and
-    translator read it unfolded."""
+    writes as ``...`` and the text as ``#n`` after its first time; ``==``
+    and ``dpll_size`` read it unfolded, and the checker and the translator
+    walk it once per context."""
 
     satisfiable: bool
     model: Optional[Assignment] = None

@@ -63,6 +63,38 @@ def dpll_nodes(p, path=()):
         yield from dpll_nodes(p.sub, path + (0,))
 
 
+def unshared(p):
+    """A copy of the derivation ``p`` with a fresh node for each occurrence
+    of each rule application: the unfolded tree, in which no Split occurs
+    twice.  Built bottom-up with an explicit stack, so any depth is fine."""
+    values = []
+    stack = [(p, False)]
+    while stack:
+        node, children_done = stack.pop()
+        if isinstance(node, Conflict):
+            values.append(node)
+        elif not children_done:
+            stack.append((node, True))
+            stack += ([(node.right, False), (node.left, False)] if isinstance(node, Split)
+                      else [(node.sub, False)])
+        elif isinstance(node, Split):
+            right = values.pop()
+            values[-1] = Split(node.lit, values[-1], right)
+        else:
+            values[-1] = replace(node, sub=values[-1])
+    return values[0]
+
+
+def split_chain(n):
+    """The DPLL text in which Split k's left branch is Split k-1 and its
+    right branch cites it as #(k-1): linear in n, for an unfolded tree of
+    2^n - 1 Splits."""
+    text = "(split 1 conflict conflict)"
+    for k in range(2, n + 1):
+        text = f"(split {k} {text} #{k - 1})"
+    return text
+
+
 def dpll_put(p, path, new):
     if not path:
         return new

@@ -10,7 +10,7 @@ from dpllkit.cli import main
 from dpllkit.dimacs import emit_dimacs, parse_dimacs
 from dpllkit.php import PhpSpec, gen_php
 
-from strategies import horn_chain
+from strategies import horn_chain, split_chain
 
 
 @pytest.fixture
@@ -100,6 +100,24 @@ def test_convert_invalid_proof(php21_file, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == checked == "invalid: unit-clause-missing at path [0] (|g|=1, |d|=2)\n"
     assert captured.out == ""
+
+
+def test_a_text_met_in_too_many_contexts_is_refused(tmp_path, capsys):
+    # 30 nested Splits, each citing the one inside it as its right branch:
+    # 421 characters for an unfolded tree of 2^30 - 1 Splits.  The clause
+    # holding every variable puts each split variable into every context,
+    # so no Split is met twice in one, and the walk stops at the text's
+    # length in steps.
+    n = 30
+    text = split_chain(n)
+    cnf, proof = tmp_path / "chain.cnf", tmp_path / "chain.dpll"
+    cnf.write_text(f"p cnf {n} 2\n0\n{' '.join(map(str, range(1, n + 1)))} 0\n")
+    proof.write_text(text)
+    for command in (["check", "dpll"], ["convert", "dpll2res"]):
+        assert main([*command, str(cnf), str(proof)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: checking the derivation takes more than {len(text)} steps\n"
+        assert captured.out == ""
 
 
 def test_check_dpll_failure_gives_context_sizes(php21_file, tmp_path, capsys):

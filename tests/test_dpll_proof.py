@@ -17,15 +17,18 @@ from dpllkit.dpll_proof import (
     Red,
     Split,
     Unit,
+    VALID,
+    WalkLimitExceeded,
     check_dpll,
     dpll_size,
 )
 from dpllkit.php import PhpSpec, gen_php
 from dpllkit.proof_text import parse_dpll, parse_res, serialize_dpll, serialize_res
-from dpllkit.resolution import InvalidDerivation, Res, Sub, dpll_to_res
+from dpllkit.resolution import InvalidDerivation, Res, Sub, check_res, dpll_to_res, res_size
+from dpllkit.solver import solve
 
 from oracle import compatible
-from strategies import checker_corpus, formulas
+from strategies import checker_corpus, formulas, split_chain, unshared
 
 PHP21 = gen_php(PhpSpec(2, 1))
 
@@ -269,6 +272,155 @@ def test_valid_refutations_imply_incompatibility(d):
     if not v.satisfiable:
         assert check_dpll((), d, v.proof).valid
         assert not compatible((), d).satisfiable
+
+
+# The walk against the unfolded walk.  walk records each Split it walks by
+# its context and takes a Split met again in a recorded context as a leaf.
+# unshared(p) holds no Split twice, so its walk never takes one: it is the
+# walk of the unfolded tree, and the DAG's walk must give what it gives.
+
+def walk_both(g, d, p):
+    """Require the same report from ``p`` and ``unshared(p)``, and for a
+    valid derivation ``==`` translations of one size; return the DAG's
+    translation, or its report when invalid.  Each walk runs with its
+    text's length as its limit, as the CLI runs it."""
+    q = unshared(p)
+    limits = {id(p): len(serialize_dpll(p)), id(q): len(serialize_dpll(q))}
+    report = check_dpll(g, d, p, limit=limits[id(p)])
+    assert report == check_dpll(g, d, q, limit=limits[id(q)])
+    if not report.valid:
+        for proof in (p, q):
+            with pytest.raises(InvalidDerivation) as err:
+                dpll_to_res(g, d, proof, limit=limits[id(proof)])
+            assert err.value.report == report
+        return report
+    r, unfolded = (dpll_to_res(g, d, proof, limit=limits[id(proof)]) for proof in (p, q))
+    assert r == unfolded and res_size(r) == res_size(unfolded)
+    return r
+
+
+def test_walk_of_the_dag_is_the_walk_of_the_unfolded_tree():
+    php = [(f"php-{k + 1}-{k}", (), d, solve(d).proof)
+           for k in (5, 6) for d in [gen_php(PhpSpec(k + 1, k))]]
+    for name, g, d, p in checker_corpus() + php:
+        walk_both(g, d, p)
+
+
+# DAGs that share one Split S, valid where it first occurs, under a second
+# context that differs from the first in one thing the walk's record of S
+# must tell apart: the sign of a split variable below S (also where the walk
+# took the Split below S as recorded), a clause S reduces, the premise of
+# the clause S's conflicts cite, whether the fold needs S's value, and a
+# clause S does not read.  A walk that took S there as recorded would
+# report a valid derivation, or translate it otherwise than the unfolded
+# walk.
+SPLIT_BELOW = Split(3, Split(2, CONFLICT, CONFLICT), CONFLICT)
+REDUCES = Split(2, Red((-2, 6), 2, CONFLICT), CONFLICT)
+CITES = Split(2, CONFLICT, CONFLICT)
+RESOLVES = Split(2, Red((-2,), 2, CONFLICT), Red((2,), -2, CONFLICT))
+ABOVE = Split(3, CITES, CONFLICT)
+DAG_ADVERSARIES = [
+    pytest.param(((),), Split(1, SPLIT_BELOW, Split(-2, SPLIT_BELOW, CONFLICT)),
+                 CheckReport(False, (1, 0, 0, 0), "inconsistent-context", ((-1, -2, 3, 2), ((),))),
+                 id="split-variable-other-sign"),
+    # the same, where the split variable is below the shared ABOVE only
+    # through CITES, which ABOVE's first walk takes as recorded
+    pytest.param(((),), Split(1, CITES, Split(4, ABOVE, Split(-2, ABOVE, CONFLICT))),
+                 CheckReport(False, (1, 1, 0, 0, 0), "inconsistent-context",
+                             ((-1, -4, -2, 3, 2), ((),))),
+                 id="split-variable-other-sign-below-a-recorded-split"),
+    pytest.param(((), (-2, 6), (6,)),
+                 Split(6, Split(1, REDUCES, Elim((-2, 6), 6, REDUCES)), Red((6,), -6, CONFLICT)),
+                 CheckReport(False, (0, 1, 0, 0), "red-clause-missing", ((6, -1, 2), ((), (6,)))),
+                 id="clause-removed"),
+    pytest.param(((-1,), (1,)),
+                 Split(1, Red((-1,), 1, Elim((1,), 1, CITES)),
+                       Red((1,), -1, Elim((-1,), -1, CITES))),
+                 Res(1, Sub(1, (-1,)), Sub(2, (1,)), ()),
+                 id="other-premise"),
+    # S first walked where the fold does not need its value (the right
+    # branch of Split(3)), then where it does, in an equal context
+    pytest.param(((-1, 5), (-5,), (-2,), (2,)),
+                 Split(1, Red((-1, 5), 1, Unit(5, Split(3, Red((-5,), 5, CONFLICT), RESOLVES))),
+                       Elim((-1, 5), -1, Split(5, RESOLVES, RESOLVES))),
+                 Res(2, Sub(3, (-2,)), Sub(4, (2,)), ()),
+                 id="value-not-folded-first"),
+    # S first walked where its formula has (-2,) and (2,), then where it
+    # also has (), which its Reds then leave in place, so that its
+    # conflicts cite ()'s premise
+    pytest.param(((-7, 9), (-2, -9), (2, -9), (7, -9), (7, 9)),
+                 Split(7, Elim((7, -9), 7, Elim((7, 9), 7, Red((-7, 9), 7, Unit(9, Red(
+                     (-2, -9), 9, Red((2, -9), 9, RESOLVES)))))),
+                       Red((7, -9), -7, Red((7, 9), -7, Elim((-7, 9), -7, Unit(9, Red(
+                           (-9,), 9, Red((-2, -9), 9, Red((2, -9), 9, RESOLVES)))))))),
+                 Res(7, Res(9, Res(2, Sub(2, (-2, -9)), Sub(3, (2, -9)), (-9,)), Sub(1, (-7, 9)),
+                            (-7,)),
+                     Res(9, Sub(4, (7, -9)), Sub(5, (7, 9)), (7,)), ()),
+                 id="one-clause-more"),
+]
+
+
+@pytest.mark.parametrize("d, p, expected", DAG_ADVERSARIES)
+def test_shared_split_in_a_second_context_is_walked_there(d, p, expected):
+    assert walk_both((), d, p) == expected
+    if isinstance(expected, Res):
+        assert check_res(d, expected).valid
+
+
+def count_nodes(p):
+    """The nodes of the unfolded tree of ``p``, its Conflicts included."""
+    count, stack = 0, [p]
+    while stack:
+        node = stack.pop()
+        count += 1
+        if isinstance(node, Split):
+            stack += (node.right, node.left)
+        elif not isinstance(node, Conflict):
+            stack.append(node.sub)
+    return count
+
+
+def test_limit_counts_the_nodes_of_a_tree():
+    # a tree's walk steps into each node once and compares no context
+    d = gen_php(PhpSpec(4, 3))
+    p = unshared(solve(d).proof)
+    n = count_nodes(p)
+    assert check_dpll((), d, p, limit=n).valid
+    assert dpll_to_res((), d, p, limit=n) == dpll_to_res((), d, p)
+    with pytest.raises(WalkLimitExceeded):
+        check_dpll((), d, p, limit=n - 1)
+    with pytest.raises(WalkLimitExceeded):
+        dpll_to_res((), d, p, limit=n - 1)
+
+
+def test_a_shared_derivation_is_walked_at_its_distinct_size():
+    # PHP(6,5)'s derivation: 12,594 rule applications unfolded, 5,549
+    # distinct nodes.  The walk steps into 5,713 nodes, each Split met again
+    # in a recorded context (70) as one leaf, and compares 70 contexts; the
+    # parse of its text is walked alike
+    d = gen_php(PhpSpec(6, 5))
+    p = solve(d).proof
+    for proof in (p, parse_dpll(serialize_dpll(p))):
+        assert check_dpll((), d, proof, limit=5_783).valid
+        with pytest.raises(WalkLimitExceeded):
+            check_dpll((), d, proof, limit=5_782)
+        dpll_to_res((), d, proof, limit=5_783)
+
+
+def test_a_split_met_in_too_many_contexts_stops_the_walk_at_its_limit():
+    # every split variable is in the clause (1 .. n), so no Split of the
+    # chain is met twice in one context: without a limit the walk covers
+    # the unfolded tree, as the walk of unshared(p) does
+    for n in (8, 40):
+        text = split_chain(n)
+        d, p = [(), tuple(range(1, n + 1))], parse_dpll(text)
+        if n == 8:
+            assert check_dpll((), d, p) == check_dpll((), d, unshared(p)) == VALID
+            assert dpll_to_res((), d, p) == dpll_to_res((), d, unshared(p))
+        with pytest.raises(WalkLimitExceeded):
+            check_dpll((), d, p, limit=len(text))
+        with pytest.raises(WalkLimitExceeded):
+            dpll_to_res((), d, p, limit=len(text))
 
 
 # Report identity.  tests/data/checker_digests.json records, for a fixed

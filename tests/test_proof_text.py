@@ -141,6 +141,49 @@ def test_parse_dpll_rejects_what_the_token_walk_rejects(text, at, message):
     assert (err.value.position, str(err.value)) == (at, f"offset {at}: {message}")
 
 
+def test_split_met_again_is_written_as_its_number():
+    # "#n" cites the n-th Split finished so far, in the order the ')' of
+    # each is written
+    inner, other = Split(2, CONFLICT, CONFLICT), Split(3, CONFLICT, CONFLICT)
+    p = Split(1, Split(4, inner, other), Unit(5, Split(6, other, inner)))
+    text = "(split 1 (split 4 (split 2 conflict conflict) (split 3 conflict conflict)) " \
+           "(unit 5 (split 6 #2 #1)))"
+    assert serialize_dpll(p) == text
+    parsed = parse_dpll(text)
+    assert parsed == p
+    assert parsed.left.left is parsed.right.sub.right
+    assert parsed.left.right is parsed.right.sub.left
+    for spaced in (text.replace(" ", "\t"), text.replace("#", " #")):
+        assert _read_tokens(spaced) == p
+
+
+@pytest.mark.parametrize("text, at, message", [
+    ("(split 1 (split 2 conflict conflict) #0)", 37, "'#0' cites no finished Split"),
+    ("(split 1 (split 2 conflict conflict) #x)", 37,
+     "expected a Split number after '#', got '#x'"),
+    ("(split 1 (split 2 conflict conflict) # 1)", 37,
+     "expected a Split number after '#', got '#'"),
+    ("(split 1 (split 2 conflict conflict) #2)", 37, "'#2' cites no finished Split"),
+    # #2 would be the Split of literal 2 or of literal 1, neither finished
+    ("(split 1 (split 3 conflict conflict) (split 2 conflict #2))", 55,
+     "'#2' cites no finished Split"),
+    ("#1", 0, "'#1' cites no finished Split"),
+])
+def test_split_numbers_past_the_splits_finished_are_rejected(monkeypatch, text, at, message):
+    walked = []
+
+    def walk(text):
+        walked.append(text)
+        return _read_tokens(text)
+
+    monkeypatch.setattr(proof_text, "_read_tokens", walk)
+    with pytest.raises(ProofParseError) as err:
+        parse_dpll(text)
+    assert (err.value.position, str(err.value)) == (at, f"offset {at}: {message}")
+    # the fast pass hands the text to the token walk, which raises
+    assert walked == [text]
+
+
 SPACES = " \t\n\r\x0b\x0c\x1c\u2028"
 
 
