@@ -8,10 +8,10 @@ the resolution translator folds its result over the same walk.  The walk
 keeps a single mutable context and undoes each node's delta when it leaves
 the node, so a node costs O(1) plus the reduct a Red builds, and a
 derivation of any depth is checked without recursion.  A Split that the
-derivation shares is walked once per context it meets, so a shared
-derivation costs its distinct nodes, not its unfolded tree.  It is
-deliberately independent of the solver: nothing here imports the search
-code.
+derivation shares is walked once per formula it meets in a clean context,
+so the solver's shared derivation costs its distinct nodes, not its
+unfolded tree.  It is deliberately independent of the solver: nothing here
+imports the search code.
 """
 
 from __future__ import annotations
@@ -244,8 +244,8 @@ def check_dpll(g0: Valuation, d0: Formula, proof: DpllDerivation,
 
 class WalkLimitExceeded(ValueError):
     """Raised by ``walk`` when checking a derivation takes more steps than
-    its ``limit``: the derivation shares Splits that it meets in too many
-    contexts."""
+    its ``limit``: the derivation shares Splits that it meets with too many
+    formulas or in too many unclean contexts."""
 
 
 # The walk keeps one frame (kind, node, a, b) per node it is inside.  _UNIT:
@@ -269,22 +269,6 @@ def _one_referrer() -> int:
 _ONE_REFERRER = _one_referrer()
 
 
-class _Context:
-    """A context that a shared Split was walked to its end in: whether the
-    walk was folding, the formula's clauses and their premises, the
-    valuation, the value the Split folded to, and the span of ``below`` that
-    its walk added.  ``split_lits`` (kept on a Split's first context) and
-    ``reads`` are filled in when first needed."""
-
-    __slots__ = ("folding", "clauses", "premises", "valuation", "value", "start", "end",
-                 "split_lits", "reads")
-
-    def __init__(self, folding, d, g, value, start, end):
-        self.folding, self.value, self.start, self.end = folding, value, start, end
-        self.clauses, self.premises, self.valuation = tuple(d), tuple(d.values()), tuple(g)
-        self.split_lits = self.reads = None
-
-
 def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
          fold=None, limit: Optional[int] = None) -> tuple[CheckReport, Any]:
     """Check ``proof`` against ``g0 |- d0`` in one depth-first walk, left
@@ -303,36 +287,42 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
     ``d0`` still in it, in ``d0``'s order, then the reducts in the order the
     Reds on the path to the node last made them.
 
-    A Split node that the derivation shares is walked once per context, not
-    once per occurrence.  Below a Split, the rules read the formula's
-    (clause, premise) pairs, and the valuation only at the variables of the
-    formula's clauses (an Elim's, a Red's and a Unit's literal are in its
-    clause, and a reduct's variables are its clause's) and at the split
-    variables at and below the Split.  So each shared Split walked to its
-    end records its value under its context: the folding, the formula's
-    (clause, premise) pairs and the valuation.  A later occurrence is a
-    leaf that takes the recorded value and needs no frame when the record
-    was folding or the walk is not, the pairs are equal, and the valuations
-    agree on those variables.  Only Splits walked without a violation are
-    recorded, so the walk meets the violations in the preorder of the
-    unfolded tree, and reports the first one with its unfolded path and
-    context, as a walk of the unfolded tree would.
+    A Split node that the derivation shares is walked once per formula it
+    meets in a clean context, not once per occurrence.  Below a Split, the
+    rules read the formula's (clause, premise) pairs, and the valuation only
+    at the Split's reads: the variables of the formula's clauses (an Elim's,
+    a Red's and a Unit's literal are in its clause, and a reduct's variables
+    are its clause's) and the split variables at and below the Split.  The
+    context is clean when the valuation holds no variable of the reads, and
+    then the valuation restricted to them is empty, so the Split walks
+    alike in every clean context with one formula.  So a shared Split walked
+    to its end in a clean context records the folding, its value, its split
+    literals and its reads under its id and the formula's (clause, premise)
+    pairs.  A later occurrence that finds a record under its key is a leaf
+    that takes the recorded value and needs no frame when its own context is
+    clean too and the record was folding or the walk is not; otherwise it
+    is walked again.  Only Splits walked without a violation are recorded,
+    so the walk meets the violations in the preorder of the unfolded tree,
+    and reports the first one with its unfolded path and context, as a walk
+    of the unfolded tree would.  The solver's shared Splits are all met in
+    clean contexts: it opens a Split only where the formula is its clean
+    clauses, which share no variable with the valuation, and splits below
+    it only on their variables.
 
     A Split is shared when something besides its parent refers to it
     (CPython's ``sys.getrefcount`` tells); one that only its parent refers
     to is met once and recorded by nothing.  So a tree costs no records, and
     the split variables below a shared Split are collected only while a
     shared Split is being walked: ``below`` gets each split literal walked
-    and the split literals of each recorded Split met again, and a record
-    keeps the span its walk added, read out when a later occurrence needs
-    it.
+    and the split literals of each Split taken as recorded, and a record
+    keeps the set of the span its walk added.
 
-    A shared Split met in many contexts is walked in each, so a short
-    derivation can take time exponential in its size.  ``limit`` bounds the
-    steps: each node stepped into, and each recorded context a Split met
-    again is compared with, is one step, and the walk raises
-    ``WalkLimitExceeded`` past ``limit`` steps.  With no limit it walks to
-    the end.
+    A shared Split met with many formulas, or in many unclean contexts, is
+    walked in each, so a short derivation can take time exponential in its
+    size.  ``limit`` bounds the steps: each node stepped into, and each
+    Split met again that finds a record under its key, is one step, and the
+    walk raises ``WalkLimitExceeded`` past ``limit`` steps.  With no limit
+    it walks to the end.
 
     With a ``fold``, the walk also folds the derivation bottom-up into
     ``value`` (otherwise ``None``): ``fold.conflict(premise)`` at a leaf,
@@ -341,9 +331,9 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
     Split, ``fold.needs_right(node, left)`` after the left branch, then
     ``fold.split(node, left, right)`` when it said so.  Otherwise the Split's
     value is ``left``, and its right branch is checked but not folded.  An
-    Elim's and a Red's value is its child's.  A Split met again in a
-    recorded context takes the value it folded to there, the same object, so
-    the value shares it as the derivation does.
+    Elim's and a Red's value is its child's.  A Split taken as recorded
+    takes the value it folded to there, the same object, so the value shares
+    it as the derivation does.
     """
     d0 = canonical_formula(d0)
     g = dict.fromkeys(canonical_valuation(g0))
@@ -351,15 +341,16 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
     frames: list[tuple] = []
     values: list = []
     folding = fold is not None
-    # memo: for each shared Split met, by id, the contexts it was walked to
-    # its end in.  below: the split literals collected while a shared Split
-    # is being walked.  opened: for each Split being walked, where its span
-    # of below starts and its contexts if it is shared, else None;
-    # recording: how many of them are shared.  steps: the walk's steps up to
-    # the last leaf; top: the frames above which the current descent began.
-    memo: dict[int, list[_Context]] = {}
+    # memo: for each shared Split walked to its end in a clean context, by
+    # its id and formula, (folding, value, split literals, reads).  below:
+    # the split literals collected while a shared Split is being walked.
+    # opened: for each Split being walked, where its span of below starts
+    # and its memo key if it is shared, else None; recording: how many of
+    # them are shared.  steps: the walk's steps up to the last leaf; top:
+    # the frames above which the current descent began.
+    memo: dict[tuple, tuple] = {}
     below: list[Lit] = []
-    opened: list[tuple[int, Optional[list]]] = []
+    opened: list[tuple[int, Optional[tuple]]] = []
     recording = 0
     steps, top = 0, 0
     if limit is None:
@@ -425,21 +416,21 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                 frames.append((_ELIM, node, premise, None))
                 node = node.sub
             elif isinstance(node, Split):
-                contexts = memo.get(id(node))
-                if contexts is not None:
-                    steps += len(contexts)
-                    context = _recorded(contexts, folding, d, g, below)
-                    if context is not None:
-                        if folding:
-                            values.append(context.value)
-                        if recording:
-                            below += contexts[0].split_lits
-                        break
-                elif getrefcount(node) > _ONE_REFERRER:
-                    contexts = memo[id(node)] = []
-                if contexts is not None:
+                key = None
+                if getrefcount(node) > _ONE_REFERRER:
+                    key = id(node), frozenset(d.items())
+                    record = memo.get(key)
+                    if record is not None:
+                        steps += 1
+                        was_folding, value, lits, reads = record
+                        if (was_folding or not folding) and reads.isdisjoint(g):
+                            if folding:
+                                values.append(value)
+                            if recording:
+                                below += lits
+                            break
                     recording += 1
-                opened.append((len(below), contexts))
+                opened.append((len(below), key))
                 lit = node.lit
                 if recording:
                     below.append(lit)
@@ -501,41 +492,17 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                     right = values.pop()
                     values[-1] = fold.split(node, values[-1], right)
                 folding = b
-                start, contexts = opened.pop()
-                if contexts is not None:
-                    # the context is the Split's again: record it
+                start, key = opened.pop()
+                if key is not None:
+                    # the context is the Split's again: record it if clean
                     recording -= 1
-                    contexts.append(_Context(folding, d, g, values[-1] if folding else None,
-                                             start, len(below)))
+                    lits = set(below[start:])
+                    reads = lits.union(*d)
+                    reads.update([-l for l in reads])
+                    if reads.isdisjoint(g):
+                        memo[key] = folding, values[-1] if folding else None, lits, reads
         else:
             return VALID, (values[0] if values else None)
-
-
-def _recorded(contexts: list[_Context], folding: bool, d: dict, g: dict,
-              below: list) -> Optional[_Context]:
-    """The context, of a Split's ``contexts``, that was folding if
-    ``folding`` is on, whose formula is ``d`` and whose valuation agrees with
-    ``g`` on the variables the Split reads there: those of ``d``'s clauses
-    and of the split literals at and below the Split, read from the span of
-    ``below`` that its first walk added.  Both sets hold both signs."""
-    for context in contexts:
-        if ((folding and not context.folding) or len(context.clauses) != len(d)
-                or [*map(d.get, context.clauses)] != [*context.premises]):
-            continue
-        first = contexts[0]
-        if first.split_lits is None:
-            lits = set(below[first.start:first.end])
-            lits.update([-l for l in lits])
-            first.split_lits = lits
-        if context.reads is None:
-            reads = first.split_lits.union(*context.clauses)
-            reads.update([-l for l in reads])
-            context.reads = reads
-        changed = g.keys() ^ context.valuation
-        if changed and not context.reads.isdisjoint(changed):
-            continue
-        return context
-    return None
 
 
 def close(frames: list, node: DpllDerivation, splits: Optional[list] = None) -> DpllDerivation:

@@ -169,7 +169,7 @@ OTHER_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u202
 
 TEXT_CHARS = "()[]-019 \nxSRc"
 DPLL_TOKENS = ("(unit", "(elim", "(red", "(split", "conflict", "(", ")", "[", "]", "0", "7",
-               "-3", "(x")
+               "-3", "(x", "#", "#0", "#1", "#x")
 RES_TOKENS = ("S", "R", "0", "1", "12", "-2", "c", "x", "\n")
 
 

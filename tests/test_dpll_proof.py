@@ -274,10 +274,11 @@ def test_valid_refutations_imply_incompatibility(d):
         assert not compatible((), d).satisfiable
 
 
-# The walk against the unfolded walk.  walk records each Split it walks by
-# its context and takes a Split met again in a recorded context as a leaf.
-# unshared(p) holds no Split twice, so its walk never takes one: it is the
-# walk of the unfolded tree, and the DAG's walk must give what it gives.
+# The walk against the unfolded walk.  walk records each shared Split it
+# walks in a clean context by its formula, and takes a Split met again with
+# that formula, in a clean context, as a leaf.  unshared(p) holds no Split
+# twice, so its walk never takes one: it is the walk of the unfolded tree,
+# and the DAG's walk must give what it gives.
 
 def walk_both(g, d, p):
     """Require the same report from ``p`` and ``unshared(p)``, and for a
@@ -395,22 +396,26 @@ def test_limit_counts_the_nodes_of_a_tree():
 
 def test_a_shared_derivation_is_walked_at_its_distinct_size():
     # PHP(6,5)'s derivation: 12,594 rule applications unfolded, 5,549
-    # distinct nodes.  The walk steps into 5,713 nodes, each Split met again
-    # in a recorded context (70) as one leaf, and compares 70 contexts; the
-    # parse of its text is walked alike
-    d = gen_php(PhpSpec(6, 5))
-    p = solve(d).proof
-    for proof in (p, parse_dpll(serialize_dpll(p))):
-        assert check_dpll((), d, proof, limit=5_783).valid
-        with pytest.raises(WalkLimitExceeded):
-            check_dpll((), d, proof, limit=5_782)
-        dpll_to_res((), d, proof, limit=5_783)
+    # distinct nodes.  The walk steps into 5,713 nodes and takes each Split
+    # met again with a recorded formula (70) as one leaf and one step; the
+    # parse of its text is walked alike.  Every Split the solver shares is
+    # met in a clean context, so a Split walked again in an unclean one
+    # would raise these counts
+    for k, steps in ((3, 224), (4, 1_293), (5, 5_783), (6, 22_010)):
+        d = gen_php(PhpSpec(k + 1, k))
+        p = solve(d).proof
+        for proof in (p, parse_dpll(serialize_dpll(p))):
+            assert check_dpll((), d, proof, limit=steps).valid
+            with pytest.raises(WalkLimitExceeded):
+                check_dpll((), d, proof, limit=steps - 1)
+            dpll_to_res((), d, proof, limit=steps)
 
 
 def test_a_split_met_in_too_many_contexts_stops_the_walk_at_its_limit():
-    # every split variable is in the clause (1 .. n), so no Split of the
-    # chain is met twice in one context: without a limit the walk covers
-    # the unfolded tree, as the walk of unshared(p) does
+    # every split variable is in the clause (1 .. n), so no context of the
+    # chain is clean and no Split of it is taken as recorded: without a
+    # limit the walk covers the unfolded tree, as the walk of unshared(p)
+    # does
     for n in (8, 40):
         text = split_chain(n)
         d, p = [(), tuple(range(1, n + 1))], parse_dpll(text)
@@ -421,6 +426,21 @@ def test_a_split_met_in_too_many_contexts_stops_the_walk_at_its_limit():
             check_dpll((), d, p, limit=len(text))
         with pytest.raises(WalkLimitExceeded):
             dpll_to_res((), d, p, limit=len(text))
+
+
+def test_an_unlimited_walk_of_a_split_chain_steps_into_each_unfolded_node_once():
+    # the chain's unfolded tree: 2^16 - 1 Splits and 2^16 Conflicts.  A
+    # Split met again that finds no record costs no step, so the walk takes
+    # one step per node
+    n, nodes = 16, 2**17 - 1
+    d, p = [(), tuple(range(1, n + 1))], parse_dpll(split_chain(n))
+    assert count_nodes(p) == nodes
+    assert check_dpll((), d, p, limit=nodes).valid
+    dpll_to_res((), d, p, limit=nodes)
+    with pytest.raises(WalkLimitExceeded):
+        check_dpll((), d, p, limit=nodes - 1)
+    with pytest.raises(WalkLimitExceeded):
+        dpll_to_res((), d, p, limit=nodes - 1)
 
 
 # Report identity.  tests/data/checker_digests.json records, for a fixed

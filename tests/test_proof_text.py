@@ -380,17 +380,19 @@ PARSE_DIGESTS = Path(__file__).parent / "data" / "parse_digests.json"
 
 @cache
 def parse_corpus():
-    """(name, format, text) entries from a fixed seed: 2400 mutants of the
-    DPLL texts and 1600 of the resolution texts of the PHP refutations and
-    the first 80 random sources of checker_corpus()."""
+    """(name, format, text) entries: 2400 mutants of the DPLL texts and 1600
+    of the resolution texts of the PHP refutations and the first 80 random
+    sources of checker_corpus().  Entry i draws its source and its mutation
+    from its own stream, seeded with i, so a change to one source text
+    moves only the entries drawn from it."""
     sources = checker_corpus()[:84]
     dpll_texts = [serialize_dpll(p) for _, _, _, p in sources]
     res_texts = [serialize_res(dpll_to_res(g, d, p)) for _, g, d, p in sources]
-    rng = random.Random(53)
     corpus = []
     for i in range(4000):
         fmt, texts, tokens = ("dpll", dpll_texts, DPLL_TOKENS) if i < 2400 else (
             "res", res_texts, RES_TOKENS)
+        rng = random.Random(i)
         k = rng.randrange(len(texts))
         corpus.append((f"{fmt}-{sources[k][0]}~{i}", fmt, mutate_text(texts[k], tokens, rng)))
     return corpus
