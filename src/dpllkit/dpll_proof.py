@@ -8,10 +8,10 @@ the resolution translator folds its result over the same walk.  The walk
 keeps a single mutable context and undoes each node's delta when it leaves
 the node, so a node costs O(1) plus the reduct a Red builds, and a
 derivation of any depth is checked without recursion.  A Split that the
-derivation shares is walked once per formula it meets in a clean context,
-so the solver's shared derivation costs its distinct nodes, not its
-unfolded tree.  It is deliberately independent of the solver: nothing here
-imports the search code.
+derivation shares is walked again only where the walk of it recorded before
+would not hold, so the solver's shared derivation costs about its distinct
+nodes, not its unfolded tree.  It is deliberately independent of the
+solver: nothing here imports the search code.
 """
 
 from __future__ import annotations
@@ -287,42 +287,48 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
     ``d0`` still in it, in ``d0``'s order, then the reducts in the order the
     Reds on the path to the node last made them.
 
-    A Split node that the derivation shares is walked once per formula it
-    meets in a clean context, not once per occurrence.  Below a Split, the
-    rules read the formula's (clause, premise) pairs, and the valuation only
-    at the Split's reads: the variables of the formula's clauses (an Elim's,
-    a Red's and a Unit's literal are in its clause, and a reduct's variables
-    are its clause's) and the split variables at and below the Split.  The
-    context is clean when the valuation holds no variable of the reads, and
-    then the valuation restricted to them is empty, so the Split walks
-    alike in every clean context with one formula.  So a shared Split walked
-    to its end in a clean context records the folding, its value, its split
-    literals and its reads under its id and the formula's (clause, premise)
-    pairs.  A later occurrence that finds a record under its key is a leaf
-    that takes the recorded value and needs no frame when its own context is
-    clean too and the record was folding or the walk is not; otherwise it
-    is walked again.  Only Splits walked without a violation are recorded,
-    so the walk meets the violations in the preorder of the unfolded tree,
-    and reports the first one with its unfolded path and context, as a walk
-    of the unfolded tree would.  The solver's shared Splits are all met in
-    clean contexts: it opens a Split only where the formula is its clean
-    clauses, which share no variable with the valuation, and splits below
-    it only on their variables.
+    A Split node that the derivation shares is walked once and then taken
+    as a leaf where it would walk alike, not walked once per occurrence.
+    Below a Split, the rules read the formula's (clause, premise) pairs, and
+    the valuation only at the Split's reads: the variables of the formula's
+    clauses (an Elim's, a Red's and a Unit's literal are in its clause, and
+    a reduct's variables are its clause's) and the split variables at and
+    below the Split.  The context is clean when the valuation holds no
+    variable of the reads.  So a shared Split walked to its end in a clean
+    context, under a formula S, records under its id the folding, its value,
+    its split literals, its reads, S's (clause, premise) pairs, and its
+    fresh reducts: those its Reds computed that are not clauses of S.  A
+    later occurrence under a formula T that finds the record is a leaf that
+    takes the recorded value and needs no frame when every pair of S is in
+    T, no fresh reduct is in T, its own context is clean, and the record was
+    folding or the walk is not.  Then every rule below it touches the same
+    clauses with the same premises as under S, never a clause of T outside
+    S, and reads no literal of the valuation, so it would walk as it did
+    under S.  Otherwise it is walked again, and its record is replaced when
+    that walk makes one.  Only Splits walked without a violation are
+    recorded, so the walk meets the violations in the preorder of the
+    unfolded tree, and reports the first one with its unfolded path and
+    context, as a walk of the unfolded tree would.  The solver's shared
+    Splits are all met in clean contexts: it opens a Split only where the
+    formula is its clean clauses, which share no variable with the
+    valuation, splits below it only on their variables, and reuses a Split
+    only where the clean clauses include those it was refuted under.
 
     A Split is shared when something besides its parent refers to it
     (CPython's ``sys.getrefcount`` tells); one that only its parent refers
     to is met once and recorded by nothing.  So a tree costs no records, and
-    the split variables below a shared Split are collected only while a
-    shared Split is being walked: ``below`` gets each split literal walked
-    and the split literals of each Split taken as recorded, and a record
-    keeps the set of the span its walk added.
+    the split literals and the reducts below a shared Split are collected
+    only while a shared Split is being walked: ``below`` gets each split
+    literal walked and ``reduced`` each reduct a Red computes, both get
+    those of each Split taken as recorded, and a record keeps the sets of
+    the spans its walk added.
 
-    A shared Split met with many formulas, or in many unclean contexts, is
-    walked in each, so a short derivation can take time exponential in its
-    size.  ``limit`` bounds the steps: each node stepped into, and each
-    Split met again that finds a record under its key, is one step, and the
-    walk raises ``WalkLimitExceeded`` past ``limit`` steps.  With no limit
-    it walks to the end.
+    A shared Split met under many formulas that its record does not fit, or
+    in many unclean contexts, is walked in each, so a short derivation can
+    take time exponential in its size.  ``limit`` bounds the steps: each
+    node stepped into, and each Split met again that finds a record, is one
+    step, and the walk raises ``WalkLimitExceeded`` past ``limit`` steps.
+    With no limit it walks to the end.
 
     With a ``fold``, the walk also folds the derivation bottom-up into
     ``value`` (otherwise ``None``): ``fold.conflict(premise)`` at a leaf,
@@ -342,15 +348,17 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
     values: list = []
     folding = fold is not None
     # memo: for each shared Split walked to its end in a clean context, by
-    # its id and formula, (folding, value, split literals, reads).  below:
-    # the split literals collected while a shared Split is being walked.
-    # opened: for each Split being walked, where its span of below starts
-    # and its memo key if it is shared, else None; recording: how many of
-    # them are shared.  steps: the walk's steps up to the last leaf; top:
-    # the frames above which the current descent began.
-    memo: dict[tuple, tuple] = {}
+    # its id, (formula pairs, fresh reducts, folding, value, split literals,
+    # reads).  below and reduced: the split literals and the reducts
+    # collected while a shared Split is being walked.  opened: for each
+    # Split being walked, where its spans of below and reduced start and its
+    # id if it is shared, else None; recording: how many of them are shared.
+    # steps: the walk's steps up to the last leaf; top: the frames above
+    # which the current descent began.
+    memo: dict[int, tuple] = {}
     below: list[Lit] = []
-    opened: list[tuple[int, Optional[tuple]]] = []
+    reduced: list[Clause] = []
+    opened: list[tuple[int, int, Optional[int]]] = []
     recording = 0
     steps, top = 0, 0
     if limit is None:
@@ -399,6 +407,8 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                 # the clause was just in d, so -lit occurs in it once
                 k = clause.index(-lit)
                 reduct = clause[:k] + clause[k + 1:]
+                if recording:
+                    reduced.append(reduct)
                 if reduct in d:
                     reduct = None
                 else:
@@ -418,19 +428,21 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
             elif isinstance(node, Split):
                 key = None
                 if getrefcount(node) > _ONE_REFERRER:
-                    key = id(node), frozenset(d.items())
+                    key = id(node)
                     record = memo.get(key)
                     if record is not None:
                         steps += 1
-                        was_folding, value, lits, reads = record
-                        if (was_folding or not folding) and reads.isdisjoint(g):
+                        pairs, fresh, was_folding, value, lits, reads = record
+                        if ((was_folding or not folding) and reads.isdisjoint(g)
+                                and d.items() >= pairs and d.keys().isdisjoint(fresh)):
                             if folding:
                                 values.append(value)
                             if recording:
                                 below += lits
+                                reduced += fresh
                             break
                     recording += 1
-                opened.append((len(below), key))
+                opened.append((len(below), len(reduced), key))
                 lit = node.lit
                 if recording:
                     below.append(lit)
@@ -492,7 +504,7 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                     right = values.pop()
                     values[-1] = fold.split(node, values[-1], right)
                 folding = b
-                start, key = opened.pop()
+                start, rstart, key = opened.pop()
                 if key is not None:
                     # the context is the Split's again: record it if clean
                     recording -= 1
@@ -500,7 +512,8 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                     reads = lits.union(*d)
                     reads.update([-l for l in reads])
                     if reads.isdisjoint(g):
-                        memo[key] = folding, values[-1] if folding else None, lits, reads
+                        memo[key] = (frozenset(d.items()), set(reduced[rstart:]).difference(d),
+                                     folding, values[-1] if folding else None, lits, reads)
         else:
             return VALID, (values[0] if values else None)
 

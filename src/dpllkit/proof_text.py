@@ -5,7 +5,8 @@ tokens):
 
     node   := "conflict" | "#" n | "(unit" lit node ")" | "(elim" clause lit node ")"
             | "(red" clause lit node ")" | "(split" lit node node ")"
-    clause := "[" lit* "]"   (literals in canonical order, as serialize_dpll writes them)
+    clause := "[" lit* "]"   (a set of literals: read in canonical order without
+                              repeats, the order serialize_dpll writes)
     lit    := nonzero signed decimal
     n      := positive decimal, written right after "#" as one token
 
@@ -53,7 +54,7 @@ from itertools import islice
 from operator import length_hint
 from typing import NoReturn, Union
 
-from .cnf import Clause
+from .cnf import Clause, canonical_clause
 from .dimacs import line_start, split_lines
 from .dpll_proof import (CONFLICT, Conflict, DpllDerivation, Elim, Red, Split, Unit, close,
                          collector_paused)
@@ -156,7 +157,7 @@ def parse_dpll(text: str) -> DpllDerivation:
                 inside, _, rest = rest.partition("] ")
                 if head != "red" and head != "elim" or inside[:1] != "[":
                     raise ValueError
-                clause = (*map(int, inside[1:].split()),)
+                clause = canonical_clause(map(int, inside[1:].split()))
                 lit, _, rest = rest.partition(" ")
                 lit = int(lit)
                 if 0 in clause:
@@ -237,7 +238,8 @@ def _read_tokens(text: str) -> DpllDerivation:
             clause = []
             while (tok := next(walk, None)) != "]":
                 clause.append(_lit(text, walk, tok, "a literal or ']'"))
-            frames.append((cls, (*clause,), _lit(text, walk, next(walk, None), "a literal")))
+            clause = canonical_clause(clause)
+            frames.append((cls, clause, _lit(text, walk, next(walk, None), "a literal")))
         else:
             _fail(text, walk, tok, "a derivation node", "unexpected token {!r}")
     _fail(text, walk, None, "a derivation node", "")

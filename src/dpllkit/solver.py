@@ -28,11 +28,16 @@ clause at an unmarked position can only be moved, and stays in the ring
 inside a ``range`` of input positions, so a run of such clauses moves as one
 appended range found by one scan of the mask.
 
-Below a Split the search depends only on the clean clauses, in ring order,
-so a Split on clean clauses refuted before is refuted by what the earlier
-Split produced: the derivation shares that Split node, and the rule log
-repeats its span.  Derivations, models and rule logs are those of a search
-with one-step moves and without that reuse, as debug mode runs it.
+Below a Split the rules read only the clean clauses, so a refutation of
+clean clauses S refutes every state whose clean clauses include S (formula
+caching, Beame et al., CCC 2003).  A Split whose clean clauses, in ring
+order, were refuted before, or else include a set refuted before, is
+refuted by what the earlier Split produced (the earliest refuted such, in
+the second case): the derivation shares that Split node, and the rule log
+repeats its span.  So the search below a Split depends on its clean clauses
+and on the Splits refuted before it.  Derivations, models and rule logs are
+those of a search with one-step moves and the same reuse, as debug mode
+runs it.
 """
 
 from __future__ import annotations
@@ -87,7 +92,7 @@ class Verdict:
     share a refuted Split subtree among several Splits, which ``repr``
     writes as ``...`` and the text as ``#n`` after its first time; ``==``
     and ``dpll_size`` read it unfolded, and the checker and the translator
-    walk it once per context."""
+    walk each shared Split about once."""
 
     satisfiable: bool
     model: Optional[Assignment] = None
@@ -226,6 +231,24 @@ def _assume(positions, inp: Formula, hitmask: bytearray) -> list:
     return new
 
 
+def _refuted_subset(key: tuple, index: dict):
+    """What the earliest refuted Split whose clean clauses are a subset of
+    ``key`` produced, or ``None``.  ``index`` lists each refuted set once,
+    under one of its clauses, as (order refuted, set, what it produced), in
+    the order refuted; a set listed under no clause of ``key`` is no
+    subset."""
+    t = frozenset(key)
+    best = None
+    for c in index.keys() & t:
+        for entry in index[c]:
+            if best is not None and entry[0] >= best[0]:
+                break
+            if entry[1] <= t:
+                best = entry
+                break
+    return None if best is None else best[2]
+
+
 def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
             log: Optional[list[str]]) -> Union[Verdict, bool]:
     # gset is the valuation.  In the ring q, q[i:b] is the working formula
@@ -251,14 +274,17 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
     # state its right branch restarts from, and (None, key, start) while it is
     # in its right branch.  key is the tuple of its clean clauses and start
     # the length of the log before its "split".  At a Split d is empty and
-    # the clean clauses share no variable with gset, so every step below it
-    # (the split literal, each rule, the derivation and the log) depends on
-    # key alone, and ends in a model, which ends the search, or a refutation.
-    # refuted maps the key of each refuted Split to what it produced: its
-    # Split node in witness mode, True in decide mode, and with a log that
-    # and the span (start, end) of its steps in the log.  A Split whose key
-    # is there is refuted by it in place of a search; debug mode searches
-    # every Split, so that every state is checked.
+    # the clean clauses share no variable with gset, so every rule below it
+    # reads only them, and a refutation below it refutes every state whose
+    # clean clauses include them.  refuted maps the key of each refuted Split
+    # to what it produced: its Split node in witness mode, True in decide
+    # mode, and with a log that and the span (start, end) of its steps in the
+    # log; index lists each refuted set once (_refuted_subset).  A Split whose
+    # key is in refuted, or else whose clean clauses include a refuted set,
+    # is refuted by what that Split, the earliest refuted such, produced, in
+    # place of a search.  So the search below a Split depends on its key and
+    # on the Splits refuted before it, and debug mode takes the same reuse,
+    # checking every state its search visits.
     gset = set(g0)
     inp = (*d0, *t0)
     occ: dict[int, list[int]] = {}
@@ -281,6 +307,7 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
     frames: list = []
     splits: list[tuple] = []
     refuted: dict[tuple, object] = {}
+    index: dict[tuple, list] = {}
     prev = None
     while True:
         if check:
@@ -398,7 +425,9 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
             del q[:b]
             t = _expand(q, inp)
             key = tuple(t)
-            found = None if check else refuted.get(key)
+            found = refuted.get(key)
+            if found is None:
+                found = _refuted_subset(key, index)
             if found is None:
                 start = None
                 if log is not None:
@@ -433,8 +462,10 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
         while splits and splits[-1][0] is None:
             _, key, start = splits.pop()
             node = built.pop() if witness else True
-            if not check:
-                refuted[key] = node if log is None else (node, start, len(log))
+            found = refuted[key] = node if log is None else (node, start, len(log))
+            # listed under its last clause in ring order, which few later
+            # clean clauses hold (on PHP and random 3-SAT)
+            index.setdefault(key[-1], []).append((len(refuted), frozenset(key), found))
         if not splits:
             return Verdict(False, proof=proof) if witness else False
         lit, g, t, prev, key, start = splits[-1]

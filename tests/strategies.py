@@ -63,10 +63,11 @@ def dpll_nodes(p, path=()):
         yield from dpll_nodes(p.sub, path + (0,))
 
 
-def unshared(p):
+def unshared(p, clause=None):
     """A copy of the derivation ``p`` with a fresh node for each occurrence
     of each rule application: the unfolded tree, in which no Split occurs
-    twice.  Built bottom-up with an explicit stack, so any depth is fine."""
+    twice, with ``clause`` applied to each Elim's and Red's clause when
+    given.  Built bottom-up with an explicit stack, so any depth is fine."""
     values = []
     stack = [(p, False)]
     while stack:
@@ -80,8 +81,10 @@ def unshared(p):
         elif isinstance(node, Split):
             right = values.pop()
             values[-1] = Split(node.lit, values[-1], right)
-        else:
+        elif clause is None or isinstance(node, Unit):
             values[-1] = replace(node, sub=values[-1])
+        else:
+            values[-1] = replace(node, clause=clause(node.clause), sub=values[-1])
     return values[0]
 
 

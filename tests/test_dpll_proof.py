@@ -28,7 +28,7 @@ from dpllkit.resolution import InvalidDerivation, Res, Sub, check_res, dpll_to_r
 from dpllkit.solver import solve
 
 from oracle import compatible
-from strategies import checker_corpus, formulas, split_chain, unshared
+from strategies import checker_corpus, dpll_nodes, dpll_put, formulas, split_chain, unshared
 
 PHP21 = gen_php(PhpSpec(2, 1))
 
@@ -302,7 +302,7 @@ def walk_both(g, d, p):
 
 def test_walk_of_the_dag_is_the_walk_of_the_unfolded_tree():
     php = [(f"php-{k + 1}-{k}", (), d, solve(d).proof)
-           for k in (5, 6) for d in [gen_php(PhpSpec(k + 1, k))]]
+           for k in (5, 6, 7) for d in [gen_php(PhpSpec(k + 1, k))]]
     for name, g, d, p in checker_corpus() + php:
         walk_both(g, d, p)
 
@@ -312,7 +312,10 @@ def test_walk_of_the_dag_is_the_walk_of_the_unfolded_tree():
 # must tell apart: the sign of a split variable below S (also where the walk
 # took the Split below S as recorded), a clause S reduces, the premise of
 # the clause S's conflicts cite, whether the fold needs S's value, and a
-# clause S does not read.  A walk that took S there as recorded would
+# clause S does not read.  The last three hold every clause of the first
+# formula and more, as the solver's reuse does: a reduct S makes, there
+# with another premise; a clause of S with another premise; and the sign of
+# a split variable below S.  A walk that took S there as recorded would
 # report a valid derivation, or translate it otherwise than the unfolded
 # walk.
 SPLIT_BELOW = Split(3, Split(2, CONFLICT, CONFLICT), CONFLICT)
@@ -320,6 +323,7 @@ REDUCES = Split(2, Red((-2, 6), 2, CONFLICT), CONFLICT)
 CITES = Split(2, CONFLICT, CONFLICT)
 RESOLVES = Split(2, Red((-2,), 2, CONFLICT), Red((2,), -2, CONFLICT))
 ABOVE = Split(3, CITES, CONFLICT)
+MAKES = Split(2, Red((-2, 5), 2, Unit(5, Red((-5,), 5, CONFLICT))), Red((2,), -2, CONFLICT))
 DAG_ADVERSARIES = [
     pytest.param(((),), Split(1, SPLIT_BELOW, Split(-2, SPLIT_BELOW, CONFLICT)),
                  CheckReport(False, (1, 0, 0, 0), "inconsistent-context", ((-1, -2, 3, 2), ((),))),
@@ -358,6 +362,33 @@ DAG_ADVERSARIES = [
                             (-7,)),
                      Res(9, Sub(4, (7, -9)), Sub(5, (7, 9)), (7,)), ()),
                  id="one-clause-more"),
+    # S = MAKES first walked with (-2, 5), (-5,) and (2,), then where (5,),
+    # which its first Red makes, is there too from (5, 7): its Unit then
+    # cites (5, 7), and the fold needs its value, since the first walk's
+    # value resolves on the unit (4,) from (4, -7)
+    pytest.param(((-2, 5), (-4, -5), (2,), (4, -7), (4, 7), (5, 7)),
+                 Split(7, Red((4, -7), 7, Unit(4, Elim((4, 7), 7, Elim((5, 7), 7, Red(
+                     (-4, -5), 4, MAKES))))),
+                       Elim((4, -7), -7, Red((4, 7), -7, Unit(4, Red((5, 7), -7, Red(
+                           (-4, -5), 4, MAKES)))))),
+                 Res(7, Res(4, Res(2, Res(5, Sub(2, (-4, -5)), Sub(1, (-2, 5)), (-2, -4)),
+                                   Sub(3, (2,)), (-4,)),
+                            Sub(4, (4, -7)), (-7,)),
+                     Res(4, Res(5, Sub(2, (-4, -5)), Sub(6, (5, 7)), (-4, 7)), Sub(5, (4, 7)),
+                         (7,)), ()),
+                 id="more-clauses-a-reduct-made-below"),
+    # S first walked with () from (-1,), then with () from (1,) and (4,)
+    pytest.param(((-1,), (1,), (1, 4)),
+                 Split(1, Red((-1,), 1, Elim((1,), 1, Elim((1, 4), 1, CITES))),
+                       Red((1,), -1, Elim((-1,), -1, Red((1, 4), -1, CITES)))),
+                 Res(1, Sub(1, (-1,)), Sub(2, (1,)), ()),
+                 id="more-clauses-other-premise"),
+    # S first walked with (), then with () and (4, 5) where -2 is assumed
+    pytest.param(((), (4, 5)),
+                 Split(4, Elim((4, 5), 4, SPLIT_BELOW), Split(-2, SPLIT_BELOW, CONFLICT)),
+                 CheckReport(False, (1, 0, 0, 0), "inconsistent-context",
+                             ((-4, -2, 3, 2), ((), (4, 5)))),
+                 id="more-clauses-split-variable-other-sign"),
 ]
 
 
@@ -366,6 +397,32 @@ def test_shared_split_in_a_second_context_is_walked_there(d, p, expected):
     assert walk_both((), d, p) == expected
     if isinstance(expected, Res):
         assert check_res(d, expected).valid
+
+
+def test_a_split_refuted_under_fewer_clauses_is_reused_under_more():
+    # PHP(5,4) is the smallest instance of the digest corpora whose search
+    # reuses a Split refuted under a strict subset of its clean clauses.
+    # The formula at each occurrence of a Split is the context of the report
+    # when a bad node is put there: 6 occurrences meet more clauses than the
+    # Split's first, 10 the same.  The walk takes all 16 as recorded (see
+    # the step counts below) and gives what the unfolded walk gives
+    d = gen_php(PhpSpec(5, 4))
+    p = solve(d).proof
+    pinned = "32d1544e4490a80f0a87d66e763398901fcdb06e6daee760ec9a50910e886786"
+    assert _sha(serialize_dpll(p)) == pinned
+    first, larger, equal = {}, 0, 0
+    for path, node in dpll_nodes(p):
+        if isinstance(node, Split):
+            report = check_dpll((), d, dpll_put(p, path, Unit(99, CONFLICT)))
+            assert (report.path, report.reason) == (path, "unit-clause-missing")
+            formula = frozenset(report.context[1])
+            if id(node) not in first:
+                first[id(node)] = formula
+            else:
+                larger += formula > first[id(node)]
+                equal += formula == first[id(node)]
+    assert (len(first), larger, equal) == (31, 6, 10)
+    walk_both((), d, p)
 
 
 def count_nodes(p):
@@ -395,13 +452,14 @@ def test_limit_counts_the_nodes_of_a_tree():
 
 
 def test_a_shared_derivation_is_walked_at_its_distinct_size():
-    # PHP(6,5)'s derivation: 12,594 rule applications unfolded, 5,549
-    # distinct nodes.  The walk steps into 5,713 nodes and takes each Split
-    # met again with a recorded formula (70) as one leaf and one step; the
-    # parse of its text is walked alike.  Every Split the solver shares is
-    # met in a clean context, so a Split walked again in an unclean one
-    # would raise these counts
-    for k, steps in ((3, 224), (4, 1_293), (5, 5_783), (6, 22_010)):
+    # PHP(6,5)'s derivation: 9,008 rule applications unfolded, 2,568
+    # distinct nodes.  The walk steps into 2,662 nodes and takes each Split
+    # met again under a formula its record fits (60) as one leaf and one
+    # step; the parse of its text is walked alike.  Every Split the solver
+    # shares is met in a clean context, under the clauses it was refuted
+    # under or more, so a Split walked again where it was recorded under
+    # fewer clauses, or in an unclean context, would raise these counts
+    for k, steps in ((3, 224), (4, 854), (5, 2_722), (6, 7_968)):
         d = gen_php(PhpSpec(k + 1, k))
         p = solve(d).proof
         for proof in (p, parse_dpll(serialize_dpll(p))):

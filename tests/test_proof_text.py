@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpllkit import proof_text
-from dpllkit.dpll_proof import CONFLICT, Elim, Red, Split, Unit
+from dpllkit.cnf import canonical_clause
+from dpllkit.dpll_proof import CONFLICT, Elim, Red, Split, Unit, check_dpll
 from dpllkit.php import PhpSpec, gen_php
 from dpllkit.proof_text import (
     _DPLL_TOKEN,
@@ -27,7 +28,7 @@ from dpllkit.resolution import InvalidDerivation, Res, Sub, dpll_to_res
 from dpllkit.solver import solve, solve_aux
 
 from strategies import (DPLL_TOKENS, OTHER_BREAKS, RES_TOKENS, checker_corpus, clauses, literals,
-                        mutate_text)
+                        mutate_text, unshared)
 
 PHP21_PROOF = Unit(1, Unit(2, Red((-1, -2), 1, Red((-2,), 2, CONFLICT))))
 PHP21_TEXT = "(unit 1 (unit 2 (red [ -1 -2 ] 1 (red [ -2 ] 2 conflict))))"
@@ -60,6 +61,17 @@ def test_serialize_php_2_1_golden():
 
 def test_parse_php_2_1_golden():
     assert parse_dpll(PHP21_TEXT) == PHP21_PROOF
+
+
+@pytest.mark.parametrize("clause", ["[ -2 -1 ]", "[ -1 -2 -1 ]"])
+def test_a_clause_is_read_as_a_set_in_canonical_order(clause):
+    # the checker finds a clause by its canonical tuple, and check res
+    # compares clauses as sets: the fast pass, which reads this spacing, and
+    # the token walk read a clause's literals in canonical order, without
+    # repeats
+    text = PHP21_TEXT.replace("[ -1 -2 ]", clause)
+    assert parse_dpll(text) == _read_tokens(text) == PHP21_PROOF
+    assert check_dpll((), PHP21, parse_dpll(text)).valid
 
 
 def test_parse_dpll_errors():
@@ -220,8 +232,14 @@ def corpus_and_php_proofs():
 
 
 def test_dpll_round_trip_of_checker_corpus_and_php_proofs():
+    # the parse reads each clause in canonical order: 36 mutants of the
+    # corpus hold a clause out of it, and read back with it in order
+    reordered = 0
     for p in corpus_and_php_proofs():
-        assert parse_dpll(serialize_dpll(p)) == p
+        q = unshared(p, canonical_clause)
+        assert parse_dpll(serialize_dpll(p)) == q
+        reordered += q != p
+    assert reordered == 36
 
 
 def test_serializer_text_never_reaches_the_token_walk(monkeypatch):
@@ -232,9 +250,9 @@ def test_serializer_text_never_reaches_the_token_walk(monkeypatch):
     with pytest.raises(AssertionError):
         parse_dpll(PHP21_TEXT.replace(" ", "\t"))
     for p in (CONFLICT, *corpus_and_php_proofs()):
-        text = serialize_dpll(p)
+        text, q = serialize_dpll(p), unshared(p, canonical_clause)
         for end in ("", "\n", "\r\n"):
-            assert parse_dpll(text + end) == p
+            assert parse_dpll(text + end) == q
 
 
 PHP21 = gen_php(PhpSpec(2, 1))

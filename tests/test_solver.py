@@ -107,8 +107,8 @@ def test_choose_split():
         choose_split(())
 
 
-@pytest.mark.parametrize("k, nodes, steps", [(2, 31, 10), (3, 215, 42), (4, 1527, 188),
-                                             (5, 12594, 970)])
+@pytest.mark.parametrize("k, nodes, steps", [(2, 31, 10), (3, 215, 42), (4, 1278, 188),
+                                             (5, 9008, 970)])
 def test_php_proof_sizes_under_the_split_rule(k, nodes, steps):
     # the split rule fixes the proofs: DPLL nodes and resolution steps
     # of PHP(k+1,k), exactly
@@ -133,14 +133,14 @@ def _split_counts(p):
     return occurrences, len(distinct)
 
 
-@pytest.mark.parametrize("k, splits, distinct, nodes", [(4, 51, 41, 1527), (5, 374, 164, 12594),
-                                                        (6, 3245, 557, 122027)])
+@pytest.mark.parametrize("k, splits, distinct, nodes", [(4, 47, 31, 1278), (5, 329, 94, 9008),
+                                                        (6, 2699, 253, 74062)])
 def test_refuted_splits_are_shared_and_read_unfolded(k, splits, distinct, nodes):
-    # a Split on clean clauses refuted before reuses the earlier Split node,
-    # so the derivation shares it; the text writes it once and cites it as
-    # "#n" after, and parse_dpll shares it again; the size is that of the
-    # unfolded tree, and the checker and the translator give what they give
-    # on it
+    # a Split whose clean clauses equal or include those of a Split refuted
+    # before reuses the earlier Split node, so the derivation shares it; the
+    # text writes it once and cites it as "#n" after, and parse_dpll shares
+    # it again; the size is that of the unfolded tree, and the checker and
+    # the translator give what they give on it
     d = gen_php(PhpSpec(k + 1, k))
     p = solve(d).proof
     assert _split_counts(p) == (splits, distinct)
@@ -212,10 +212,11 @@ def test_measure_assertion_clean_on_horn_chain(unsat):
 
 # Calls of _check_state made by the search when it moved one clause per step,
 # one per search step.  Debug mode must still check every one of those states.
-# PHP(5,4) has Splits on clean clauses refuted before: debug mode searches
-# them again, so that every state is checked
+# PHP(5,4) has Splits whose clean clauses equal or include those of a Split
+# refuted before: debug mode reuses them as the default mode does, so it
+# checks every state its search visits, and none below a reused Split
 CHECKS_PER_SOLVE = [(horn_chain(200, False), 20101), (horn_chain(200, True), 10300),
-                    (gen_php(PhpSpec(4, 3)), 484), (gen_php(PhpSpec(5, 4)), 3742)]
+                    (gen_php(PhpSpec(4, 3)), 484), (gen_php(PhpSpec(5, 4)), 2408)]
 
 
 @pytest.mark.parametrize("d, checks", CHECKS_PER_SOLVE)
@@ -350,9 +351,9 @@ def test_derivations_match_recorded_digests():
 
 def answer(v):
     """The verdict, rule log, model and derivation of a witness Verdict.
-    Debug mode searches every Split, so its derivation shares none, and its
-    text writes no "#n" where the bulk run's does: the derivations compare
-    as trees, with ``==``."""
+    Debug mode reuses the refuted Splits the default mode reuses, so both
+    share the same Splits; the derivations compare unfolded, with
+    ``==``."""
     return v.satisfiable, v.trace, v.model, v.proof
 
 
