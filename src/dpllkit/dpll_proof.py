@@ -58,9 +58,20 @@ class ProofNode:
     however large the derivation.  ``repr`` spells the tree, but writes a
     node with subderivations that it has already spelled as ``...``, as
     ``reprlib`` writes a container it meets again: a node shared by many
-    steps is spelled once, and leaves are always spelled."""
+    steps is spelled once, and leaves are always spelled.
 
-    __slots__ = ()
+    ``size`` is the number of rule applications in the node's unfolded
+    tree, a Conflict or a Sub counting 0.  ``proof_node``'s ``__init__``
+    sets it once, from the sizes of the node's subderivations, so a node
+    shared by many steps is sized once.  It is a slot, not a field, so
+    ``fields()``, ``==``, ``hash``, ``repr`` and both text formats do not
+    read it."""
+
+    __slots__ = ("size",)
+
+    def __reduce__(self):
+        # copy and pickle rebuild the node through __init__, which sets size
+        return self.__class__, tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -128,7 +139,9 @@ def proof_node(cls):
     share of building a derivation.  The descriptor's ``__set__`` is what
     the lookup finds, bound here once per field.  The parameters are the
     field names in order, so positional and keyword construction and
-    ``dataclasses.replace`` work as for any dataclass.
+    ``dataclasses.replace`` work as for any dataclass.  The ``__init__``
+    also sets ``size``: 1 plus the ``size`` of each subderivation field
+    (``sub``, ``left``, ``right``), or 0 for a class that has none.
 
     Setting or deleting any name on a built node raises
     ``FrozenInstanceError``.  The frozen dataclass's own ``__setattr__`` and
@@ -138,7 +151,10 @@ def proof_node(cls):
     cls = dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)(cls)
     names = [f.name for f in fields(cls)]
     namespace = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
-    body = "".join(f"\n    _set_{name}(self, {name})" for name in names) or "\n    pass"
+    namespace["_set_size"] = ProofNode.size.__set__
+    subs = "".join(f" + {name}.size" for name in names if name in ("sub", "left", "right"))
+    body = "".join(f"\n    _set_{name}(self, {name})" for name in names)
+    body += f"\n    _set_size(self, {'1' + subs if subs else '0'})"
     exec(f"def __init__({', '.join(['self', *names])}):{body}", namespace)
     init = namespace["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
@@ -190,29 +206,9 @@ CONFLICT = Conflict()
 
 def dpll_size(d: DpllDerivation) -> int:
     """Number of rule applications above the Conflict axioms in the unfolded
-    tree.  Each distinct Split is sized once, so a Split that several steps
-    share (the solver and ``parse_dpll`` share them) costs one visit, not
-    one per occurrence."""
-    sizes: dict[int, int] = {}  # id of each Split sized -> its unfolded size
-    total = 0
-    stack: list = [d]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Split):
-            size = sizes.get(id(node))
-            if size is None:
-                # the Split's size is what the count grows by until its marker
-                stack += ((node, total), node.right, node.left)
-                total += 1
-            else:
-                total += size
-        elif isinstance(node, tuple):
-            split, before = node
-            sizes[id(split)] = total - before
-        elif not isinstance(node, Conflict):
-            total += 1
-            stack.append(node.sub)
-    return total
+    tree: ``d.size``, set when ``d`` was built, so a derivation that shares
+    Splits (the solver and ``parse_dpll`` share them) is sized in O(1)."""
+    return d.size
 
 
 @dataclass(frozen=True)
@@ -518,7 +514,7 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
             return VALID, (values[0] if values else None)
 
 
-def close(frames: list, node: DpllDerivation, splits: Optional[list] = None) -> DpllDerivation:
+def close(frames: list, node: DpllDerivation, splits: list) -> DpllDerivation:
     """Wrap ``node`` in the open nodes on top of ``frames``, innermost first,
     up to the innermost Split still in its left branch, and return the last
     node built.  A frame is ``(class, a, b)``, the fields before the
@@ -526,7 +522,7 @@ def close(frames: list, node: DpllDerivation, splits: Optional[list] = None) -> 
     left branch is done is ``(None, lit, left)``.  The Split frame reached
     becomes ``(None, lit, node)``; when no Split is open, the frames are
     emptied and the return value is the whole derivation.  Each Split node
-    built, innermost first, is appended to ``splits`` when given.  The
+    built, innermost first, is appended to ``splits``.  The
     witness search and ``parse_dpll`` build their trees only through it."""
     pop = frames.pop
     while frames:
@@ -538,8 +534,7 @@ def close(frames: list, node: DpllDerivation, splits: Optional[list] = None) -> 
             node = Unit(a, node)
         elif cls is None:
             node = Split(a, b, node)
-            if splits is not None:
-                splits.append(node)
+            splits.append(node)
         else:
             node = cls(a, b, node)
     return node

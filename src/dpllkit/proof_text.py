@@ -40,11 +40,10 @@ at the first token that does not fit, in text order; the offset is found
 only when it raises.
 
 ``parse_res`` cuts lines as ``parse_dimacs`` does, only at ``\\n``,
-``\\r\\n`` and ``\\r``, splits each line into its head fields and its
-conclusion text, and decodes each distinct conclusion text once into one
-tuple.  Both parsers build their trees with the cyclic garbage collector
-paused (``dpll_proof.collector_paused``).  The serializers render each
-distinct clause once per call.
+``\\r\\n`` and ``\\r``, and splits each line once into its fields.  Both
+parsers build their trees with the cyclic garbage collector paused
+(``dpll_proof.collector_paused``).  ``serialize_dpll`` renders each distinct
+Elim and Red head once per call.
 """
 
 from __future__ import annotations
@@ -287,7 +286,6 @@ def serialize_res(r: ResDerivation) -> str:
     id."""
     lines: list[str] = []
     ids: dict[int, int] = {}
-    tails: dict[Clause, str] = {}  # conclusion -> " <lits> 0", once per call
     stack: list[tuple[ResDerivation, bool]] = [(r, False)]
     while stack:
         node, expanded = stack.pop()
@@ -300,41 +298,32 @@ def serialize_res(r: ResDerivation) -> str:
             continue
         else:
             head = f"R {node.pivot} {ids[id(node.left)]} {ids[id(node.right)]}"
-        tail = tails.get(node.conclusion)
-        if tail is None:
-            tail = tails[node.conclusion] = "".join(f" {l}" for l in node.conclusion) + " 0"
         ids[id(node)] = len(lines) + 1
-        lines.append(f"{len(lines) + 1} {head}{tail}")
+        lines.append(" ".join([str(len(lines) + 1), head, *map(str, node.conclusion), "0"]))
     return "\n".join(lines) + "\n"
 
 
 @collector_paused
 def parse_res(text: str) -> ResDerivation:
     """Parse a resolution trace, with the cyclic collector paused.  Each line
-    is split into its head fields and its conclusion text, and each distinct
-    conclusion text is decoded once.  A malformed line raises
+    is split once into its fields.  A malformed line raises
     ``ProofParseError`` at the line's offset."""
     nodes: dict[int, ResDerivation] = {}
-    conclusions: dict[str, Clause] = {}  # a conclusion's text -> its one tuple
     lines = split_lines(text)
     pending = iter(lines)
     for line in pending:
-        fields = line.split(None, 3)
+        fields = line.split()
         if not fields or fields[0][0] == "c":
             continue
         try:
             nid = int(fields[0])
             kind = fields[1]
-            # the head's numbers, then the conclusion's text; in a line too
-            # short for both, the last number is the text too
-            if kind == "R":
-                fields = line.split(None, 5)
-            lits = conclusions.get(fields[-1])
-            if lits is None:
-                tokens = fields[-1].split()
-                if tokens.pop() != "0":
-                    raise ValueError
-                lits = conclusions[fields[-1]] = (*map(int, tokens),)
+            # the head's numbers, then the conclusion's literals and 0; in a
+            # line too short for both, the last field is that 0 too.  The
+            # conclusion is decoded before any node id is looked up
+            if fields[-1] != "0":
+                raise ValueError
+            lits = (*map(int, fields[5 if kind == "R" else 3:-1]),)
             if kind == "S":
                 node = Sub(int(fields[2]), lits)
             elif kind == "R":

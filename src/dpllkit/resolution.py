@@ -3,12 +3,13 @@
 A resolution derivation is a tree of subsumption leaves (pointing 1-based
 into the premise formula) and resolution nodes.  Pivot convention: the left
 premise contains the pivot's complement, the right premise the pivot itself.
-``parse_res`` may share a node among several steps; ``check_res`` and
-``res_size`` visit each distinct node once.  ``dpll_to_res`` turns a
-checker-valid DPLL derivation of ``g |- d0`` into a resolution derivation
-from ``d0`` concluding a subset of the negated valuation, never larger than
-the DPLL derivation: it builds the public nodes bottom-up, each leaf citing
-the premise that the checking walk names for its clause.
+``parse_res`` may share a node among several steps; ``check_res`` visits
+each distinct node once, and ``res_size`` reads the size the root was built
+with.  ``dpll_to_res`` turns a checker-valid DPLL derivation of ``g |- d0``
+into a resolution derivation from ``d0`` concluding a subset of the negated
+valuation, never larger than the DPLL derivation: it builds the public nodes
+bottom-up, each leaf citing the premise that the checking walk names for its
+clause.
 """
 
 from __future__ import annotations
@@ -45,22 +46,9 @@ class InvalidDerivation(ValueError):
 
 def res_size(d: ResDerivation) -> int:
     """Number of resolution steps in the unfolded tree; subsumption leaves
-    cost nothing.  Each distinct node is sized once, so a node that several
-    steps cite (``parse_res`` shares them) costs one visit, not one per
-    occurrence."""
-    sizes: dict[int, int] = {}
-    stack = [d]
-    while stack:
-        node = stack.pop()
-        if id(node) in sizes:
-            continue
-        if not isinstance(node, Res):
-            sizes[id(node)] = 0
-        elif id(node.left) in sizes and id(node.right) in sizes:
-            sizes[id(node)] = 1 + sizes[id(node.left)] + sizes[id(node.right)]
-        else:
-            stack += (node, node.right, node.left)
-    return sizes[id(d)]
+    cost nothing.  It is ``d.size``, set when ``d`` was built, so a node
+    that several steps cite (``parse_res`` shares them) is sized once."""
+    return d.size
 
 
 def res_conclusion(d: ResDerivation) -> Clause:

@@ -91,8 +91,9 @@ class Verdict:
     derivation, and with ``trace=True`` the rule log.  The derivation may
     share a refuted Split subtree among several Splits, which ``repr``
     writes as ``...`` and the text as ``#n`` after its first time; ``==``
-    and ``dpll_size`` read it unfolded, and the checker and the translator
-    walk each shared Split about once."""
+    reads it unfolded, ``dpll_size`` is the unfolded size each node was
+    built with, and the checker and the translator walk each shared Split
+    about once."""
 
     satisfiable: bool
     model: Optional[Assignment] = None

@@ -60,13 +60,15 @@ test "$(dpllkit check res php65.cnf php65.res)" = valid
 dpllkit gen php 8 7 --out php87.cnf
 rc=0; timeout 60 "${cmd[@]}" solve --mode decide php87.cnf || rc=$?
 test "$rc" -eq 20
-# and with its proof: about 709,007 nodes unfolded, whose text would be
+# and with its proof: 709,007 nodes unfolded, whose text would be
 # about 13 MB unshared; shared, each stage costs the distinct derivation
 rc=0; timeout 60 "${cmd[@]}" solve php87.cnf --out php87.dpll || rc=$?
 test "$rc" -eq 20
 test "$(wc -c < php87.dpll)" -lt 1000000
 test "$(timeout 60 "${cmd[@]}" check dpll php87.cnf php87.dpll)" = valid
-timeout 60 "${cmd[@]}" convert dpll2res php87.cnf php87.dpll --out php87.res
+# the sizes of the unfolded derivation and of its translation
+test "$(timeout 60 "${cmd[@]}" convert dpll2res php87.cnf php87.dpll --out php87.res)" \
+    = "dpll_size=709007 res_size=41090"
 test "$(timeout 60 "${cmd[@]}" check res php87.cnf php87.res)" = valid
 # PHP(9,8) end to end: a Split refuted under fewer clean clauses is
 # reused under more, and the walk takes its record there
@@ -75,7 +77,8 @@ rc=0; timeout 60 "${cmd[@]}" solve php98.cnf --out php98.dpll || rc=$?
 test "$rc" -eq 20
 test "$(wc -c < php98.dpll)" -lt 2000000
 test "$(timeout 60 "${cmd[@]}" check dpll php98.cnf php98.dpll)" = valid
-timeout 60 "${cmd[@]}" convert dpll2res php98.cnf php98.dpll --out php98.res
+test "$(timeout 60 "${cmd[@]}" convert dpll2res php98.cnf php98.dpll --out php98.res)" \
+    = "dpll_size=7747994 res_size=328792"
 test "$(timeout 60 "${cmd[@]}" check res php98.cnf php98.res)" = valid
 dpllkit gen php 2 1 --out php21.cnf
 # a clause whose literals are out of canonical order is read as a set

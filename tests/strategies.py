@@ -198,7 +198,10 @@ def checker_corpus():
     """(name, valuation, formula, derivation) entries, all from fixed seeds:
     refutations of PHP(k+1,k) for k <= 4, of 200 random unsatisfiable CNFs
     and of 100 random CNFs under nonempty valuations, then 400 mutants of the
-    PHP proofs and 2000 of the others."""
+    PHP proofs and 2000 of the others.  The random sources share one stream;
+    mutant i draws its source and its mutation from its own stream, seeded
+    with i, so a change to one source derivation moves only the mutants
+    drawn from it."""
     sources = []
     for k in range(1, 5):
         d = gen_php(PhpSpec(k + 1, k))
@@ -218,6 +221,7 @@ def checker_corpus():
             sources.append((f"aux-{len(sources) - 204}", g, d, v.proof))
     corpus = list(sources)
     for i in range(2400):
+        rng = random.Random(i)
         name, g, d, p = sources[i % 4] if i < 400 else rng.choice(sources[4:])
         path, node = rng.choice(list(dpll_nodes(p)))
         corpus.append((f"{name}~{i}", g, d, dpll_put(p, path, mutate_dpll(node, rng))))

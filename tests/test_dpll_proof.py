@@ -1,8 +1,11 @@
 import ast
+import copy
 import hashlib
 import importlib
 import json
+import pickle
 import sys
+import time
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
@@ -46,6 +49,46 @@ def test_split_size_is_one_plus_children():
     a = Unit(1, CONFLICT)
     b = Red((-2,), 2, CONFLICT)
     assert dpll_size(Split(3, a, b)) == 1 + dpll_size(a) + dpll_size(b)
+
+
+def test_size_is_a_count_of_the_unfolded_rule_applications():
+    # the size a node is built with counts the non-Conflict nodes of its
+    # unfolded tree, for the solver's shared derivations and their parses
+    for k in range(1, 7):
+        p = solve(gen_php(PhpSpec(k + 1, k))).proof
+        for proof in (p, parse_dpll(serialize_dpll(p))):
+            tree = unshared(proof)
+            count = sum(not isinstance(node, Conflict) for _, node in dpll_nodes(tree))
+            assert dpll_size(proof) == dpll_size(tree) == count
+
+
+def test_a_split_chain_is_sized_at_once():
+    # 60 Splits, each citing the one before twice: 2^60 - 1 unfolded Splits
+    start = time.perf_counter()
+    assert dpll_size(parse_dpll(split_chain(60))) == 2**60 - 1
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_rebuilt_node_has_the_size_of_its_new_fields():
+    unit, split = Unit(1, CONFLICT), Split(1, CONFLICT, CONFLICT)
+    assert (unit.size, replace(unit, sub=PHP21_PROOF).size, replace(unit, lit=2).size) == (1, 5, 1)
+    assert replace(split, left=PHP21_PROOF).size == 5
+    assert replace(split, right=split).size == 2
+    res = Res(1, Sub(1, (-1,)), Sub(2, (1,)), ())
+    assert (res.size, replace(res, left=res).size) == (1, 2)
+    for node in (PHP21_PROOF, split, res, CONFLICT):
+        for again in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+            assert again == node and again.size == node.size
+
+
+def test_a_report_is_true_exactly_when_valid():
+    bad_dpll = Unit(2, CONFLICT)
+    bad_res = Res(1, Sub(1, (1,)), Sub(1, (1,)), ())
+    reports = [check_dpll((), PHP21, PHP21_PROOF), check_dpll((), PHP21, bad_dpll),
+               check_res(PHP21, dpll_to_res((), PHP21, PHP21_PROOF)), check_res(PHP21, bad_res)]
+    assert [report.valid for report in reports] == [True, False, True, False]
+    for report in reports:
+        assert bool(report) is report.valid
 
 
 def test_php_2_1_proof_is_valid():

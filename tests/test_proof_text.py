@@ -232,14 +232,14 @@ def corpus_and_php_proofs():
 
 
 def test_dpll_round_trip_of_checker_corpus_and_php_proofs():
-    # the parse reads each clause in canonical order: 36 mutants of the
+    # the parse reads each clause in canonical order: 30 mutants of the
     # corpus hold a clause out of it, and read back with it in order
     reordered = 0
     for p in corpus_and_php_proofs():
         q = unshared(p, canonical_clause)
         assert parse_dpll(serialize_dpll(p)) == q
         reordered += q != p
-    assert reordered == 36
+    assert reordered == 30
 
 
 def test_serializer_text_never_reaches_the_token_walk(monkeypatch):
@@ -351,6 +351,39 @@ def test_parse_res_errors():
         parse_res("1 R 1 5 6 0\n")  # undefined children
     with pytest.raises(ProofParseError):
         parse_res("x S 1 0\n")
+
+
+# trace texts whose last line parse_res reads in a fixed order, and the
+# message it raises at that line, or the derivation it reads
+RES_LINE_CASES = [
+    # the conclusion is decoded before any node id is looked up, and every
+    # head number is read before the first lookup
+    ("1 R 1 9 3 x 0\n", "malformed trace line '1 R 1 9 3 x 0'"),
+    ("1 R 1 9 x 0\n", "malformed trace line '1 R 1 9 x 0'"),
+    ("1 R 1 9 3 0\n", "undefined node reference in line '1 R 1 9 3 0'"),
+    # in a line too short for its head and a conclusion, the last field is
+    # both
+    ("1 S 1 0\n2 R 1 1 0\n", "undefined node reference in line '2 R 1 1 0'"),
+    ("1 S 1 0\n2 R 1 0\n", "undefined node reference in line '2 R 1 0'"),
+    ("0 S 1 0\n2 R 1 0\n", "malformed trace line '2 R 1 0'"),
+    ("1 S 0\n", Sub(0, ())),
+    ("1 S 5\n", "malformed trace line '1 S 5'"),
+    ("1 S\n", "malformed trace line '1 S'"),
+    ("1 X 1 0\n", "malformed trace line '1 X 1 0'"),
+    ("1 S 1 2 0 3 0\n", "zero literal inside conclusion"),
+]
+
+
+@pytest.mark.parametrize("text, outcome", RES_LINE_CASES,
+                         ids=[text.strip().replace("\n", "|") for text, _ in RES_LINE_CASES])
+def test_parse_res_reads_each_line_in_a_fixed_order(text, outcome):
+    if isinstance(outcome, Sub):
+        assert parse_res(text) == outcome
+        return
+    at = text.rstrip("\n").rfind("\n") + 1
+    with pytest.raises(ProofParseError) as err:
+        parse_res(text)
+    assert (str(err.value), err.value.position) == (f"offset {at}: {outcome}", at)
 
 
 def test_parse_res_rejects_duplicate_node_id():

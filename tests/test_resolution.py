@@ -384,12 +384,14 @@ RES_CHECK_DIGESTS = Path(__file__).parent / "data" / "res_check_digests.json"
 
 def res_check_corpus():
     """(name, formula, resolution derivation) entries: 2000 single-node
-    mutants of the translations, from a fixed seed."""
+    mutants of the translations.  Entry i draws its derivation and its
+    mutation from its own stream, seeded with i, so a change to one
+    translation moves only the entries drawn from it."""
     valid = [(name, g, d, p) for name, g, d, p in checker_corpus() if check_dpll(g, d, p).valid]
     translations = {}
-    rng = random.Random(41)
     corpus = []
     for i in range(2000):
+        rng = random.Random(i)
         name, g, d, p = rng.choice(valid)
         if name not in translations:
             translations[name] = dpll_to_res(g, d, p)
