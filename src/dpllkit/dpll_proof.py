@@ -19,6 +19,7 @@ from __future__ import annotations
 import gc
 from dataclasses import FrozenInstanceError, dataclass, fields
 from functools import wraps
+from itertools import repeat
 from math import inf
 from sys import getrefcount
 from typing import Any, Optional, Union
@@ -285,30 +286,37 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
 
     A Split node that the derivation shares is walked once and then taken
     as a leaf where it would walk alike, not walked once per occurrence.
-    Below a Split, the rules read the formula's (clause, premise) pairs, and
-    the valuation only at the Split's reads: the variables of the formula's
-    clauses (an Elim's, a Red's and a Unit's literal are in its clause, and
-    a reduct's variables are its clause's) and the split variables at and
-    below the Split.  The context is clean when the valuation holds no
-    variable of the reads.  So a shared Split walked to its end in a clean
-    context, under a formula S, records under its id the folding, its value,
-    its split literals, its reads, S's (clause, premise) pairs, and its
-    fresh reducts: those its Reds computed that are not clauses of S.  A
-    later occurrence under a formula T that finds the record is a leaf that
-    takes the recorded value and needs no frame when every pair of S is in
-    T, no fresh reduct is in T, its own context is clean, and the record was
-    folding or the walk is not.  Then every rule below it touches the same
-    clauses with the same premises as under S, never a clause of T outside
-    S, and reads no literal of the valuation, so it would walk as it did
-    under S.  Otherwise it is walked again, and its record is replaced when
-    that walk makes one.  Only Splits walked without a violation are
-    recorded, so the walk meets the violations in the preorder of the
-    unfolded tree, and reports the first one with its unfolded path and
-    context, as a walk of the unfolded tree would.  The solver's shared
-    Splits are all met in clean contexts: it opens a Split only where the
-    formula is its clean clauses, which share no variable with the
-    valuation, splits below it only on their variables, and reuses a Split
-    only where the clean clauses include those it was refuted under.
+    Call S the clauses of the formula that a Split's valuation leaves
+    unsatisfied.  Below the Split, the rules read (clause, premise) pairs
+    of the formula, and the valuation only at the Split's reads: the
+    variables of S (an Elim's, a Red's and a Unit's literal are in its
+    clause, and a reduct's variables are its clause's) and the split
+    variables at and below the Split.  The context is clean when the
+    valuation holds no variable of the reads.  A node that reads a clause
+    outside S, one the valuation satisfies (an Elim, or a Red or a Unit on
+    such a clause), keeps from being recorded that Split and every Split it
+    is inside whose valuation satisfies the clause too; the valuation maps
+    each literal to the index at which it joined, which tells those Splits.
+    A shared Split walked to its end in a clean context with no such read
+    records under its id the folding, its value, its split literals, its
+    reads, S's (clause, premise) pairs, and its fresh reducts: those its
+    Reds computed that are not clauses of the formula.  A later occurrence
+    under a formula T that finds the record is a leaf that takes the
+    recorded value and needs no frame when every pair of S is in T, no fresh
+    reduct is in T, its own context is clean, and the record was folding or
+    the walk is not.  Then every rule below it touches the same clauses with
+    the same premises as where it was recorded, never another clause of T,
+    and reads no literal of the valuation, so it would walk as it did there.
+    Otherwise it is walked again, and its record is replaced when that walk
+    makes one.  Only Splits walked without a violation are recorded, so the
+    walk meets the violations in the preorder of the unfolded tree, and
+    reports the first one with its unfolded path and context, as a walk of
+    the unfolded tree would.  The solver's shared Splits are all met in
+    clean contexts: it opens a Split only where the formula is its clean
+    clauses, which share no variable with the valuation, and clauses the
+    valuation satisfies, which it dropped without a node and no rule below
+    reads; it splits below only on the clean clauses' variables, and reuses
+    a Split only where the clean clauses include those it was refuted under.
 
     A Split is shared when something besides its parent refers to it
     (CPython's ``sys.getrefcount`` tells); one that only its parent refers
@@ -338,27 +346,43 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
     it as the derivation does.
     """
     d0 = canonical_formula(d0)
-    g = dict.fromkeys(canonical_valuation(g0))
+    g = {l: k for k, l in enumerate(canonical_valuation(g0))}
+    assigned = g.keys()
     d = {c: premise for premise, c in enumerate(d0, 1)}
     frames: list[tuple] = []
     values: list = []
     folding = fold is not None
+    # g maps each literal to the index at which it joined the valuation.
     # memo: for each shared Split walked to its end in a clean context, by
     # its id, (formula pairs, fresh reducts, folding, value, split literals,
     # reads).  below and reduced: the split literals and the reducts
     # collected while a shared Split is being walked.  opened: for each
-    # Split being walked, where its spans of below and reduced start and its
-    # id if it is shared, else None; recording: how many of them are shared.
-    # steps: the walk's steps up to the last leaf; top: the frames above
-    # which the current descent began.
+    # Split being walked, where its spans of below and reduced start, its id
+    # if it is shared and may still be recorded, else None, and the length
+    # of the valuation it was entered with; recording: how many of them have
+    # an id.  steps: the walk's steps up to the last leaf; top: the frames
+    # above which the current descent began.
     memo: dict[int, tuple] = {}
     below: list[Lit] = []
     reduced: list[Clause] = []
-    opened: list[tuple[int, int, Optional[int]]] = []
+    opened: list[tuple[int, int, Optional[int], int]] = []
     recording = 0
     steps, top = 0, 0
     if limit is None:
         limit = inf
+
+    def block(clause: Clause) -> None:
+        # a node read a clause that the valuation satisfies: no Split
+        # entered with a literal of it in the valuation is recorded
+        nonlocal recording
+        first = min(map(g.get, clause, repeat(inf)))
+        k = len(opened) - 1
+        while k >= 0 and opened[k][3] > first:
+            start, rstart, key, n = opened[k]
+            if key is not None:
+                opened[k] = (start, rstart, None, n)
+                recording -= 1
+            k -= 1
 
     def fail(reason: str) -> tuple[CheckReport, None]:
         # the child index of each node the walk is inside: 1 in a Split's
@@ -386,7 +410,9 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                     return fail("unit-clause-missing")
                 new = lit not in g
                 if new:
-                    g[lit] = None
+                    g[lit] = len(g)
+                elif recording:
+                    block((lit,))
                 frames.append((_UNIT, node, premise, new))
                 if new and -lit in g:
                     return fail("inconsistent-context")
@@ -405,6 +431,8 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                 reduct = clause[:k] + clause[k + 1:]
                 if recording:
                     reduced.append(reduct)
+                    if not assigned.isdisjoint(clause):
+                        block(clause)
                 if reduct in d:
                     reduct = None
                 else:
@@ -419,6 +447,8 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                 premise = d.pop(node.clause, None)
                 if premise is None:
                     return fail("elim-clause-missing")
+                if recording:
+                    block(node.clause)
                 frames.append((_ELIM, node, premise, None))
                 node = node.sub
             elif isinstance(node, Split):
@@ -438,13 +468,13 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                                 reduced += fresh
                             break
                     recording += 1
-                opened.append((len(below), len(reduced), key))
+                opened.append((len(below), len(reduced), key, len(g)))
                 lit = node.lit
                 if recording:
                     below.append(lit)
                 new = lit not in g
                 if new:
-                    g[lit] = None
+                    g[lit] = len(g)
                 frames.append((_LEFT, node, new, None))
                 if new and -lit in g:
                     return fail("inconsistent-context")
@@ -485,7 +515,7 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                     g.popitem()
                 new = -lit not in g
                 if new:
-                    g[-lit] = None
+                    g[-lit] = len(g)
                 frames.append((_RIGHT, node, new, folding))
                 folding = folding and fold.needs_right(node, values[-1])
                 if new and lit in g:
@@ -500,16 +530,20 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                     right = values.pop()
                     values[-1] = fold.split(node, values[-1], right)
                 folding = b
-                start, rstart, key = opened.pop()
+                start, rstart, key, _ = opened.pop()
                 if key is not None:
-                    # the context is the Split's again: record it if clean
+                    # the context is the Split's again: record it if clean,
+                    # with the clauses the valuation leaves unsatisfied
                     recording -= 1
+                    valuation = set(g)
+                    kept = list(filter(valuation.isdisjoint, d))
                     lits = set(below[start:])
-                    reads = lits.union(*d)
+                    reads = lits.union(*kept)
                     reads.update([-l for l in reads])
-                    if reads.isdisjoint(g):
-                        memo[key] = (frozenset(d.items()), set(reduced[rstart:]).difference(d),
-                                     folding, values[-1] if folding else None, lits, reads)
+                    if reads.isdisjoint(valuation):
+                        memo[key] = (frozenset(zip(kept, map(d.__getitem__, kept))),
+                                     set(reduced[rstart:]).difference(d), folding,
+                                     values[-1] if folding else None, lits, reads)
         else:
             return VALID, (values[0] if values else None)
 

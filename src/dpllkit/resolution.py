@@ -9,7 +9,8 @@ with.  ``dpll_to_res`` turns a checker-valid DPLL derivation of ``g |- d0``
 into a resolution derivation from ``d0`` concluding a subset of the negated
 valuation, never larger than the DPLL derivation: it builds the public nodes
 bottom-up, each leaf citing the premise that the checking walk names for its
-clause.
+clause, and one leaf per premise, which every step citing that premise
+shares.
 """
 
 from __future__ import annotations
@@ -120,18 +121,19 @@ class _Translation:
     (``dpll_proof.walk``): each method builds a node's translation from its
     children's, whose conclusions are subsets of the negated valuation at
     that node.  Each DPLL node adds at most one resolution step, and a leaf
-    cites the premise the walk names for its clause."""
+    cites the premise the walk names for its clause: the one ``Sub`` of that
+    premise, built once per translation, so the trace writes it once."""
 
     def __init__(self, d0: Formula):
-        self.d0 = d0
+        self.subs = [Sub(premise, c) for premise, c in enumerate(d0, 1)]
 
     def conflict(self, premise: int) -> Sub:
-        return Sub(premise, self.d0[premise - 1])
+        return self.subs[premise - 1]
 
     def unit(self, node: Unit, r: ResDerivation, premise: int) -> ResDerivation:
         if -node.lit not in r.conclusion:
             return r
-        return _res(node.lit, r, Sub(premise, self.d0[premise - 1]))
+        return _res(node.lit, r, self.subs[premise - 1])
 
     def needs_right(self, node: Split, left: ResDerivation) -> bool:
         return -node.lit in left.conclusion

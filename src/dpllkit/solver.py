@@ -11,6 +11,12 @@ needs no recursion however long it runs.  Witness mode builds an
 ``Assignment`` or a ``DpllDerivation``; decide mode runs the identical
 control flow with evidence construction elided, and returns a bool.
 
+Elim drops a clause the valuation satisfies from the working formula, and
+the rule log records it as ``"elim"``, but the derivation gets no node for
+it: the clause stays in the derivation's formula, where no later rule
+reads it, and the checker's walk records a shared Split by the clauses its
+valuation leaves unsatisfied.
+
 ``d`` and ``t`` are one ring, a list read through a cursor: ``d`` runs from
 the cursor to a boundary and ``t`` from the boundary to the end.  A move
 appends its clause to the ring and a reduct is inserted at the boundary.  A
@@ -56,7 +62,7 @@ from .cnf import (
     is_consistent,
     measure,
 )
-from .dpll_proof import CONFLICT, DpllDerivation, Elim, Red, Split, Unit, close, collector_paused
+from .dpll_proof import CONFLICT, DpllDerivation, Red, Split, Unit, close, collector_paused
 
 
 class InvariantViolation(Exception):
@@ -269,7 +275,7 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
     # takes the one-step path.  live and tset are the hit clauses of the
     # working formula and of the clean clauses.  In witness mode frames holds
     # the open nodes outermost first, as dpll_proof.close reads them: (rule,
-    # first, second) for each Elim, Unit, Red and Split step on the path to
+    # first, second) for each Unit, Red and Split step on the path to
     # the current state.  splits holds, for each open Split, (lit, valuation,
     # clean clauses, measure, key, start) while it is in its left branch, the
     # state its right branch restarts from, and (None, key, start) while it is
@@ -344,14 +350,10 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
                     q[i] = range(p + 1, e.stop)
             live.discard(c)
             if not gset.isdisjoint(c):
-                # the clause is already satisfied by the valuation
+                # the clause is already satisfied by the valuation: it
+                # leaves the working formula, and no rule below reads it
                 if log is not None:
                     log.append("elim")
-                if witness:
-                    for l in c:
-                        if l in gset:
-                            break
-                    frames.append((Elim, c, l))
                 continue
 
             if not c:

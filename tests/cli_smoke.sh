@@ -60,25 +60,25 @@ test "$(dpllkit check res php65.cnf php65.res)" = valid
 dpllkit gen php 8 7 --out php87.cnf
 rc=0; timeout 60 "${cmd[@]}" solve --mode decide php87.cnf || rc=$?
 test "$rc" -eq 20
-# and with its proof: 709,007 nodes unfolded, whose text would be
-# about 13 MB unshared; shared, each stage costs the distinct derivation
+# and with its proof: 521,352 nodes unfolded, whose text would be
+# about 9 MB unshared; shared, each stage costs the distinct derivation
 rc=0; timeout 60 "${cmd[@]}" solve php87.cnf --out php87.dpll || rc=$?
 test "$rc" -eq 20
-test "$(wc -c < php87.dpll)" -lt 1000000
+test "$(wc -c < php87.dpll)" -lt 250000
 test "$(timeout 60 "${cmd[@]}" check dpll php87.cnf php87.dpll)" = valid
 # the sizes of the unfolded derivation and of its translation
 test "$(timeout 60 "${cmd[@]}" convert dpll2res php87.cnf php87.dpll --out php87.res)" \
-    = "dpll_size=709007 res_size=41090"
+    = "dpll_size=521352 res_size=41090"
 test "$(timeout 60 "${cmd[@]}" check res php87.cnf php87.res)" = valid
 # PHP(9,8) end to end: a Split refuted under fewer clean clauses is
 # reused under more, and the walk takes its record there
 dpllkit gen php 9 8 --out php98.cnf
 rc=0; timeout 60 "${cmd[@]}" solve php98.cnf --out php98.dpll || rc=$?
 test "$rc" -eq 20
-test "$(wc -c < php98.dpll)" -lt 2000000
+test "$(wc -c < php98.dpll)" -lt 650000
 test "$(timeout 60 "${cmd[@]}" check dpll php98.cnf php98.dpll)" = valid
 test "$(timeout 60 "${cmd[@]}" convert dpll2res php98.cnf php98.dpll --out php98.res)" \
-    = "dpll_size=7747994 res_size=328792"
+    = "dpll_size=5696967 res_size=328792"
 test "$(timeout 60 "${cmd[@]}" check res php98.cnf php98.res)" = valid
 dpllkit gen php 2 1 --out php21.cnf
 # a clause whose literals are out of canonical order is read as a set
@@ -100,7 +100,7 @@ test "$(cat php22.model)" = "v 1 -2 -3 4 0"
 printf 'p cnf 2 5\n2 1 1 0\n1 2 0\n-1 2 0\n1 -2 0\n-2 -1 0\n' > messy.cnf
 rc=0; dpllkit solve messy.cnf --out messy.dpll || rc=$?
 test "$rc" -eq 20
-grep -qxF '(split 1 (elim [ 1 2 ] 1 (red [ -1 2 ] 1 (elim [ 1 -2 ] 1 (red [ -1 -2 ] 1 (unit 2 (red [ -2 ] 2 conflict)))))) (red [ 1 2 ] -1 (elim [ -1 2 ] -1 (red [ 1 -2 ] -1 (elim [ -1 -2 ] -1 (unit 2 (red [ -2 ] 2 conflict)))))))' messy.dpll
+grep -qxF '(split 1 (red [ -1 2 ] 1 (red [ -1 -2 ] 1 (unit 2 (red [ -2 ] 2 conflict)))) (red [ 1 2 ] -1 (red [ 1 -2 ] -1 (unit 2 (red [ -2 ] 2 conflict)))))' messy.dpll
 test "$(dpllkit check dpll messy.cnf messy.dpll)" = valid
 dpllkit convert dpll2res messy.cnf messy.dpll --out messy.res
 test "$(dpllkit check res messy.cnf messy.res)" = valid

@@ -4,12 +4,14 @@ kits and the seeded corpora behind the recorded digest files."""
 import random
 from dataclasses import replace
 from functools import cache
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from dpllkit.cnf import Assignment, canonical_clause, canonical_formula, canonical_valuation
-from dpllkit.dpll_proof import CONFLICT, Conflict, Split, Unit
+from dpllkit.dpll_proof import CONFLICT, Conflict, Elim, Split, Unit
 from dpllkit.php import PhpSpec, gen_php
+from dpllkit.proof_text import parse_dpll
 from dpllkit.resolution import Res
 from dpllkit.solver import solve, solve_aux
 
@@ -96,6 +98,15 @@ def split_chain(n):
     for k in range(2, n + 1):
         text = f"(split {k} {text} #{k - 1})"
     return text
+
+
+def unclean_chain(n):
+    """A formula under which ``split_chain(n)`` is valid and meets every
+    Split it shares in an unclean context: each split variable k is in
+    (k, n+k) and (-k, 2n+k), and below Split k the valuation leaves one of
+    them unsatisfied with k assigned."""
+    return (((),) + tuple((k, n + k) for k in range(1, n + 1))
+            + tuple((-k, 2 * n + k) for k in range(1, n + 1)))
 
 
 def dpll_put(p, path, new):
@@ -193,15 +204,28 @@ def mutate_text(text, tokens, rng):
 # Seeded corpora behind tests/data/checker_digests.json and the digest files
 # of tests/test_resolution.py and tests/test_proof_text.py.
 
+DATA = Path(__file__).parent / "data"
+
+
+def elim_texts():
+    """(name, formula, text) of the committed refutations of PHP(4,3) and
+    PHP(5,4) as the solver wrote them when it still wrote an Elim node for
+    each satisfied clause it dropped."""
+    return [(f"php-{k + 1}-{k}-elims", gen_php(PhpSpec(k + 1, k)),
+             (DATA / f"php_{k + 1}_{k}_elims.dpll").read_text()) for k in (3, 4)]
+
+
 @cache
 def checker_corpus():
     """(name, valuation, formula, derivation) entries, all from fixed seeds:
     refutations of PHP(k+1,k) for k <= 4, of 200 random unsatisfiable CNFs
     and of 100 random CNFs under nonempty valuations, then 400 mutants of the
-    PHP proofs and 2000 of the others.  The random sources share one stream;
-    mutant i draws its source and its mutation from its own stream, seeded
-    with i, so a change to one source derivation moves only the mutants
-    drawn from it."""
+    PHP proofs and 2000 of the others; then the two Elim-bearing texts of
+    ``elim_texts`` and 400 mutants of their Elim nodes, which the solver no
+    longer writes and ``mutate_dpll`` never makes from another kind.  The
+    random sources share one stream; mutant i draws its source and its
+    mutation from its own stream, seeded with i, so a change to one source
+    derivation moves only the mutants drawn from it."""
     sources = []
     for k in range(1, 5):
         d = gen_php(PhpSpec(k + 1, k))
@@ -224,5 +248,13 @@ def checker_corpus():
         rng = random.Random(i)
         name, g, d, p = sources[i % 4] if i < 400 else rng.choice(sources[4:])
         path, node = rng.choice(list(dpll_nodes(p)))
+        corpus.append((f"{name}~{i}", g, d, dpll_put(p, path, mutate_dpll(node, rng))))
+    elims = [(name, (), d, parse_dpll(text)) for name, d, text in elim_texts()]
+    corpus += elims
+    for i in range(2400, 2800):
+        rng = random.Random(i)
+        name, g, d, p = elims[i % 2]
+        path, node = rng.choice([(path, node) for path, node in dpll_nodes(p)
+                                 if isinstance(node, Elim)])
         corpus.append((f"{name}~{i}", g, d, dpll_put(p, path, mutate_dpll(node, rng))))
     return corpus

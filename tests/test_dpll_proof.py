@@ -31,7 +31,8 @@ from dpllkit.resolution import InvalidDerivation, Res, Sub, check_res, dpll_to_r
 from dpllkit.solver import solve
 
 from oracle import compatible
-from strategies import checker_corpus, dpll_nodes, dpll_put, formulas, split_chain, unshared
+from strategies import (checker_corpus, dpll_nodes, dpll_put, elim_texts, formulas, split_chain,
+                        unclean_chain, unshared)
 
 PHP21 = gen_php(PhpSpec(2, 1))
 
@@ -355,18 +356,25 @@ def test_walk_of_the_dag_is_the_walk_of_the_unfolded_tree():
 # must tell apart: the sign of a split variable below S (also where the walk
 # took the Split below S as recorded), a clause S reduces, the premise of
 # the clause S's conflicts cite, whether the fold needs S's value, and a
-# clause S does not read.  The last three hold every clause of the first
-# formula and more, as the solver's reuse does: a reduct S makes, there
-# with another premise; a clause of S with another premise; and the sign of
-# a split variable below S.  A walk that took S there as recorded would
-# report a valid derivation, or translate it otherwise than the unfolded
-# walk.
+# clause S does not read.  The three "more-clauses" ones hold every clause
+# of the first formula and more, as the solver's reuse does: a reduct S
+# makes, there with another premise; a clause of S with another premise;
+# and the sign of a split variable below S.  In the four "satisfied-clause"
+# ones S's subtree reads a clause that S's valuation satisfies, which is
+# gone or has another premise in the second context.  A walk that took S
+# there as recorded would report a valid derivation, or translate it
+# otherwise than the unfolded walk.
 SPLIT_BELOW = Split(3, Split(2, CONFLICT, CONFLICT), CONFLICT)
 REDUCES = Split(2, Red((-2, 6), 2, CONFLICT), CONFLICT)
 CITES = Split(2, CONFLICT, CONFLICT)
 RESOLVES = Split(2, Red((-2,), 2, CONFLICT), Red((2,), -2, CONFLICT))
 ABOVE = Split(3, CITES, CONFLICT)
 MAKES = Split(2, Red((-2, 5), 2, Unit(5, Red((-5,), 5, CONFLICT))), Red((2,), -2, CONFLICT))
+ELIMS = Split(3, Elim((1, 5), 1, CONFLICT), CONFLICT)
+ELIMS_BELOW = Split(4, ELIMS, ELIMS)
+REDUCES_SATISFIED = Split(3, Red((1, -3), 3, CONFLICT), CONFLICT)
+UNIT_AGAIN = Unit(2, Red((-2,), 2, Unit(1, CONFLICT)))
+UNITS_SATISFIED = Split(3, UNIT_AGAIN, UNIT_AGAIN)
 DAG_ADVERSARIES = [
     pytest.param(((),), Split(1, SPLIT_BELOW, Split(-2, SPLIT_BELOW, CONFLICT)),
                  CheckReport(False, (1, 0, 0, 0), "inconsistent-context", ((-1, -2, 3, 2), ((),))),
@@ -432,6 +440,38 @@ DAG_ADVERSARIES = [
                  CheckReport(False, (1, 0, 0, 0), "inconsistent-context",
                              ((-4, -2, 3, 2), ((), (4, 5)))),
                  id="more-clauses-split-variable-other-sign"),
+    # A record of S holds only the clauses its valuation leaves unsatisfied.
+    # Here S's subtree reads a clause that S's valuation satisfies, so S is
+    # not recorded: S first walked where 1 makes (1, 5) true and S's Elim
+    # drops it, then where (1, 5) is gone
+    pytest.param(((), (1, 5)),
+                 Split(1, Split(2, ELIMS, Elim((1, 5), 1, ELIMS)), CONFLICT),
+                 CheckReport(False, (0, 1, 0, 0), "elim-clause-missing", ((1, -2, 3), ((),))),
+                 id="satisfied-clause-elim"),
+    # the same where S's Red reduces (1, -3), which 1 makes true
+    pytest.param(((), (1, -3)),
+                 Split(1, Split(2, REDUCES_SATISFIED, Elim((1, -3), 1, REDUCES_SATISFIED)),
+                       CONFLICT),
+                 CheckReport(False, (0, 1, 0, 0), "red-clause-missing", ((1, -2, 3), ((),))),
+                 id="satisfied-clause-red"),
+    # the same where S's Units take the unit clause (1,) again under 1: S
+    # first walked where (1,) is its own premise, then where it is made from
+    # (1, 4), and the fold needs S's value there
+    pytest.param(((1,), (-1, 2), (-1, -2), (1, 4)),
+                 Split(1, Red((-1, 2), 1, Red((-1, -2), 1, Split(
+                     -4, Elim((1,), 1, Red((1, 4), -4, UNITS_SATISFIED)), UNITS_SATISFIED))),
+                       Red((1,), -1, CONFLICT)),
+                 Res(1, Res(2, Res(1, Sub(3, (-1, -2)), Sub(1, (1,)), (-2,)), Sub(2, (-1, 2)),
+                            (-1,)),
+                     Sub(1, (1,)), ()),
+                 id="satisfied-clause-unit-other-premise"),
+    # the Elim of the first case two shared Splits below the Split met again:
+    # both have 1 in their valuation, so neither is recorded
+    pytest.param(((), (1, 5)),
+                 Split(1, Split(2, ELIMS_BELOW, Elim((1, 5), 1, ELIMS_BELOW)), CONFLICT),
+                 CheckReport(False, (0, 1, 0, 0, 0), "elim-clause-missing",
+                             ((1, -2, 4, 3), ((),))),
+                 id="satisfied-clause-two-splits-deep"),
 ]
 
 
@@ -442,23 +482,41 @@ def test_shared_split_in_a_second_context_is_walked_there(d, p, expected):
         assert check_res(d, expected).valid
 
 
+def test_a_read_blocks_only_the_splits_whose_valuation_satisfies_the_clause():
+    # in the shared Split OUTER, the Split on 1 puts 1 into the valuation
+    # before the shared Split INNER, whose Elim drops (1, 5): INNER is not
+    # recorded, but OUTER, whose valuation leaves (1, 5) unsatisfied and
+    # whose record holds it, is, so its second occurrence is one step: 16
+    # steps where the unfolded tree takes 27
+    inner = Split(3, Elim((1, 5), 1, CONFLICT), CONFLICT)
+    outer = Split(2, Split(1, inner, CONFLICT), Split(1, inner, CONFLICT))
+    d, p = ((), (1, 5)), Split(4, outer, outer)
+    walk_both((), d, p)
+    assert check_dpll((), d, p, limit=16).valid
+    with pytest.raises(WalkLimitExceeded):
+        check_dpll((), d, p, limit=15)
+
+
 def test_a_split_refuted_under_fewer_clauses_is_reused_under_more():
     # PHP(5,4) is the smallest instance of the digest corpora whose search
     # reuses a Split refuted under a strict subset of its clean clauses.
     # The formula at each occurrence of a Split is the context of the report
-    # when a bad node is put there: 6 occurrences meet more clauses than the
-    # Split's first, 10 the same.  The walk takes all 16 as recorded (see
-    # the step counts below) and gives what the unfolded walk gives
+    # when a bad node is put there; its clean clauses are those its
+    # valuation leaves unsatisfied (the others it satisfies).  In 6
+    # occurrences they are more than at the Split's first, in 10 the same.
+    # The walk takes all 16 as recorded (see the step counts below) and
+    # gives what the unfolded walk gives
     d = gen_php(PhpSpec(5, 4))
     p = solve(d).proof
-    pinned = "32d1544e4490a80f0a87d66e763398901fcdb06e6daee760ec9a50910e886786"
+    pinned = "3749cb3df92edc17633e8e552f44a475e04b2182877b3d0e8d9c0a149f33c32a"
     assert _sha(serialize_dpll(p)) == pinned
     first, larger, equal = {}, 0, 0
     for path, node in dpll_nodes(p):
         if isinstance(node, Split):
             report = check_dpll((), d, dpll_put(p, path, Unit(99, CONFLICT)))
             assert (report.path, report.reason) == (path, "unit-clause-missing")
-            formula = frozenset(report.context[1])
+            g, formula = report.context
+            formula = frozenset(c for c in formula if set(g).isdisjoint(c))
             if id(node) not in first:
                 first[id(node)] = formula
             else:
@@ -495,14 +553,16 @@ def test_limit_counts_the_nodes_of_a_tree():
 
 
 def test_a_shared_derivation_is_walked_at_its_distinct_size():
-    # PHP(6,5)'s derivation: 9,008 rule applications unfolded, 2,568
-    # distinct nodes.  The walk steps into 2,662 nodes and takes each Split
+    # PHP(6,5)'s derivation: 6,639 rule applications unfolded, 1,639
+    # distinct nodes.  The walk steps into 1,733 nodes and takes each Split
     # met again under a formula its record fits (60) as one leaf and one
     # step; the parse of its text is walked alike.  Every Split the solver
     # shares is met in a clean context, under the clauses it was refuted
-    # under or more, so a Split walked again where it was recorded under
-    # fewer clauses, or in an unclean context, would raise these counts
-    for k, steps in ((3, 224), (4, 854), (5, 2_722), (6, 7_968)):
+    # under or more, and the satisfied clauses the search dropped without a
+    # node, which no rule below reads.  So a Split walked again where it was
+    # recorded under fewer clauses, or in an unclean context, would raise
+    # these counts
+    for k, steps in ((3, 174), (4, 609), (5, 1_793), (6, 4_890)):
         d = gen_php(PhpSpec(k + 1, k))
         p = solve(d).proof
         for proof in (p, parse_dpll(serialize_dpll(p))):
@@ -513,13 +573,12 @@ def test_a_shared_derivation_is_walked_at_its_distinct_size():
 
 
 def test_a_split_met_in_too_many_contexts_stops_the_walk_at_its_limit():
-    # every split variable is in the clause (1 .. n), so no context of the
-    # chain is clean and no Split of it is taken as recorded: without a
-    # limit the walk covers the unfolded tree, as the walk of unshared(p)
-    # does
+    # no Split the chain shares is met in a clean context, so none is taken
+    # as recorded: without a limit the walk covers the unfolded tree, as the
+    # walk of unshared(p) does
     for n in (8, 40):
         text = split_chain(n)
-        d, p = [(), tuple(range(1, n + 1))], parse_dpll(text)
+        d, p = unclean_chain(n), parse_dpll(text)
         if n == 8:
             assert check_dpll((), d, p) == check_dpll((), d, unshared(p)) == VALID
             assert dpll_to_res((), d, p) == dpll_to_res((), d, unshared(p))
@@ -534,7 +593,7 @@ def test_an_unlimited_walk_of_a_split_chain_steps_into_each_unfolded_node_once()
     # Split met again that finds no record costs no step, so the walk takes
     # one step per node
     n, nodes = 16, 2**17 - 1
-    d, p = [(), tuple(range(1, n + 1))], parse_dpll(split_chain(n))
+    d, p = unclean_chain(n), parse_dpll(split_chain(n))
     assert count_nodes(p) == nodes
     assert check_dpll((), d, p, limit=nodes).valid
     dpll_to_res((), d, p, limit=nodes)
@@ -542,6 +601,35 @@ def test_an_unlimited_walk_of_a_split_chain_steps_into_each_unfolded_node_once()
         check_dpll((), d, p, limit=nodes - 1)
     with pytest.raises(WalkLimitExceeded):
         dpll_to_res((), d, p, limit=nodes - 1)
+
+
+def test_a_split_chain_under_a_satisfied_clause_is_walked_at_its_distinct_size():
+    # under the clause (1 .. n), each Split the chain shares is first met in
+    # the left branch of the Split above it, whose literal satisfies that
+    # clause: its record holds () alone, and the #n in the right branch
+    # takes it, so 48 steps cover the 2^17 - 1 unfolded nodes
+    n, steps = 16, 48
+    d, p = [(), tuple(range(1, n + 1))], parse_dpll(split_chain(n))
+    for limit in (steps, None):
+        assert check_dpll((), d, p, limit=limit).valid
+        assert dpll_to_res((), d, p, limit=limit) == dpll_to_res((), d, unshared(p))
+    with pytest.raises(WalkLimitExceeded):
+        check_dpll((), d, p, limit=steps - 1)
+
+
+def test_texts_with_elims_walk_as_before_and_translate_as_the_search_now_does():
+    # the solver's texts of PHP(4,3) and PHP(5,4) from when it wrote an Elim
+    # for each clause the valuation satisfies: the walk checks them in the
+    # steps it took then, and translates them to the translations of the
+    # search's Elim-free refutations of the same formulas
+    for (name, d, text), steps in zip(elim_texts(), (224, 854)):
+        p = parse_dpll(text)
+        assert check_dpll((), d, p, limit=steps).valid, name
+        with pytest.raises(WalkLimitExceeded):
+            check_dpll((), d, p, limit=steps - 1)
+        now = solve(d).proof
+        assert dpll_size(p) > dpll_size(now)
+        assert serialize_res(dpll_to_res((), d, p)) == serialize_res(dpll_to_res((), d, now)), name
 
 
 # Report identity.  tests/data/checker_digests.json records, for a fixed

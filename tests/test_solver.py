@@ -107,8 +107,9 @@ def test_choose_split():
         choose_split(())
 
 
-@pytest.mark.parametrize("k, nodes, steps", [(2, 31, 10), (3, 215, 42), (4, 1278, 188),
-                                             (5, 9008, 970)])
+@pytest.mark.parametrize("k, nodes, steps", [(2, 26, 10), (3, 165, 42), (4, 949, 188),
+                                             (5, 6639, 970)],
+                         ids=["php-3-2", "php-4-3", "php-5-4", "php-6-5"])
 def test_php_proof_sizes_under_the_split_rule(k, nodes, steps):
     # the split rule fixes the proofs: DPLL nodes and resolution steps
     # of PHP(k+1,k), exactly
@@ -133,8 +134,9 @@ def _split_counts(p):
     return occurrences, len(distinct)
 
 
-@pytest.mark.parametrize("k, splits, distinct, nodes", [(4, 47, 31, 1278), (5, 329, 94, 9008),
-                                                        (6, 2699, 253, 74062)])
+@pytest.mark.parametrize("k, splits, distinct, nodes", [(4, 47, 31, 949), (5, 329, 94, 6639),
+                                                        (6, 2699, 253, 54473)],
+                         ids=["php-5-4", "php-6-5", "php-7-6"])
 def test_refuted_splits_are_shared_and_read_unfolded(k, splits, distinct, nodes):
     # a Split whose clean clauses equal or include those of a Split refuted
     # before reuses the earlier Split node, so the derivation shares it; the
