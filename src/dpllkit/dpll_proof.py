@@ -19,7 +19,6 @@ from __future__ import annotations
 import gc
 from dataclasses import FrozenInstanceError, dataclass, fields
 from functools import wraps
-from itertools import repeat
 from math import inf
 from sys import getrefcount
 from typing import Any, Optional, Union
@@ -286,49 +285,52 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
 
     A Split node that the derivation shares is walked once and then taken
     as a leaf where it would walk alike, not walked once per occurrence.
-    Call S the clauses of the formula that a Split's valuation leaves
-    unsatisfied.  Below the Split, the rules read (clause, premise) pairs
-    of the formula, and the valuation only at the Split's reads: the
-    variables of S (an Elim's, a Red's and a Unit's literal are in its
-    clause, and a reduct's variables are its clause's) and the split
-    variables at and below the Split.  The context is clean when the
-    valuation holds no variable of the reads.  A node that reads a clause
-    outside S, one the valuation satisfies (an Elim, or a Red or a Unit on
-    such a clause), keeps from being recorded that Split and every Split it
-    is inside whose valuation satisfies the clause too; the valuation maps
-    each literal to the index at which it joined, which tells those Splits.
-    A shared Split walked to its end in a clean context with no such read
-    records under its id the folding, its value, its split literals, its
-    reads, S's (clause, premise) pairs, and its fresh reducts: those its
-    Reds computed that are not clauses of the formula.  A later occurrence
-    under a formula T that finds the record is a leaf that takes the
-    recorded value and needs no frame when every pair of S is in T, no fresh
-    reduct is in T, its own context is clean, and the record was folding or
-    the walk is not.  Then every rule below it touches the same clauses with
-    the same premises as where it was recorded, never another clause of T,
-    and reads no literal of the valuation, so it would walk as it did there.
+    Below a Split, the rules read (clause, premise) pairs of the formula: a
+    Unit, an Elim and a Red pop their clause, and a Conflict reads the empty
+    clause.  They read the valuation only at the Split's reads: the
+    variables of the clauses read that were in the formula when the Split
+    was entered (an Elim's, a Red's and a Unit's literal are in its clause,
+    and a reduct's variables are its clause's) and the split variables at
+    and below the Split.  The context is clean when the valuation holds no
+    variable of the reads.  A shared Split walked to its end in a clean
+    context records under its id the folding, its value, its split
+    literals, its reads, the (clause, premise) pairs it read of the formula
+    it was entered with, and its fresh reducts: those its Reds computed
+    that were not clauses of that formula.  A later occurrence under a
+    formula T that finds the record is a leaf that takes the recorded value
+    and needs no frame when every recorded pair is in T, no fresh reduct is
+    in T, its own context is clean, and the record was folding or the walk
+    is not.  Then every rule below it touches the same clauses with the
+    same premises as where it was recorded, never another clause of T, and
+    reads no literal of the valuation, so it would walk as it did there.
     Otherwise it is walked again, and its record is replaced when that walk
     makes one.  Only Splits walked without a violation are recorded, so the
     walk meets the violations in the preorder of the unfolded tree, and
     reports the first one with its unfolded path and context, as a walk of
     the unfolded tree would.  The solver's shared Splits are all met in
-    clean contexts: it opens a Split only where the formula is its clean
-    clauses, which share no variable with the valuation, and clauses the
-    valuation satisfies, which it dropped without a node and no rule below
-    reads; it splits below only on the clean clauses' variables, and reuses
-    a Split only where the clean clauses include those it was refuted under.
+    clean contexts: it opens a Split only where the clauses it has not
+    dropped as satisfied are its clean clauses, which share no variable
+    with the valuation, and a refutation below reads only those; it splits
+    below only on their variables, and reuses a Split only where the clean
+    clauses include those it was refuted under.  A clause it dropped as
+    satisfied by the literal of a Split it backjumped past is unsatisfied
+    in the derivation's context, but no rule reads it.
 
     A Split is shared when something besides its parent refers to it
     (CPython's ``sys.getrefcount`` tells); one that only its parent refers
     to is met once and recorded by nothing.  So a tree costs no records, and
-    the split literals and the reducts below a shared Split are collected
-    only while a shared Split is being walked: ``below`` gets each split
-    literal walked and ``reduced`` each reduct a Red computes, both get
-    those of each Split taken as recorded, and a record keeps the sets of
-    the spans its walk added.
+    the split literals, the reducts and the clauses read below a shared
+    Split are collected only while a shared Split is being walked:
+    ``below`` gets each split literal walked, ``reduced`` each reduct a Red
+    computes and ``readc`` each clause a node reads, and all three get
+    those of each Split taken as recorded.  At a shared Split's exit each
+    of its spans is cut to what a Split around it needs of it, and a record
+    keeps: the split literals, the fresh reducts, and the clauses read that
+    are in the formula again, those it was entered with.
 
-    A shared Split met under many formulas that its record does not fit, or
-    in many unclean contexts, is walked in each, so a short derivation can
+    A shared Split met under many formulas that its record does not fit
+    (say, whose subtree reads a clause with another premise at each), or in
+    many unclean contexts, is walked in each, so a short derivation can
     take time exponential in its size.  ``limit`` bounds the steps: each
     node stepped into, and each Split met again that finds a record, is one
     step, and the walk raises ``WalkLimitExceeded`` past ``limit`` steps.
@@ -346,43 +348,29 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
     it as the derivation does.
     """
     d0 = canonical_formula(d0)
-    g = {l: k for k, l in enumerate(canonical_valuation(g0))}
-    assigned = g.keys()
+    g = dict.fromkeys(canonical_valuation(g0))
     d = {c: premise for premise, c in enumerate(d0, 1)}
     frames: list[tuple] = []
     values: list = []
     folding = fold is not None
-    # g maps each literal to the index at which it joined the valuation.
     # memo: for each shared Split walked to its end in a clean context, by
     # its id, (formula pairs, fresh reducts, folding, value, split literals,
-    # reads).  below and reduced: the split literals and the reducts
-    # collected while a shared Split is being walked.  opened: for each
-    # Split being walked, where its spans of below and reduced start, its id
-    # if it is shared and may still be recorded, else None, and the length
-    # of the valuation it was entered with; recording: how many of them have
-    # an id.  steps: the walk's steps up to the last leaf; top: the frames
-    # above which the current descent began.
+    # reads), the pairs a dict from each clause to its premise.  below,
+    # reduced and readc: the split literals, the reducts and the clauses
+    # read, collected while a shared Split is being walked.  opened: for
+    # each Split being walked, where its spans of below, reduced and readc
+    # start, and its id if it is shared, else None; recording: how many of
+    # them have an id.  steps: the walk's steps up to the last leaf; top:
+    # the frames above which the current descent began.
     memo: dict[int, tuple] = {}
     below: list[Lit] = []
     reduced: list[Clause] = []
-    opened: list[tuple[int, int, Optional[int], int]] = []
+    readc: list[Clause] = []
+    opened: list[tuple[int, int, int, Optional[int]]] = []
     recording = 0
     steps, top = 0, 0
     if limit is None:
         limit = inf
-
-    def block(clause: Clause) -> None:
-        # a node read a clause that the valuation satisfies: no Split
-        # entered with a literal of it in the valuation is recorded
-        nonlocal recording
-        first = min(map(g.get, clause, repeat(inf)))
-        k = len(opened) - 1
-        while k >= 0 and opened[k][3] > first:
-            start, rstart, key, n = opened[k]
-            if key is not None:
-                opened[k] = (start, rstart, None, n)
-                recording -= 1
-            k -= 1
 
     def fail(reason: str) -> tuple[CheckReport, None]:
         # the child index of each node the walk is inside: 1 in a Split's
@@ -408,11 +396,11 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                 premise = d.pop((lit,), None)
                 if premise is None:
                     return fail("unit-clause-missing")
+                if recording:
+                    readc.append((lit,))
                 new = lit not in g
                 if new:
-                    g[lit] = len(g)
-                elif recording:
-                    block((lit,))
+                    g[lit] = None
                 frames.append((_UNIT, node, premise, new))
                 if new and -lit in g:
                     return fail("inconsistent-context")
@@ -430,13 +418,13 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                 k = clause.index(-lit)
                 reduct = clause[:k] + clause[k + 1:]
                 if recording:
-                    reduced.append(reduct)
-                    if not assigned.isdisjoint(clause):
-                        block(clause)
+                    readc.append(clause)
                 if reduct in d:
                     reduct = None
                 else:
                     d[reduct] = premise
+                    if recording:
+                        reduced.append(reduct)
                 frames.append((_RED, node, premise, reduct))
                 node = node.sub
             elif isinstance(node, Elim):
@@ -448,7 +436,7 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                 if premise is None:
                     return fail("elim-clause-missing")
                 if recording:
-                    block(node.clause)
+                    readc.append(node.clause)
                 frames.append((_ELIM, node, premise, None))
                 node = node.sub
             elif isinstance(node, Split):
@@ -460,21 +448,22 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                         steps += 1
                         pairs, fresh, was_folding, value, lits, reads = record
                         if ((was_folding or not folding) and reads.isdisjoint(g)
-                                and d.items() >= pairs and d.keys().isdisjoint(fresh)):
+                                and d.items() >= pairs.items() and d.keys().isdisjoint(fresh)):
                             if folding:
                                 values.append(value)
                             if recording:
                                 below += lits
                                 reduced += fresh
+                                readc += pairs
                             break
                     recording += 1
-                opened.append((len(below), len(reduced), key, len(g)))
+                opened.append((len(below), len(reduced), len(readc), key))
                 lit = node.lit
                 if recording:
                     below.append(lit)
                 new = lit not in g
                 if new:
-                    g[lit] = len(g)
+                    g[lit] = None
                 frames.append((_LEFT, node, new, None))
                 if new and -lit in g:
                     return fail("inconsistent-context")
@@ -483,6 +472,8 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                 premise = d.get(())
                 if premise is None:
                     return fail("conflict-empty-clause-missing")
+                if recording:
+                    readc.append(())
                 if folding:
                     values.append(fold.conflict(premise))
                 break
@@ -515,7 +506,7 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                     g.popitem()
                 new = -lit not in g
                 if new:
-                    g[-lit] = len(g)
+                    g[-lit] = None
                 frames.append((_RIGHT, node, new, folding))
                 folding = folding and fold.needs_right(node, values[-1])
                 if new and lit in g:
@@ -530,19 +521,23 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                     right = values.pop()
                     values[-1] = fold.split(node, values[-1], right)
                 folding = b
-                start, rstart, key, _ = opened.pop()
+                start, rstart, cstart, key = opened.pop()
                 if key is not None:
-                    # the context is the Split's again: record it if clean,
-                    # with the clauses the valuation leaves unsatisfied
+                    # the context is the Split's again: the clauses read
+                    # below it that are in the formula were there when it
+                    # was entered, and the reducts made below it that are
+                    # not were not.  Each span keeps only those, all an
+                    # enclosing Split needs of it, and the Split is
+                    # recorded with them if its context is clean
                     recording -= 1
-                    valuation = set(g)
-                    kept = list(filter(valuation.isdisjoint, d))
                     lits = set(below[start:])
-                    reads = lits.union(*kept)
+                    fresh = set(reduced[rstart:]).difference(d)
+                    pairs = {c: d[c] for c in readc[cstart:] if c in d}
+                    below[start:], reduced[rstart:], readc[cstart:] = lits, fresh, pairs
+                    reads = lits.union(*pairs)
                     reads.update([-l for l in reads])
-                    if reads.isdisjoint(valuation):
-                        memo[key] = (frozenset(zip(kept, map(d.__getitem__, kept))),
-                                     set(reduced[rstart:]).difference(d), folding,
+                    if reads.isdisjoint(g):
+                        memo[key] = (pairs, fresh, folding,
                                      values[-1] if folding else None, lits, reads)
         else:
             return VALID, (values[0] if values else None)

@@ -15,7 +15,7 @@ Elim drops a clause the valuation satisfies from the working formula, and
 the rule log records it as ``"elim"``, but the derivation gets no node for
 it: the clause stays in the derivation's formula, where no later rule
 reads it, and the checker's walk records a shared Split by the clauses its
-valuation leaves unsatisfied.
+subtree reads.
 
 ``d`` and ``t`` are one ring, a list read through a cursor: ``d`` runs from
 the cursor to a boundary and ``t`` from the boundary to the end.  A move
@@ -39,11 +39,21 @@ clean clauses S refutes every state whose clean clauses include S (formula
 caching, Beame et al., CCC 2003).  A Split whose clean clauses, in ring
 order, were refuted before, or else include a set refuted before, is
 refuted by what the earlier Split produced (the earliest refuted such, in
-the second case): the derivation shares that Split node, and the rule log
-repeats its span.  So the search below a Split depends on its clean clauses
-and on the Splits refuted before it.  Derivations, models and rule logs are
-those of a search with one-step moves and the same reuse, as debug mode
-runs it.
+the second case): the derivation shares that node, and the rule log
+repeats its span.
+
+A Split whose left branch is refuted without a Red on its literal (the
+Red of a unit clause before a Conflict counts) is backjumped: its left
+refutation reads no literal the Split added, and a reused refutation reads
+none from outside itself, so it refutes the Split's own state.  No Split
+node is built; the Split's clean clauses are recorded as refuted by the
+left refutation, closing goes on outward, and the right branch is never
+searched (conflict-directed backjumping: Prosser, Comput. Intell. 1993;
+Bayardo and Schrag, AAAI 1997).  A Red tests its literal against the open
+Splits' literals with one set lookup.  So the search below a Split depends
+on its clean clauses and on the Splits refuted before it.  Derivations,
+models and rule logs are those of a search with one-step moves and the
+same reuse and backjumps, as debug mode runs it.
 """
 
 from __future__ import annotations
@@ -99,7 +109,10 @@ class Verdict:
     writes as ``...`` and the text as ``#n`` after its first time; ``==``
     reads it unfolded, ``dpll_size`` is the unfolded size each node was
     built with, and the checker and the translator walk each shared Split
-    about once."""
+    about once.  A Split the search backjumped past has no node: its left
+    refutation stands in its place, and is what a Split reusing its clean
+    clauses shares.  The rule log keeps its ``"split"`` and the steps of
+    its left branch."""
 
     satisfiable: bool
     model: Optional[Assignment] = None
@@ -280,13 +293,15 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
     # clean clauses, measure, key, start) while it is in its left branch, the
     # state its right branch restarts from, and (None, key, start) while it is
     # in its right branch.  key is the tuple of its clean clauses and start
-    # the length of the log before its "split".  At a Split d is empty and
-    # the clean clauses share no variable with gset, so every rule below it
-    # reads only them, and a refutation below it refutes every state whose
-    # clean clauses include them.  refuted maps the key of each refuted Split
-    # to what it produced: its Split node in witness mode, True in decide
-    # mode, and with a log that and the span (start, end) of its steps in the
-    # log; index lists each refuted set once (_refuted_subset).  A Split whose
+    # the length of the log before its "split".  unread holds the literals
+    # of the Splits in their left branch that no Red has read.  At a Split d
+    # is empty and the clean clauses share no variable with gset, so every
+    # rule below it reads only them, and a refutation below it refutes every
+    # state whose clean clauses include them.  refuted maps the key of each
+    # refuted Split to what it produced: its Split node in witness mode, or
+    # its left refutation if backjumped, True in decide mode, and with a log
+    # that and the span (start, end) of its steps in the log; index lists
+    # each refuted set once (_refuted_subset).  A Split whose
     # key is in refuted, or else whose clean clauses include a refuted set,
     # is refuted by what that Split, the earliest refuted such, produced, in
     # place of a search.  So the search below a Split depends on its key and
@@ -315,6 +330,7 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
     splits: list[tuple] = []
     refuted: dict[tuple, object] = {}
     index: dict[tuple, list] = {}
+    unread: set[Lit] = set()
     prev = None
     while True:
         if check:
@@ -367,6 +383,8 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
                         log.append("conflict")
                     if witness:
                         frames.append((Red, c, -lit))
+                    if unread:
+                        unread.discard(-lit)
                 else:
                     if log is not None:
                         log.append("unit")
@@ -403,6 +421,8 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
                     log.append("red")
                 if witness:
                     frames.append((Red, c, -falsified))
+                if unread:
+                    unread.discard(-falsified)
                 k = c.index(falsified)
                 reduct = c[:k] + c[k + 1:]
                 if reduct not in live:
@@ -438,6 +458,7 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
                     log.append("split")
                 lit = choose_split(t)
                 splits.append((lit, frozenset(gset), tuple(q), prev, key, start))
+                unread.add(lit)
                 if witness:
                     frames.append((Split, lit, None))
                 gset.add(lit)
@@ -457,21 +478,33 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
         # The branch is refuted by node: close the nodes around it up to the
         # innermost Split still in its left branch, record each Split in its
         # right branch that this refutes, innermost first, as close builds
-        # them, and start the right branch of the Split reached.
-        if witness:
-            built: list = []
-            proof = close(frames, node, built)
-            built.reverse()
-        while splits and splits[-1][0] is None:
-            _, key, start = splits.pop()
-            node = built.pop() if witness else True
-            found = refuted[key] = node if log is None else (node, start, len(log))
-            # listed under its last clause in ring order, which few later
-            # clean clauses hold (on PHP and random 3-SAT)
-            index.setdefault(key[-1], []).append((len(refuted), frozenset(key), found))
-        if not splits:
-            return Verdict(False, proof=proof) if witness else False
-        lit, g, t, prev, key, start = splits[-1]
+        # them, and start the right branch of the Split reached.  A Split
+        # whose left refutation never read its literal is refuted by that
+        # refutation, and no Split node is built: it is recorded with it as
+        # the innermost of the Splits the next close refutes.
+        built: list = []
+        while True:
+            if witness:
+                proof = close(frames, node, built)
+                built.reverse()
+            while splits and splits[-1][0] is None:
+                _, key, start = splits.pop()
+                node = built.pop() if witness else True
+                found = refuted[key] = node if log is None else (node, start, len(log))
+                # listed under its last clause in ring order, which few later
+                # clean clauses hold (on PHP and random 3-SAT)
+                index.setdefault(key[-1], []).append((len(refuted), frozenset(key), found))
+            if not splits:
+                return Verdict(False, proof=proof) if witness else False
+            lit, g, t, prev, key, start = splits[-1]
+            if lit not in unread:
+                break
+            unread.remove(lit)
+            splits[-1] = (None, key, start)
+            if witness:
+                frames.pop()
+                node = proof
+                built.append(proof)
         splits[-1] = (None, key, start)
         gset = {*g, -lit}
         q, i, b = list(t), 0, len(t)

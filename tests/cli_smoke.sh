@@ -60,26 +60,35 @@ test "$(dpllkit check res php65.cnf php65.res)" = valid
 dpllkit gen php 8 7 --out php87.cnf
 rc=0; timeout 60 "${cmd[@]}" solve --mode decide php87.cnf || rc=$?
 test "$rc" -eq 20
-# and with its proof: 521,352 nodes unfolded, whose text would be
-# about 9 MB unshared; shared, each stage costs the distinct derivation
+# and with its proof: 108,471 nodes unfolded, whose text would be
+# about 2 MB unshared; shared, each stage costs the distinct derivation
 rc=0; timeout 60 "${cmd[@]}" solve php87.cnf --out php87.dpll || rc=$?
 test "$rc" -eq 20
-test "$(wc -c < php87.dpll)" -lt 250000
+test "$(wc -c < php87.dpll)" -le 122950
 test "$(timeout 60 "${cmd[@]}" check dpll php87.cnf php87.dpll)" = valid
 # the sizes of the unfolded derivation and of its translation
 test "$(timeout 60 "${cmd[@]}" convert dpll2res php87.cnf php87.dpll --out php87.res)" \
-    = "dpll_size=521352 res_size=41090"
+    = "dpll_size=108471 res_size=41090"
 test "$(timeout 60 "${cmd[@]}" check res php87.cnf php87.res)" = valid
 # PHP(9,8) end to end: a Split refuted under fewer clean clauses is
 # reused under more, and the walk takes its record there
 dpllkit gen php 9 8 --out php98.cnf
 rc=0; timeout 60 "${cmd[@]}" solve php98.cnf --out php98.dpll || rc=$?
 test "$rc" -eq 20
-test "$(wc -c < php98.dpll)" -lt 650000
+test "$(wc -c < php98.dpll)" -le 317583
 test "$(timeout 60 "${cmd[@]}" check dpll php98.cnf php98.dpll)" = valid
 test "$(timeout 60 "${cmd[@]}" convert dpll2res php98.cnf php98.dpll --out php98.res)" \
-    = "dpll_size=5696967 res_size=328792"
+    = "dpll_size=867975 res_size=328792"
 test "$(timeout 60 "${cmd[@]}" check res php98.cnf php98.res)" = valid
+# PHP(10,9) end to end: 7.8M nodes unfolded in a text under 1 MB
+dpllkit gen php 10 9 --out php109.cnf
+rc=0; timeout 60 "${cmd[@]}" solve php109.cnf --out php109.dpll || rc=$?
+test "$rc" -eq 20
+test "$(wc -c < php109.dpll)" -lt 1000000
+test "$(timeout 60 "${cmd[@]}" check dpll php109.cnf php109.dpll)" = valid
+test "$(timeout 60 "${cmd[@]}" convert dpll2res php109.cnf php109.dpll --out php109.res)" \
+    = "dpll_size=7812035 res_size=2959218"
+test "$(timeout 60 "${cmd[@]}" check res php109.cnf php109.res)" = valid
 dpllkit gen php 2 1 --out php21.cnf
 # a clause whose literals are out of canonical order is read as a set
 printf '(unit 1 (unit 2 (red [ -2 -1 ] 1 (red [ -2 ] 2 conflict))))' > php21-swapped.dpll

@@ -101,12 +101,32 @@ def split_chain(n):
 
 
 def unclean_chain(n):
-    """A formula under which ``split_chain(n)`` is valid and meets every
-    Split it shares in an unclean context: each split variable k is in
-    (k, n+k) and (-k, 2n+k), and below Split k the valuation leaves one of
-    them unsatisfied with k assigned."""
+    """A formula under which ``split_chain(n)`` is valid: each split
+    variable k is in (k, n+k) and (-k, 2n+k), and below Split k the
+    valuation leaves one of them unsatisfied with k assigned.  No Split
+    reads them, so the walk, which records a Split by the clauses it reads,
+    takes every Split the chain shares as recorded."""
     return (((),) + tuple((k, n + k) for k in range(1, n + 1))
             + tuple((-k, 2 * n + k) for k in range(1, n + 1)))
+
+
+def premise_chain(n):
+    """(formula, text): a refutation whose text is linear in n and whose
+    Splits the walk cannot take as recorded.  Split k reduces (-k, n+k) in
+    its left branch and (k, n+k) in its right one, to the unit clause
+    (n+k) from either premise, and both branches are Split k-1, the right
+    one citing it as #(k-1).  Split 1's branches take the units n+1 .. 2n
+    and end in the empty clause.  So each Split k-1 reads the clause
+    (n+k) with the premise the sign of k chose: a record of it fits no
+    other occurrence, and its unfolded tree of 2^n - 1 Splits is walked
+    node by node."""
+    units = "conflict"
+    for k in range(2 * n, n, -1):
+        units = f"(unit {k} {units})"
+    text = f"(split 1 (red [ -1 {n + 1} ] 1 {units}) (red [ 1 {n + 1} ] -1 {units}))"
+    for k in range(2, n + 1):
+        text = f"(split {k} (red [ -{k} {n + k} ] {k} {text}) (red [ {k} {n + k} ] -{k} #{k - 1}))"
+    return ((),) + tuple(c for k in range(1, n + 1) for c in ((-k, n + k), (k, n + k))), text
 
 
 def dpll_put(p, path, new):

@@ -10,7 +10,7 @@ from dpllkit.cli import main
 from dpllkit.dimacs import emit_dimacs, parse_dimacs
 from dpllkit.php import PhpSpec, gen_php
 
-from strategies import horn_chain, split_chain, unclean_chain
+from strategies import horn_chain, premise_chain
 
 
 @pytest.fixture
@@ -104,14 +104,14 @@ def test_convert_invalid_proof(php21_file, tmp_path, capsys):
 
 def test_a_text_met_in_too_many_contexts_is_refused(tmp_path, capsys):
     # 30 nested Splits, each citing the one inside it as its right branch:
-    # 421 characters for an unfolded tree of 2^30 - 1 Splits.  The formula
-    # leaves a clause on each split variable unsatisfied below its Split, so
-    # no Split the text shares is met in a clean context, and the walk stops
-    # at the text's length in steps.
+    # 2,209 characters for an unfolded tree of 2^30 - 1 Splits.  Each
+    # Split the text shares reads a unit clause whose premise the sign of
+    # the Split above it chose, so none is taken as recorded, and the walk
+    # stops at the text's length in steps.
     n = 30
-    text = split_chain(n)
+    d, text = premise_chain(n)
     cnf, proof = tmp_path / "chain.cnf", tmp_path / "chain.dpll"
-    cnf.write_text(emit_dimacs(unclean_chain(n)))
+    cnf.write_text(emit_dimacs(d))
     proof.write_text(text)
     for command in (["check", "dpll"], ["convert", "dpll2res"]):
         assert main([*command, str(cnf), str(proof)]) == 1

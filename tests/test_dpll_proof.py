@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+from dpllkit import solver
+from dpllkit.cnf import canonical_formula
 from dpllkit.dpll_proof import (
     CONFLICT,
     CheckReport,
@@ -31,8 +33,8 @@ from dpllkit.resolution import InvalidDerivation, Res, Sub, check_res, dpll_to_r
 from dpllkit.solver import solve
 
 from oracle import compatible
-from strategies import (checker_corpus, dpll_nodes, dpll_put, elim_texts, formulas, split_chain,
-                        unclean_chain, unshared)
+from strategies import (checker_corpus, dpll_nodes, dpll_put, elim_texts, formulas, premise_chain,
+                        split_chain, unclean_chain, unshared)
 
 PHP21 = gen_php(PhpSpec(2, 1))
 
@@ -319,8 +321,8 @@ def test_valid_refutations_imply_incompatibility(d):
 
 
 # The walk against the unfolded walk.  walk records each shared Split it
-# walks in a clean context by its formula, and takes a Split met again with
-# that formula, in a clean context, as a leaf.  unshared(p) holds no Split
+# walks in a clean context by the clauses it reads, and takes a Split met
+# again where those clauses are, in a clean context, as a leaf.  unshared(p) holds no Split
 # twice, so its walk never takes one: it is the walk of the unfolded tree,
 # and the DAG's walk must give what it gives.
 
@@ -375,6 +377,7 @@ ELIMS_BELOW = Split(4, ELIMS, ELIMS)
 REDUCES_SATISFIED = Split(3, Red((1, -3), 3, CONFLICT), CONFLICT)
 UNIT_AGAIN = Unit(2, Red((-2,), 2, Unit(1, CONFLICT)))
 UNITS_SATISFIED = Split(3, UNIT_AGAIN, UNIT_AGAIN)
+CITES_TWICE = Split(3, CITES, CITES)
 DAG_ADVERSARIES = [
     pytest.param(((),), Split(1, SPLIT_BELOW, Split(-2, SPLIT_BELOW, CONFLICT)),
                  CheckReport(False, (1, 0, 0, 0), "inconsistent-context", ((-1, -2, 3, 2), ((),))),
@@ -440,10 +443,11 @@ DAG_ADVERSARIES = [
                  CheckReport(False, (1, 0, 0, 0), "inconsistent-context",
                              ((-4, -2, 3, 2), ((), (4, 5)))),
                  id="more-clauses-split-variable-other-sign"),
-    # A record of S holds only the clauses its valuation leaves unsatisfied.
-    # Here S's subtree reads a clause that S's valuation satisfies, so S is
-    # not recorded: S first walked where 1 makes (1, 5) true and S's Elim
-    # drops it, then where (1, 5) is gone
+    # A record of S holds the clauses its subtree reads, and is made only
+    # where the valuation holds none of their variables.  Here S's subtree
+    # reads a clause that S's valuation satisfies, so S is not recorded: S
+    # first walked where 1 makes (1, 5) true and S's Elim drops it, then
+    # where (1, 5) is gone
     pytest.param(((), (1, 5)),
                  Split(1, Split(2, ELIMS, Elim((1, 5), 1, ELIMS)), CONFLICT),
                  CheckReport(False, (0, 1, 0, 0), "elim-clause-missing", ((1, -2, 3), ((),))),
@@ -472,6 +476,13 @@ DAG_ADVERSARIES = [
                  CheckReport(False, (0, 1, 0, 0, 0), "elim-clause-missing",
                              ((1, -2, 4, 3), ((),))),
                  id="satisfied-clause-two-splits-deep"),
+    # S = CITES_TWICE first walked where CITES, walked before it, is taken
+    # as recorded at both its occurrences, so that S reads () only through
+    # CITES's record; then where () is gone
+    pytest.param(((-5,),), Split(5, Red((-5,), 5, Split(1, CITES, CITES_TWICE)), CITES_TWICE),
+                 CheckReport(False, (1, 0, 0), "conflict-empty-clause-missing",
+                             ((-5, 3, 2), ((-5,),))),
+                 id="clause-read-through-a-record"),
 ]
 
 
@@ -485,7 +496,7 @@ def test_shared_split_in_a_second_context_is_walked_there(d, p, expected):
 def test_a_read_blocks_only_the_splits_whose_valuation_satisfies_the_clause():
     # in the shared Split OUTER, the Split on 1 puts 1 into the valuation
     # before the shared Split INNER, whose Elim drops (1, 5): INNER is not
-    # recorded, but OUTER, whose valuation leaves (1, 5) unsatisfied and
+    # recorded, but OUTER, whose valuation holds no variable of (1, 5) and
     # whose record holds it, is, so its second occurrence is one step: 16
     # steps where the unfolded tree takes 27
     inner = Split(3, Elim((1, 5), 1, CONFLICT), CONFLICT)
@@ -497,33 +508,57 @@ def test_a_read_blocks_only_the_splits_whose_valuation_satisfies_the_clause():
         check_dpll((), d, p, limit=15)
 
 
-def test_a_split_refuted_under_fewer_clauses_is_reused_under_more():
-    # PHP(5,4) is the smallest instance of the digest corpora whose search
-    # reuses a Split refuted under a strict subset of its clean clauses.
-    # The formula at each occurrence of a Split is the context of the report
-    # when a bad node is put there; its clean clauses are those its
-    # valuation leaves unsatisfied (the others it satisfies).  In 6
-    # occurrences they are more than at the Split's first, in 10 the same.
-    # The walk takes all 16 as recorded (see the step counts below) and
-    # gives what the unfolded walk gives
-    d = gen_php(PhpSpec(5, 4))
-    p = solve(d).proof
-    pinned = "3749cb3df92edc17633e8e552f44a475e04b2182877b3d0e8d9c0a149f33c32a"
-    assert _sha(serialize_dpll(p)) == pinned
-    first, larger, equal = {}, 0, 0
-    for path, node in dpll_nodes(p):
-        if isinstance(node, Split):
-            report = check_dpll((), d, dpll_put(p, path, Unit(99, CONFLICT)))
-            assert (report.path, report.reason) == (path, "unit-clause-missing")
-            g, formula = report.context
-            formula = frozenset(c for c in formula if set(g).isdisjoint(c))
-            if id(node) not in first:
-                first[id(node)] = formula
-            else:
-                larger += formula > first[id(node)]
-                equal += formula == first[id(node)]
-    assert (len(first), larger, equal) == (31, 6, 10)
-    walk_both((), d, p)
+# Split 1 reduces (-1 2) in its left branch, which reads 1, takes the unit
+# 2 and refutes the eight clauses on 5, 6 and 7 below Split 5.  Its right
+# branch reduces the four clauses (1 +-3 +-4) to four on 3 and 4, and keeps
+# the eight.
+SUPERSET = canonical_formula([(1, 3, 4), (1, -3, 4), (1, 3, -4), (1, -3, -4), (-1, 2)]
+                             + [(a * 5, b * 6, c * 7) for a in (1, -1) for b in (1, -1)
+                                for c in (1, -1)])
+
+
+def test_a_split_refuted_under_fewer_clauses_is_reused_under_more(monkeypatch):
+    # The search reuses Split 5 in the right branch of Split 1, whose clean
+    # clauses include the eight it was refuted under, so the derivation
+    # shares it.  The walk records it by the clauses it reads, the eight,
+    # which the right branch holds with the same premises: it takes the
+    # second occurrence as one leaf and one step, 41 steps for the 69 nodes
+    # of the unfolded tree, and gives what the unfolded walk gives
+    reused = []
+    subset = solver._refuted_subset
+
+    def counting(key, index):
+        found = subset(key, index)
+        if found is not None:
+            reused.append(frozenset(key))
+        return found
+
+    monkeypatch.setattr(solver, "_refuted_subset", counting)
+    p = solve(SUPERSET).proof
+    assert len(reused) == 1 and reused[0] > set(SUPERSET[5:])
+    shared = p.left.sub.sub
+    assert isinstance(shared, Split) and p.right.sub.sub.sub.sub is shared
+    assert count_nodes(p) == 69
+    assert check_dpll((), SUPERSET, p, limit=41).valid
+    with pytest.raises(WalkLimitExceeded):
+        check_dpll((), SUPERSET, p, limit=40)
+    walk_both((), SUPERSET, p)
+
+
+def test_a_shared_node_that_is_not_a_split_is_written_and_walked_at_each_occurrence():
+    # the text cites only Splits, and the walk records only Splits: a Unit
+    # the derivation shares is written in full, read back as two nodes,
+    # and walked and translated at each occurrence, as the unfolded tree is
+    d, shared = ((2,), (-2,)), Unit(2, Red((-2,), 2, CONFLICT))
+    p = Split(1, shared, shared)
+    text = serialize_dpll(p)
+    assert text == "(split 1 (unit 2 (red [ -2 ] 2 conflict)) (unit 2 (red [ -2 ] 2 conflict)))"
+    q = parse_dpll(text)
+    assert q == p and q.left is not q.right
+    assert check_dpll((), d, p, limit=count_nodes(p)).valid
+    with pytest.raises(WalkLimitExceeded):
+        check_dpll((), d, p, limit=count_nodes(p) - 1)
+    assert walk_both((), d, p) == Res(2, Sub(2, (-2,)), Sub(1, (2,)), ())
 
 
 def count_nodes(p):
@@ -553,16 +588,15 @@ def test_limit_counts_the_nodes_of_a_tree():
 
 
 def test_a_shared_derivation_is_walked_at_its_distinct_size():
-    # PHP(6,5)'s derivation: 6,639 rule applications unfolded, 1,639
-    # distinct nodes.  The walk steps into 1,733 nodes and takes each Split
-    # met again under a formula its record fits (60) as one leaf and one
-    # step; the parse of its text is walked alike.  Every Split the solver
-    # shares is met in a clean context, under the clauses it was refuted
-    # under or more, and the satisfied clauses the search dropped without a
-    # node, which no rule below reads.  So a Split walked again where it was
-    # recorded under fewer clauses, or in an unclean context, would raise
-    # these counts
-    for k, steps in ((3, 174), (4, 609), (5, 1_793), (6, 4_890)):
+    # PHP(6,5)'s derivation: 2,559 rule applications unfolded, 940
+    # distinct nodes.  The walk steps into 989 nodes and takes each Split
+    # met again where its record fits (30) as one leaf and one step; the
+    # parse of its text is walked alike.  Every Split the solver shares is
+    # met in a clean context, under the clauses it was refuted under or
+    # more, and a record holds only the clauses its subtree reads.  So a
+    # Split walked again where it was recorded under fewer clauses, or in
+    # an unclean context, would raise these counts
+    for k, steps in ((3, 116), (4, 363), (5, 1_019), (6, 2_708)):
         d = gen_php(PhpSpec(k + 1, k))
         p = solve(d).proof
         for proof in (p, parse_dpll(serialize_dpll(p))):
@@ -573,12 +607,13 @@ def test_a_shared_derivation_is_walked_at_its_distinct_size():
 
 
 def test_a_split_met_in_too_many_contexts_stops_the_walk_at_its_limit():
-    # no Split the chain shares is met in a clean context, so none is taken
-    # as recorded: without a limit the walk covers the unfolded tree, as the
-    # walk of unshared(p) does
+    # each Split the chain shares reads a clause whose premise differs from
+    # one occurrence to the next, so none is taken as recorded: without a
+    # limit the walk covers the unfolded tree, as the walk of unshared(p)
+    # does
     for n in (8, 40):
-        text = split_chain(n)
-        d, p = unclean_chain(n), parse_dpll(text)
+        d, text = premise_chain(n)
+        p = parse_dpll(text)
         if n == 8:
             assert check_dpll((), d, p) == check_dpll((), d, unshared(p)) == VALID
             assert dpll_to_res((), d, p) == dpll_to_res((), d, unshared(p))
@@ -589,18 +624,37 @@ def test_a_split_met_in_too_many_contexts_stops_the_walk_at_its_limit():
 
 
 def test_an_unlimited_walk_of_a_split_chain_steps_into_each_unfolded_node_once():
-    # the chain's unfolded tree: 2^16 - 1 Splits and 2^16 Conflicts.  A
-    # Split met again that finds no record costs no step, so the walk takes
-    # one step per node
-    n, nodes = 16, 2**17 - 1
-    d, p = unclean_chain(n), parse_dpll(split_chain(n))
-    assert count_nodes(p) == nodes
-    assert check_dpll((), d, p, limit=nodes).valid
-    dpll_to_res((), d, p, limit=nodes)
+    # the chain's unfolded tree: 2^12 - 1 occurrences of its 12 Splits, and
+    # 2^12 leaves below 12 Units each.  Each Split met again finds a record
+    # that does not fit, one step, and is walked again, so the walk takes
+    # one step per node and one per Split met again
+    n = 12
+    d, text = premise_chain(n)
+    p = parse_dpll(text)
+    nodes = count_nodes(p)
+    assert nodes == 65_533
+    steps = nodes + 2**n - 1 - n
+    assert check_dpll((), d, p, limit=steps).valid
+    dpll_to_res((), d, p, limit=steps)
     with pytest.raises(WalkLimitExceeded):
-        check_dpll((), d, p, limit=nodes - 1)
+        check_dpll((), d, p, limit=steps - 1)
     with pytest.raises(WalkLimitExceeded):
-        dpll_to_res((), d, p, limit=nodes - 1)
+        dpll_to_res((), d, p, limit=steps - 1)
+
+
+def test_a_split_chain_under_clauses_it_never_reads_is_walked_at_its_distinct_size():
+    # under unclean_chain(n), the valuation below Split k leaves a clause on
+    # k unsatisfied, but no Split reads one: a record holds () alone, and
+    # the #n in each right branch takes it, so 3n steps cover the 2^(n+1) - 1
+    # unfolded nodes
+    for n in (16, 40):
+        d, p = unclean_chain(n), parse_dpll(split_chain(n))
+        assert check_dpll((), d, p, limit=3 * n).valid
+        assert dpll_to_res((), d, p, limit=3 * n) == dpll_to_res((), d, p)
+        with pytest.raises(WalkLimitExceeded):
+            check_dpll((), d, p, limit=3 * n - 1)
+        if n == 16:
+            assert dpll_to_res((), d, p) == dpll_to_res((), d, unshared(p))
 
 
 def test_a_split_chain_under_a_satisfied_clause_is_walked_at_its_distinct_size():

@@ -3,6 +3,7 @@ import json
 import random
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -107,8 +108,8 @@ def test_choose_split():
         choose_split(())
 
 
-@pytest.mark.parametrize("k, nodes, steps", [(2, 26, 10), (3, 165, 42), (4, 949, 188),
-                                             (5, 6639, 970)],
+@pytest.mark.parametrize("k, nodes, steps", [(2, 26, 10), (3, 110, 42), (4, 495, 188),
+                                             (5, 2559, 970)],
                          ids=["php-3-2", "php-4-3", "php-5-4", "php-6-5"])
 def test_php_proof_sizes_under_the_split_rule(k, nodes, steps):
     # the split rule fixes the proofs: DPLL nodes and resolution steps
@@ -116,6 +117,28 @@ def test_php_proof_sizes_under_the_split_rule(k, nodes, steps):
     d = gen_php(PhpSpec(k + 1, k))
     v = solve(d)
     assert (dpll_size(v.proof), res_size(dpll_to_res((), d, v.proof))) == (nodes, steps)
+
+
+# The SHA-256 of serialize_res(dpll_to_res(...)) of the refutation of
+# PHP(k+1,k) and its res_size.  Searches that write other derivations of
+# PHP, such as one that backjumps past a Split whose left refutation never
+# reads its literal, translate to these same traces.
+PHP_TRANSLATIONS = [
+    (1, 2, "457923d92914804d5d9809b694f47b7a10e1736a3f80d2768343e40e5ae80959"),
+    (2, 10, "b814d243ce07a52880746d7a4385a07002fd51418176c4e32b1a64935dc95bd2"),
+    (3, 42, "fe16483c746b0e16caa7678c85a7e5f4f8260b5b32563f74a31a2598d8499baf"),
+    (4, 188, "52f7a686f006892873bf445fca904f83a9756e8abfeaab87b8b0101b2a5e9234"),
+    (5, 970, "d16c2d92e6ec24b1203fbdd089d32f92d3ccbc63d6b27a09e207b68fe76a90a8"),
+    (6, 5862, "a35c5c961485776ca8a987b4e3ae2375c41770d1f51c90a5f0f4d92e840e6020"),
+]
+
+
+@pytest.mark.parametrize("k, steps, digest", PHP_TRANSLATIONS,
+                         ids=[f"php-{k + 1}-{k}" for k, _, _ in PHP_TRANSLATIONS])
+def test_php_translations_are_pinned(k, steps, digest):
+    d = gen_php(PhpSpec(k + 1, k))
+    r = dpll_to_res((), d, solve(d).proof)
+    assert (res_size(r), _sha(serialize_res(r))) == (steps, digest)
 
 
 def _split_counts(p):
@@ -134,8 +157,8 @@ def _split_counts(p):
     return occurrences, len(distinct)
 
 
-@pytest.mark.parametrize("k, splits, distinct, nodes", [(4, 47, 31, 949), (5, 329, 94, 6639),
-                                                        (6, 2699, 253, 54473)],
+@pytest.mark.parametrize("k, splits, distinct, nodes", [(4, 23, 17, 495), (5, 119, 49, 2559),
+                                                        (6, 719, 129, 15473)],
                          ids=["php-5-4", "php-6-5", "php-7-6"])
 def test_refuted_splits_are_shared_and_read_unfolded(k, splits, distinct, nodes):
     # a Split whose clean clauses equal or include those of a Split refuted
@@ -152,6 +175,93 @@ def test_refuted_splits_are_shared_and_read_unfolded(k, splits, distinct, nodes)
     assert dpll_size(p) == dpll_size(parsed) == nodes
     assert check_dpll((), d, p) == check_dpll((), d, parsed) == VALID
     assert serialize_res(dpll_to_res((), d, p)) == serialize_res(dpll_to_res((), d, parsed))
+
+
+# The variable 1 scores highest, so the search splits on it first, but no
+# clause holds -1: the left branch drops the four clauses holding 1 and
+# refutes the eight clauses on 5, 6 and 7 below Splits on 5 and 6, without a
+# Red on 1.
+IRRELEVANT = canonical_formula([(1, 2), (1, 3), (1, 4), (1, -6)]
+                               + [(a * 5, b * 6, c * 7) for a in (1, -1) for b in (1, -1)
+                                  for c in (1, -1)])
+
+
+@pytest.mark.parametrize("mode", ["witness", "decide"])
+@pytest.mark.parametrize("checked", [False, True], ids=["plain", "debug"])
+def test_a_left_refutation_that_never_reads_the_split_literal_refutes_the_split(
+        monkeypatch, mode, checked):
+    # The right branch, under -1, would take the units 2, 3, 4 and -6 and
+    # leave (5 7), (5 -7), (-5 7) and (-5 -7), refuted nowhere before, so a
+    # search of it would choose a fourth literal.  Every mode chooses three:
+    # the left refutation refutes the Split's own state, and the search ends
+    chosen = []
+    choose = solver.choose_split
+    monkeypatch.setattr(solver, "choose_split", lambda t: chosen.append(choose(t)) or chosen[-1])
+    v = solve(IRRELEVANT, SolverConfig(mode=mode, assert_measure=checked,
+                                       trace=mode == "witness"))
+    assert chosen == [1, 5, 6]
+    if mode == "decide":
+        assert v is False
+        return
+    # the log has the Split on 1 and its drops, the derivation no node for it
+    assert v.trace[12:17] == ("split", "elim", "elim", "elim", "elim")
+    assert isinstance(v.proof, Split) and v.proof.lit == 5
+    assert check_dpll((), IRRELEVANT, v.proof).valid
+
+
+def test_the_red_of_a_unit_clause_reads_the_split_literal():
+    # under the clean clauses (4) and (-4), the Split on 4 drops (4) and
+    # reads 4 only in the Red of (-4) before the Conflict: no backjump
+    v = solve_aux((), (), ((4,), (-4,)))
+    assert v.proof == Split(4, Red((-4,), 4, CONFLICT), Red((4,), -4, CONFLICT))
+
+
+def _children(node):
+    if isinstance(node, Split):
+        return node.left, node.right
+    return () if isinstance(node, Conflict) else (node.sub,)
+
+
+def _distinct_nodes(p):
+    """The distinct nodes of the derivation ``p``, each once, children
+    before parents."""
+    order, seen, stack = [], set(), [(p, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack += [(kid, False) for kid in _children(node)]
+    return order
+
+
+def test_each_split_of_a_solver_derivation_reads_its_literal_on_the_left():
+    # the search builds a Split only when its left refutation, read
+    # unfolded, holds a Red on its literal.  A left refutation that holds
+    # none stands in its place, and may be reused; it is always a Split,
+    # since until the next Split the clean clauses that hold the split
+    # variable are the only ones a rule other than a move can take, and a
+    # Red on one that holds the literal's complement reads it (a state
+    # given to solve_aux may hold unit clean clauses, which a Unit takes).
+    # So the derivation shares no node but a Split
+    for name, d in digest_corpus():
+        v = solve(d)
+        if v.satisfiable:
+            continue
+        reds, parents = {}, Counter()
+        for node in _distinct_nodes(v.proof):
+            kids = _children(node)
+            parents.update(map(id, kids))
+            reds[id(node)] = frozenset().union(*(reds[id(kid)] for kid in kids))
+            if isinstance(node, Red):
+                reds[id(node)] |= {node.lit}
+            elif isinstance(node, Split):
+                assert node.lit in reds[id(node.left)], name
+        for node in _distinct_nodes(v.proof):
+            if parents[id(node)] > 1:
+                assert isinstance(node, (Split, Conflict)), name
 
 
 def test_php_2_1_never_splits():
@@ -214,11 +324,13 @@ def test_measure_assertion_clean_on_horn_chain(unsat):
 
 # Calls of _check_state made by the search when it moved one clause per step,
 # one per search step.  Debug mode must still check every one of those states.
-# PHP(5,4) has Splits whose clean clauses equal or include those of a Split
-# refuted before: debug mode reuses them as the default mode does, so it
-# checks every state its search visits, and none below a reused Split
+# PHP(5,4) has Splits whose clean clauses equal those of a Split refuted
+# before, and PHP(4,3) and PHP(5,4) Splits whose left refutation never reads
+# their literal: debug mode reuses and backjumps as the default mode does,
+# so it checks every state its search visits, and none below a reused Split
+# or in the right branch of a backjumped one
 CHECKS_PER_SOLVE = [(horn_chain(200, False), 20101), (horn_chain(200, True), 10300),
-                    (gen_php(PhpSpec(4, 3)), 484), (gen_php(PhpSpec(5, 4)), 2408)]
+                    (gen_php(PhpSpec(4, 3)), 381), (gen_php(PhpSpec(5, 4)), 1756)]
 
 
 @pytest.mark.parametrize("d, checks", CHECKS_PER_SOLVE)
@@ -416,9 +528,14 @@ def test_solve_aux_bulk_moves_match_one_step_moves():
 
 
 def test_solve_aux_decides_as_it_witnesses():
+    # and each refutation is one the checker accepts: some states give unit
+    # clean clauses, whose Reds are the only reads of a Split's literal
     decide = SolverConfig(mode="decide")
     for name, g, d, t in aux_corpus():
-        assert solve_aux(g, d, t, decide) is solve_aux(g, d, t).satisfiable, name
+        v = solve_aux(g, d, t)
+        assert solve_aux(g, d, t, decide) is v.satisfiable, name
+        if not v.satisfiable:
+            assert check_dpll(g, d + t, v.proof).valid, name
 
 
 if __name__ == "__main__":
