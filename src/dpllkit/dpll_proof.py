@@ -312,7 +312,7 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
     dropped as satisfied are its clean clauses, which share no variable
     with the valuation, and a refutation below reads only those; it splits
     below only on their variables, and reuses a Split only where the clean
-    clauses include those it was refuted under.  A clause it dropped as
+    clauses equal those it was refuted under.  A clause it dropped as
     satisfied by the literal of a Split it backjumped past is unsatisfied
     in the derivation's context, but no rule reads it.
 

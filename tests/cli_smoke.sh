@@ -70,8 +70,8 @@ test "$(timeout 60 "${cmd[@]}" check dpll php87.cnf php87.dpll)" = valid
 test "$(timeout 60 "${cmd[@]}" convert dpll2res php87.cnf php87.dpll --out php87.res)" \
     = "dpll_size=108471 res_size=41090"
 test "$(timeout 60 "${cmd[@]}" check res php87.cnf php87.res)" = valid
-# PHP(9,8) end to end: a Split refuted under fewer clean clauses is
-# reused under more, and the walk takes its record there
+# PHP(9,8) end to end: a Split refuted before is reused where its clean
+# clauses come again, and the walk takes its record there
 dpllkit gen php 9 8 --out php98.cnf
 rc=0; timeout 60 "${cmd[@]}" solve php98.cnf --out php98.dpll || rc=$?
 test "$rc" -eq 20

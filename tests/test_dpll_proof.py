@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from dpllkit import solver
 from dpllkit.cnf import canonical_formula
 from dpllkit.dpll_proof import (
     CONFLICT,
@@ -359,9 +358,10 @@ def test_walk_of_the_dag_is_the_walk_of_the_unfolded_tree():
 # took the Split below S as recorded), a clause S reduces, the premise of
 # the clause S's conflicts cite, whether the fold needs S's value, and a
 # clause S does not read.  The three "more-clauses" ones hold every clause
-# of the first formula and more, as the solver's reuse does: a reduct S
-# makes, there with another premise; a clause of S with another premise;
-# and the sign of a split variable below S.  In the four "satisfied-clause"
+# of the first formula and more, as where a text reuses a Split refuted
+# under fewer clauses: a reduct S makes, there with another premise; a
+# clause of S with another premise; and the sign of a split variable below
+# S.  In the four "satisfied-clause"
 # ones S's subtree reads a clause that S's valuation satisfies, which is
 # gone or has another premise in the second context.  A walk that took S
 # there as recorded would report a valid derivation, or translate it
@@ -516,26 +516,24 @@ SUPERSET = canonical_formula([(1, 3, 4), (1, -3, 4), (1, 3, -4), (1, -3, -4), (-
                              + [(a * 5, b * 6, c * 7) for a in (1, -1) for b in (1, -1)
                                 for c in (1, -1)])
 
+# A refutation of SUPERSET that shares Split 5, refuted under the eight
+# clauses on 5, 6 and 7 in the left branch of Split 1, in its right branch,
+# whose clean clauses also hold the four on 3 and 4 (#2 cites it).
+SUPERSET_TEXT = (
+    "(split 1 (red [ -1 2 ] 1 (unit 2 (split 5 (red [ -5 6 7 ] 5 (red [ -5 6 -7 ] 5"
+    " (red [ -5 -6 7 ] 5 (red [ -5 -6 -7 ] 5 (split 6 (red [ -6 7 ] 6 (red [ -6 -7 ] 6"
+    " (unit 7 (red [ -7 ] 7 conflict)))) (red [ 6 7 ] -6 (red [ 6 -7 ] -6 (unit 7"
+    " (red [ -7 ] 7 conflict))))))))) (red [ 5 6 7 ] -5 (red [ 5 6 -7 ] -5"
+    " (red [ 5 -6 7 ] -5 (red [ 5 -6 -7 ] -5 #1))))))) (red [ 1 3 4 ] -1"
+    " (red [ 1 -3 4 ] -1 (red [ 1 3 -4 ] -1 (red [ 1 -3 -4 ] -1 #2)))))")
 
-def test_a_split_refuted_under_fewer_clauses_is_reused_under_more(monkeypatch):
-    # The search reuses Split 5 in the right branch of Split 1, whose clean
-    # clauses include the eight it was refuted under, so the derivation
-    # shares it.  The walk records it by the clauses it reads, the eight,
+
+def test_a_split_refuted_under_fewer_clauses_is_reused_under_more():
+    # The walk records the shared Split 5 by the clauses it reads, the eight,
     # which the right branch holds with the same premises: it takes the
     # second occurrence as one leaf and one step, 41 steps for the 69 nodes
     # of the unfolded tree, and gives what the unfolded walk gives
-    reused = []
-    subset = solver._refuted_subset
-
-    def counting(key, index):
-        found = subset(key, index)
-        if found is not None:
-            reused.append(frozenset(key))
-        return found
-
-    monkeypatch.setattr(solver, "_refuted_subset", counting)
-    p = solve(SUPERSET).proof
-    assert len(reused) == 1 and reused[0] > set(SUPERSET[5:])
+    p = parse_dpll(SUPERSET_TEXT)
     shared = p.left.sub.sub
     assert isinstance(shared, Split) and p.right.sub.sub.sub.sub is shared
     assert count_nodes(p) == 69
@@ -592,8 +590,8 @@ def test_a_shared_derivation_is_walked_at_its_distinct_size():
     # distinct nodes.  The walk steps into 989 nodes and takes each Split
     # met again where its record fits (30) as one leaf and one step; the
     # parse of its text is walked alike.  Every Split the solver shares is
-    # met in a clean context, under the clauses it was refuted under or
-    # more, and a record holds only the clauses its subtree reads.  So a
+    # met in a clean context, under the clean clauses it was refuted
+    # under, and a record holds only the clauses its subtree reads.  So a
     # Split walked again where it was recorded under fewer clauses, or in
     # an unclean context, would raise these counts
     for k, steps in ((3, 116), (4, 363), (5, 1_019), (6, 2_708)):

@@ -3,20 +3,21 @@ import json
 import random
 import sys
 import time
-from collections import Counter
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from dpllkit import solver
-from dpllkit.cnf import Assignment, canonical_formula, evaluate
+from dpllkit.cnf import Assignment, canonical_formula, evaluate, measure
 from dpllkit.dpll_proof import CONFLICT, VALID, Conflict, Red, Split, Unit, check_dpll, dpll_size
 from dpllkit.php import PhpSpec, gen_php
 from dpllkit.proof_text import parse_dpll, serialize_dpll, serialize_res
 from dpllkit.resolution import dpll_to_res, res_size
 from dpllkit.solver import (
     InvariantViolation,
+    MeasureViolation,
     SolverConfig,
     Verdict,
     choose_split,
@@ -102,8 +103,11 @@ def test_choose_split():
     # Jeroslow-Wang: -3 scores 2^(3-3) + 2^(3-2) = 3, and 3 scores only 2
     assert choose_split(((3, 4), (-3, 5, 6), (-3, 7))) == -3
     assert choose_split(((-2,),)) == -2
-    # every score ties: the literal met first wins
+    # every score ties: the literal first in lit_key order wins, however
+    # the clauses are ordered
     assert choose_split(((1, 2), (-1, -2))) == 1
+    assert choose_split(((-1, -2), (1, 2))) == 1
+    assert choose_split({(-2, 3), (-1, -3)}) == -1
     with pytest.raises(ValueError):
         choose_split(())
 
@@ -161,7 +165,7 @@ def _split_counts(p):
                                                         (6, 719, 129, 15473)],
                          ids=["php-5-4", "php-6-5", "php-7-6"])
 def test_refuted_splits_are_shared_and_read_unfolded(k, splits, distinct, nodes):
-    # a Split whose clean clauses equal or include those of a Split refuted
+    # a Split whose clean clauses, as a set, equal those of a Split refuted
     # before reuses the earlier Split node, so the derivation shares it; the
     # text writes it once and cites it as "#n" after, and parse_dpll shares
     # it again; the size is that of the unfolded tree, and the checker and
@@ -203,8 +207,10 @@ def test_a_left_refutation_that_never_reads_the_split_literal_refutes_the_split(
     if mode == "decide":
         assert v is False
         return
-    # the log has the Split on 1 and its drops, the derivation no node for it
-    assert v.trace[12:17] == ("split", "elim", "elim", "elim", "elim")
+    # the log has the Split on 1 and its drops, the derivation no node for
+    # it; the Split on 5 follows at once, since the Split on 1 takes only
+    # the clean clauses holding its variable, and moves none of the others
+    assert v.trace[12:18] == ("split", "elim", "elim", "elim", "elim", "split")
     assert isinstance(v.proof, Split) and v.proof.lit == 5
     assert check_dpll((), IRRELEVANT, v.proof).valid
 
@@ -317,25 +323,27 @@ def test_measure_assertion_clean_on_php():
 
 @pytest.mark.parametrize("unsat", [False, True])
 def test_measure_assertion_clean_on_horn_chain(unsat):
-    # long runs of moves between units: the measure is checked at every one
+    # a Unit per clause of the chain: the measure is checked at every step
     v = solve(horn_chain(200, unsat), SolverConfig(assert_measure=True))
     assert v.satisfiable == (not unsat)
 
 
-# Calls of _check_state made by the search when it moved one clause per step,
-# one per search step.  Debug mode must still check every one of those states.
-# PHP(5,4) has Splits whose clean clauses equal those of a Split refuted
-# before, and PHP(4,3) and PHP(5,4) Splits whose left refutation never reads
-# their literal: debug mode reuses and backjumps as the default mode does,
-# so it checks every state its search visits, and none below a reused Split
-# or in the right branch of a backjumped one
-CHECKS_PER_SOLVE = [(horn_chain(200, False), 20101), (horn_chain(200, True), 10300),
-                    (gen_php(PhpSpec(4, 3)), 381), (gen_php(PhpSpec(5, 4)), 1756)]
+# Calls of _check_state made by the search, one per search step.  A Horn
+# chain of n clauses takes about 3n steps: each clause moves to the clean
+# clauses once, and a Unit takes back only the one clause holding its
+# variable (a search that moved every clean clause back at each Unit took
+# 20101 and 10300).  PHP(5,4) has Splits whose clean clauses equal those of
+# a Split refuted before, and PHP(4,3) and PHP(5,4) Splits whose left
+# refutation never reads their literal: debug mode reuses and backjumps as
+# the default mode does, so it checks every state its search visits, and
+# none below a reused Split or in the right branch of a backjumped one
+CHECKS_PER_SOLVE = [(horn_chain(200, False), 598), (horn_chain(200, True), 598),
+                    (gen_php(PhpSpec(4, 3)), 186), (gen_php(PhpSpec(5, 4)), 647)]
 
 
 @pytest.mark.parametrize("d, checks", CHECKS_PER_SOLVE)
 def test_measure_assertion_checks_every_step(monkeypatch, d, checks):
-    # debug mode moves one clause at a time, so every state is still checked
+    # debug mode checks every state the search visits
     calls = []
     check_state = solver._check_state
     monkeypatch.setattr(solver, "_check_state", lambda *a: calls.append(1) or check_state(*a))
@@ -344,14 +352,21 @@ def test_measure_assertion_checks_every_step(monkeypatch, d, checks):
 
 
 def test_check_state_rejects_unsound_occurrence_index():
-    # a clause outside hits must be at least binary and share no variable
-    # with the valuation, since bulk moves send it to t unexamined
-    assert solver._check_state((1,), ((2, 3),), (), None, set())
-    assert solver._check_state((1,), ((1, 2),), (), None, {(1, 2)})
+    # a Unit or a Split on l takes from the clean clauses those that its
+    # occurrence list holds: one it missed would share a variable with the
+    # valuation.  The valuation is consistent, no clean clause is empty, and
+    # each step lowers (measure, size of the working formula)
+    g, d, t = {1}, deque([(1, 2)]), {(2, 3)}
+    assert solver._check_state(g, d, t, None) == (measure(g, d, t), 1)
     with pytest.raises(InvariantViolation):
-        solver._check_state((1,), ((-1, 2),), (), None, set())
+        solver._check_state({1}, deque(), {(-1, 2)}, None)
     with pytest.raises(InvariantViolation):
-        solver._check_state((), ((2,),), (), None, set())
+        solver._check_state({1, -1}, deque(), set(), None)
+    with pytest.raises(InvariantViolation):
+        solver._check_state(set(), deque(), {()}, None)
+    with pytest.raises(MeasureViolation):
+        solver._check_state(g, d, t, (measure(g, d, t), 1))
+    assert solver._check_state(g, d, t, (measure(g, d, t), 2)) == (measure(g, d, t), 1)
 
 
 @pytest.mark.parametrize("unsat", [False, True])
@@ -378,9 +393,9 @@ def test_deep_refutation_reprs_without_recursion():
 
 
 def test_horn_search_is_linear():
-    # a Unit only moves the ring's boundary and clean runs move as ranges, so
-    # four times the chain takes about four times as long (a search that
-    # rejoins every clean clause at each Unit takes about fifteen)
+    # a Unit takes back from the clean clauses only the one holding its
+    # variable, so four times the chain takes about four times as long (a
+    # search that rejoins every clean clause at each Unit takes about fifteen)
     # rounds alternate the sizes, so a slow stretch of the host slows both
     chains = {n: horn_chain(n, False) for n in (2000, 8000)}
     best = dict.fromkeys(chains, float("inf"))
@@ -390,6 +405,18 @@ def test_horn_search_is_linear():
             solve(d, SolverConfig(mode="decide"))
             best[n] = min(best[n], time.perf_counter() - start)
     assert best[8000] / best[2000] < 8
+
+
+def test_a_unit_moves_only_the_clean_clauses_holding_its_variable():
+    # 500 clauses over variables the chain lacks move to the clean clauses
+    # once each, and no Unit of the chain moves them back: 548 moves, those
+    # and the 48 chain clauses clean when first met, where a search that
+    # sent every clean clause back to the working formula at each Unit
+    # logged 13100
+    fresh = tuple((100 + 2 * j, 101 + 2 * j) for j in range(500))
+    v = solve(horn_chain(50, True) + fresh, SolverConfig(trace=True))
+    assert not v.satisfiable
+    assert Counter(v.trace) == {"move": 548, "unit": 50, "red": 50, "conflict": 1}
 
 
 def test_precondition_violations_raise_in_debug_mode():
@@ -471,19 +498,19 @@ def answer(v):
     return v.satisfiable, v.trace, v.model, v.proof
 
 
-def test_bulk_moves_match_one_step_moves():
-    # debug mode moves one clause per step, the default mode whole runs
+def test_debug_mode_matches_plain_mode():
+    # checking every state changes nothing the search does
     for name, d in digest_corpus():
-        bulk = solve(d, SolverConfig(trace=True))
-        one = solve(d, SolverConfig(trace=True, assert_measure=True))
-        assert answer(bulk) == answer(one), name
+        plain = solve(d, SolverConfig(trace=True))
+        debug = solve(d, SolverConfig(trace=True, assert_measure=True))
+        assert answer(plain) == answer(debug), name
 
 
 # Search from intermediate states.  tests/data/solver_aux_digests.json records
 # the verdict and evidence of solve_aux on a seeded corpus of (g, d, t)
 # states, made the same way as solver_digests.json.  In about half of them t
-# repeats clauses of d, so a clause can sit in both when a Unit fires, and
-# reducts often equal input clauses.
+# repeats clauses of d, which the search keeps in the working formula only,
+# and reducts often equal input clauses.
 
 AUX_DIGESTS = Path(__file__).parent / "data" / "solver_aux_digests.json"
 
@@ -520,11 +547,11 @@ def test_solve_aux_matches_recorded_digests():
         assert aux_digest(g, d, t) == recorded[name], name
 
 
-def test_solve_aux_bulk_moves_match_one_step_moves():
-    bulk_cfg, one_cfg = SolverConfig(trace=True), SolverConfig(trace=True, assert_measure=True)
+def test_solve_aux_debug_mode_matches_plain_mode():
+    plain_cfg, debug_cfg = SolverConfig(trace=True), SolverConfig(trace=True, assert_measure=True)
     for name, g, d, t in aux_corpus():
-        bulk, one = solve_aux(g, d, t, bulk_cfg), solve_aux(g, d, t, one_cfg)
-        assert answer(bulk) == answer(one), name
+        plain, debug = solve_aux(g, d, t, plain_cfg), solve_aux(g, d, t, debug_cfg)
+        assert answer(plain) == answer(debug), name
 
 
 def test_solve_aux_decides_as_it_witnesses():
