@@ -5,7 +5,8 @@ literals, the working formula, and the clean clauses (clauses sharing no
 variable with the valuation, on which only a split can act).  Each step
 takes the head clause of ``d`` and applies one rule: Elim, Conflict, Unit,
 Red, or a move of the clause to ``t``; an empty ``d`` ends in a model or a
-Split on the Jeroslow–Wang literal of ``t`` (``choose_split``).  The steps
+Split on the Jeroslow–Wang literal of ``t`` (Jeroslow and Wang, Ann. Math.
+AI 1990; ``choose_split``).  The steps
 run in one loop, and an explicit stack holds the open Splits, so the search
 needs no recursion however long it runs.  Witness mode builds an
 ``Assignment`` or a ``DpllDerivation``; decide mode runs the identical
@@ -27,6 +28,18 @@ clean clause stays in ``t`` untouched (occurrence lists: Moskewicz et al.,
 "Chaff", DAC 2001).  A right branch restarts from the Split's clean
 clauses and an empty ``d``, and takes the occurrences of its literal the
 same way.
+
+A searched Split scores only the clauses that changed.  It takes the
+Jeroslow–Wang scores of the innermost open Split, in its left or its right
+branch, less the clauses that Split's clean clauses hold and its own do
+not, plus those its own hold and that Split's do not; only the outermost
+Split, and one whose clean clauses differ from the enclosing Split's in at
+least as many clauses as they hold, scores from scratch (branching scores
+kept current rather than recomputed: Zhang and Malik, "The Quest for
+Efficient Boolean Satisfiability Solvers", CAV 2002).  The weights use the
+longest input clause, and each score carries its literal's rank in
+``lit_key`` order, so the largest names ``choose_split``'s literal; debug
+mode checks each searched Split against ``choose_split``.
 
 Below a Split the rules read only the clean clauses, so a refutation of
 clean clauses S refutes every state whose clean clauses are S (formula
@@ -123,22 +136,71 @@ def complete_model(g: Collection[Lit]) -> Assignment:
 
 
 def choose_split(t: Collection) -> Lit:
-    """Split literal by the Jeroslow–Wang rule: each literal scores the sum
-    of 2^(L - |c|) over the clauses c of ``t`` holding it, where L is the
-    longest clause, so the integer weights are proportional to 2^-|c|.  The
-    best score wins, and a tie goes to the literal first in ``lit_key``
-    order (the smallest variable, positive first), so the literal depends
-    only on the set of clauses, not on their order."""
+    """Split literal by the Jeroslow–Wang rule, the reference definition
+    that the search's carried scores (``_jw_choose``) must agree with, and
+    that debug mode checks each searched Split against: each literal scores
+    the sum of 2^-|c| over the clauses c of ``t`` holding it.  The best
+    score wins, and a tie goes to the literal first in ``lit_key`` order
+    (the smallest variable, positive first), so the literal depends only on
+    the set of clauses, not on their order.  This is the from-scratch case
+    of the search's rule, with ``t``'s own literals and longest clause."""
     if not t:
         raise ValueError("cannot choose a split literal from an empty formula")
-    top = max(map(len, t))
-    score: dict[Lit, int] = {}
+    table = _jw_table(t)
+    order = table[0]
+    return order[max(_jw_scores(t, table).values()) % len(order)]
+
+
+def _jw_table(clauses: Collection) -> tuple[list, dict, list]:
+    """What the Jeroslow–Wang scores of sets of ``clauses``, and of their
+    reducts, are kept in.  With R literals and L the longest clause, a
+    literal's entry is ``score * R + rank``, where ``score`` is the sum of
+    2^(L - |c|) over its clauses (integers proportional to 2^-|c|, so a
+    shorter L scales every score by one factor) and ``rank`` its place in
+    ``order``, the literals in reversed ``lit_key`` order.  The largest
+    entry names the best score and, among its ties, the literal first in
+    ``lit_key`` order.  Returns ``order``, the entries of the empty set, and
+    each clause length's weight, 2^(L - |c|) * R."""
+    order = sorted({l for c in clauses for l in c}, key=lit_key, reverse=True)
+    top = max(map(len, clauses))
+    r = len(order)
+    return order, {l: i for i, l in enumerate(order)}, [r << (top - n) for n in range(top + 1)]
+
+
+def _jw_scores(t: Collection, table: tuple) -> dict:
+    """The Jeroslow–Wang entries of the clauses ``t``, scored from scratch."""
+    _, scores, weight = table
+    scores = scores.copy()
     for c in t:
-        w = 1 << (top - len(c))
+        w = weight[len(c)]
         for l in c:
-            score[l] = score.get(l, 0) + w
-    best = max(score.values())
-    return min((l for l, s in score.items() if s == best), key=lit_key)
+            scores[l] += w
+    return scores
+
+
+def _jw_choose(key: frozenset, parent: Optional[tuple], table: tuple) -> tuple[Lit, dict]:
+    """The split literal of the clean clauses ``key`` and their Jeroslow–Wang
+    entries: those of the enclosing Split's ``parent`` (key, entries) pair,
+    less the clauses it lost and plus those it gained, or from scratch at
+    the outermost Split and where that difference is no smaller than
+    ``key``."""
+    if parent is None:
+        scores = _jw_scores(key, table)
+    else:
+        pkey, scores = parent
+        gone, new = pkey - key, key - pkey
+        if len(gone) + len(new) >= len(key):
+            scores = _jw_scores(key, table)
+        else:
+            weight = table[2]
+            scores = scores.copy()
+            for clauses, sign in ((gone, -1), (new, 1)):
+                for c in clauses:
+                    w = sign * weight[len(c)]
+                    for l in c:
+                        scores[l] += w
+    order = table[0]
+    return order[max(scores.values()) % len(order)], scores
 
 
 def solve(d, cfg: SolverConfig = SolverConfig()) -> Union[Verdict, bool]:
@@ -187,6 +249,15 @@ def _check_state(g, d, t, prev: Optional[tuple[int, int]]) -> tuple[int, int]:
     return cur
 
 
+def _check_split(key: frozenset, lit: Lit) -> None:
+    """Debug-mode check of a searched Split: raise ``InvariantViolation``
+    unless ``lit``, chosen from carried scores, is ``choose_split(key)``."""
+    want = choose_split(key)
+    if lit != want:
+        raise InvariantViolation(f"split literal {lit} from the carried scores, "
+                                 f"but choose_split gives {want}")
+
+
 def _take(lit: Lit, gset: set, occ: dict, t: set, d: deque, live: set) -> None:
     """Add ``lit`` to the valuation ``gset``, and move the clean clauses of
     ``t`` that hold its variable to the back of the working formula ``d``
@@ -211,19 +282,23 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
     # it is in d or t already.  In witness mode frames holds the open nodes
     # outermost first, as dpll_proof.close reads them: (rule, first, second)
     # for each Unit, Red and Split step on the path to the current state.
-    # splits holds, for each open Split, (lit, valuation, key, measure,
-    # start) while it is in its left branch, and (None, key, start) while it
-    # is in its right branch.  key is the frozenset of its clean clauses,
-    # from which with the valuation its right branch restarts, and start the
-    # length of the log before its "split".  unread holds the literals of
-    # the Splits in their left branch that no Red has read.  At a Split d is
-    # empty and the clean clauses share no variable with gset, so every rule
-    # below it reads only them, and a refutation below it refutes every
-    # state with the same clean clauses.  refuted maps the key of each
-    # refuted Split to what it produced: its Split node in witness mode, or
-    # its left refutation if backjumped, True in decide mode, and with a log
-    # that and the span (start, end) of its steps in the log.  A Split whose
-    # key is in refuted is refuted by what it maps to, in place of a search.
+    # splits holds, for each open Split, (lit, (key, scores), valuation,
+    # measure, start) while it is in its left branch, and (None, (key,
+    # scores), start) while it is in its right branch.  key is the frozenset
+    # of its clean clauses, from which with the valuation its right branch
+    # restarts, scores their Jeroslow-Wang entries, from which the next
+    # Split inside it carries its own (_jw_choose), and start the length of
+    # the log before its "split".  table holds the literal order and the
+    # clause-length weights of the entries (_jw_table), made at the first
+    # searched Split.  unread holds the literals of the Splits in their left
+    # branch that no Red has read.  At a Split d is empty and the clean
+    # clauses share no variable with gset, so every rule below it reads only
+    # them, and a refutation below it refutes every state with the same
+    # clean clauses.  refuted maps the key of each refuted Split to what it
+    # produced: its Split node in witness mode, or its left refutation if
+    # backjumped, True in decide mode, and with a log that and the span
+    # (start, end) of its steps in the log.  A Split whose key is in refuted
+    # is refuted by what it maps to, in place of a search.
     gset = set(g0)
     known = dict.fromkeys((*d0, *t0))
     occ: dict[int, list] = {}
@@ -237,6 +312,7 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
     splits: list[tuple] = []
     refuted: dict[frozenset, object] = {}
     unread: set[Lit] = set()
+    table = None
     prev = None
     while True:
         if check:
@@ -312,8 +388,12 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
                 if log is not None:
                     start = len(log)
                     log.append("split")
-                lit = choose_split(key)
-                splits.append((lit, frozenset(gset), key, prev, start))
+                if table is None:
+                    table = _jw_table(known)
+                lit, scores = _jw_choose(key, splits[-1][1] if splits else None, table)
+                if check:
+                    _check_split(key, lit)
+                splits.append((lit, (key, scores), frozenset(gset), prev, start))
                 unread.add(lit)
                 if witness:
                     frames.append((Split, lit, None))
@@ -339,22 +419,22 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
                 proof = close(frames, node, built)
                 built.reverse()
             while splits and splits[-1][0] is None:
-                _, key, start = splits.pop()
+                _, (key, _), start = splits.pop()
                 node = built.pop() if witness else True
                 refuted[key] = node if log is None else (node, start, len(log))
             if not splits:
                 return Verdict(False, proof=proof) if witness else False
-            lit, g, key, prev, start = splits[-1]
+            lit, pair, g, prev, start = splits[-1]
             if lit not in unread:
                 break
             unread.remove(lit)
-            splits[-1] = (None, key, start)
+            splits[-1] = (None, pair, start)
             if witness:
                 frames.pop()
                 node = proof
                 built.append(proof)
-        splits[-1] = (None, key, start)
-        gset, t = set(g), set(key)
+        splits[-1] = (None, pair, start)
+        gset, t = set(g), set(pair[0])
         d, live = deque(), set()
         _take(-lit, gset, occ, t, d, live)
 

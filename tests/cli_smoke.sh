@@ -60,7 +60,12 @@ test "$(dpllkit check res php65.cnf php65.res)" = valid
 dpllkit gen php 8 7 --out php87.cnf
 rc=0; timeout 60 "${cmd[@]}" solve --mode decide php87.cnf || rc=$?
 test "$rc" -eq 20
-# and with its proof: 108,471 nodes unfolded, whose text would be
+# PHP(10,9) decided: 3,578 searched Splits, each scoring its split
+# literal from the enclosing Split's Jeroslow–Wang scores
+dpllkit gen php 10 9 --out php109.cnf
+rc=0; timeout 60 "${cmd[@]}" solve --mode decide php109.cnf || rc=$?
+test "$rc" -eq 20
+# PHP(8,7) with its proof: 108,471 nodes unfolded, whose text would be
 # about 2 MB unshared; shared, each stage costs the distinct derivation
 rc=0; timeout 60 "${cmd[@]}" solve php87.cnf --out php87.dpll || rc=$?
 test "$rc" -eq 20
@@ -81,7 +86,6 @@ test "$(timeout 60 "${cmd[@]}" convert dpll2res php98.cnf php98.dpll --out php98
     = "dpll_size=867975 res_size=328792"
 test "$(timeout 60 "${cmd[@]}" check res php98.cnf php98.res)" = valid
 # PHP(10,9) end to end: 7.8M nodes unfolded in a text under 1 MB
-dpllkit gen php 10 9 --out php109.cnf
 rc=0; timeout 60 "${cmd[@]}" solve php109.cnf --out php109.dpll || rc=$?
 test "$rc" -eq 20
 test "$(wc -c < php109.dpll)" -lt 1000000

@@ -199,8 +199,14 @@ def test_a_left_refutation_that_never_reads_the_split_literal_refutes_the_split(
     # search of it would choose a fourth literal.  Every mode chooses three:
     # the left refutation refutes the Split's own state, and the search ends
     chosen = []
-    choose = solver.choose_split
-    monkeypatch.setattr(solver, "choose_split", lambda t: chosen.append(choose(t)) or chosen[-1])
+    choose = solver._jw_choose
+
+    def record(*args):
+        lit, scores = choose(*args)
+        chosen.append(lit)
+        return lit, scores
+
+    monkeypatch.setattr(solver, "_jw_choose", record)
     v = solve(IRRELEVANT, SolverConfig(mode=mode, assert_measure=checked,
                                        trace=mode == "witness"))
     assert chosen == [1, 5, 6]
@@ -213,6 +219,63 @@ def test_a_left_refutation_that_never_reads_the_split_literal_refutes_the_split(
     assert v.trace[12:18] == ("split", "elim", "elim", "elim", "elim", "split")
     assert isinstance(v.proof, Split) and v.proof.lit == 5
     assert check_dpll((), IRRELEVANT, v.proof).valid
+
+
+# (searched Splits, Splits scored from scratch): the outermost one, and
+# those whose clean clauses differ from the enclosing Split's in at least as
+# many clauses as they hold; every other Split carries the enclosing
+# Split's Jeroslow-Wang scores and scores only the clauses that changed.  A
+# Horn chain never splits, and builds no table
+SCORINGS = [(gen_php(PhpSpec(6, 5)), 94, 6), (gen_php(PhpSpec(9, 8)), 1531, 9),
+            (horn_chain(200, False), 0, 0), (horn_chain(200, True), 0, 0)]
+
+
+@pytest.mark.parametrize("d, splits, scratch", SCORINGS,
+                         ids=["php-6-5", "php-9-8", "horn-sat-200", "horn-unsat-200"])
+def test_a_searched_split_scores_only_the_clauses_that_changed(monkeypatch, d, splits, scratch):
+    calls = Counter()
+    for name in ("_jw_choose", "_jw_scores", "_jw_table"):
+        def count(*args, name=name, real=getattr(solver, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(solver, name, count)
+    solve(d, SolverConfig(mode="decide"))
+    assert (calls["_jw_choose"], calls["_jw_scores"]) == (splits, scratch)
+    assert calls["_jw_table"] == (splits > 0)
+
+
+def test_carried_scores_are_those_from_scratch():
+    # a Split's entries, carried from the enclosing Split's by the clause it
+    # lost and the one it gained, equal the entries scored from scratch.
+    # With L = 3, (-2) weighs 4, so -2 scores 2 + 4 and overtakes 3
+    outer = frozenset({(1, 2), (-1, 3), (2, -3, 4), (-2, -4), (3, 5), (-5, 6)})
+    inner = outer - {(3, 5)} | {(-2,)}
+    table = solver._jw_table(outer | inner)
+    lit, scores = solver._jw_choose(outer, None, table)
+    assert (lit, scores) == (3, solver._jw_scores(outer, table))
+    lit, carried = solver._jw_choose(inner, (outer, scores), table)
+    assert (lit, carried) == (-2, solver._jw_scores(inner, table))
+    assert lit == choose_split(inner) and carried[-2] // len(table[0]) == 6
+
+
+def test_debug_mode_catches_a_corrupted_score_delta(monkeypatch):
+    # a delta that forgets one clause the Split lost leaves its weight on
+    # its literals: the carried choice drifts from choose_split, and debug
+    # mode names both literals
+    carry = solver._jw_choose
+
+    def forget_one(key, parent, table):
+        if parent is not None:
+            pkey, scores = parent
+            gone = pkey - key
+            if gone:
+                parent = pkey - {min(gone)}, scores
+        return carry(key, parent, table)
+
+    monkeypatch.setattr(solver, "_jw_choose", forget_one)
+    d = gen_php(PhpSpec(6, 5))
+    with pytest.raises(InvariantViolation, match="from the carried scores, but choose_split gives"):
+        solve(d, SolverConfig(mode="decide", assert_measure=True))
 
 
 def test_the_red_of_a_unit_clause_reads_the_split_literal():
