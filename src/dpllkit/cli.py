@@ -111,8 +111,7 @@ def _cmd_solve(args) -> int:
 def _cmd_check(args) -> int:
     formula = parse_dimacs(_read(args.input))
     if args.system == "dpll":
-        text = _read(args.proof)
-        report = check_dpll((), formula, parse_dpll(text), limit=len(text))
+        report = check_dpll((), formula, parse_dpll(_read(args.proof)))
     else:
         proof = parse_res(_read(args.proof))
         report = check_res(formula, proof)

@@ -1,17 +1,14 @@
 """DPLL derivation trees and their independent checker.
 
 Derivation payloads are slim: nodes carry only the literal/clause deltas,
-never the running valuation or formula.  One iterative walk, ``walk``,
-reconstructs the (valuation, formula) context top-down and validates the
-side condition of every rule application; ``check_dpll`` is that walk, and
-the resolution translator folds its result over the same walk.  The walk
-keeps a single mutable context and undoes each node's delta when it leaves
-the node, so a node costs O(1) plus the reduct a Red builds, and a
-derivation of any depth is checked without recursion.  A Split that the
-derivation shares is walked again only where the walk of it recorded before
-would not hold, so the solver's shared derivation costs about its distinct
-nodes, not its unfolded tree.  It is deliberately independent of the
-solver: nothing here imports the search code.
+never the running valuation or formula.  A derivation proves a sequent: the
+clauses it needs in the formula, the literals it needs in the valuation and
+the literals the valuation must miss.  One postorder pass over the distinct
+Splits computes the sequents, and a derivation is valid in a context exactly
+where its sequent fits, so ``check_dpll`` of a valid derivation costs its
+distinct nodes.  One iterative walk, ``walk``, finds the first violation of
+an invalid derivation, and folds a valid one for the resolution translator.
+Nothing here imports the search code.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ import gc
 from dataclasses import FrozenInstanceError, dataclass, fields
 from functools import wraps
 from math import inf
-from sys import getrefcount
 from typing import Any, Optional, Union
 
 from .cnf import Clause, Formula, Lit, Valuation, canonical_formula, canonical_valuation
@@ -225,152 +221,186 @@ class CheckReport:
 VALID = CheckReport(True)
 
 
-def check_dpll(g0: Valuation, d0: Formula, proof: DpllDerivation,
-               limit: Optional[int] = None) -> CheckReport:
+def check_dpll(g0: Valuation, d0: Formula, proof: DpllDerivation) -> CheckReport:
     """Validate ``proof`` as a derivation of the sequent ``g0 |- d0``.
 
     Contexts are rebuilt per rule: Unit extends the valuation and drops the
     unit clause, Elim drops the subsumed clause, Red replaces the clause by
     its reduct, Split branches on a literal and its complement.  Failures name
-    the leftmost violating node by its child-index path.  ``limit`` bounds
-    the walk's steps, as ``walk`` says.
+    the leftmost violating node by its child-index path.
     """
-    return walk(g0, d0, proof, limit=limit)[0]
+    return walk(g0, d0, proof)[0]
 
 
 class WalkLimitExceeded(ValueError):
-    """Raised by ``walk`` when checking a derivation takes more steps than
+    """Raised by ``walk`` when folding a derivation takes more steps than
     its ``limit``: the derivation shares Splits that it meets with too many
-    formulas or in too many unclean contexts."""
+    premises."""
+
+
+def _chain(node: DpllDerivation) -> tuple[list, DpllDerivation]:
+    """The nodes from ``node`` down to the first Split or Conflict, and that
+    Split or Conflict."""
+    nodes = []
+    while (kind := type(node)) is not Split and kind is not Conflict:
+        if kind is not Unit and kind is not Red and kind is not Elim:
+            raise TypeError(f"not a DPLL derivation node: {node!r}")
+        nodes.append(node)
+        node = node.sub
+    return nodes, node
+
+
+def _sequents(proof: DpllDerivation, reducts: bool = False,
+              keep: bool = False) -> tuple[dict, dict, Optional[tuple]]:
+    """The sequent pass: the sequents of the Splits that ``proof`` shares
+    (ones that two chains end at) by ``id``, their keys in the fold's memo
+    (the clauses of C and R) by ``id``, and the sequent of ``proof``.  The
+    keys are made only with ``reducts``, and the shared Splits' sequents are
+    kept only with ``keep``; otherwise that dict is left empty.
+
+    A sequent is (C, P, F, R): the clauses a derivation needs in its formula,
+    the literals it needs in its valuation, the literals its valuation must
+    miss, and the reducts its Reds make, which the fold's memo reads (left
+    empty unless ``reducts``).  ``None`` stands for a sequent that no
+    context satisfies.  Each rule transfers its child's:
+
+    - Conflict: C = {()};
+    - Unit(l): C + (l,), P - l, F + -l; none if (l,) is in C or l in F;
+    - Red(c, l) with reduct r: C - r + c, P + l, R + r; none if c is in C
+      or -l is not in c;
+    - Elim(c, l): C + c, P + l; none if c is in C or l is not in c;
+    - Split(l): the union of its branches', less l from the left P and -l
+      from the right P, plus l and -l in F; none if l is in the left F or
+      -l in the right F.
+
+    A rule removes only a clause it reads, so a bigger formula never breaks
+    a derivation: a derivation is valid under a consistent valuation exactly
+    where its formula holds C, and its valuation holds P and misses F.
+
+    A depth-first pass lists the distinct Splits in postorder, each with the
+    nodes of its branches down to the next Split or Conflict (their chains),
+    and counts the chains that end at each Split.  Each sequent is then built
+    in place from its chains' ends: a Split hands its sets over to the last
+    chain that reads them, and the others (all, with ``keep``) copy them."""
+    top = _chain(proof)
+    order, chains_to, stack = [], {}, [top[1]]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            order.append(node)
+        elif type(node) is Split:
+            chains_to[id(node)] = chains_to.get(id(node), 0) + 1
+            if chains_to[id(node)] == 1:
+                left, right = _chain(node.left), _chain(node.right)
+                stack += ((node, left, right), right[1], left[1])
+    unread, sequents, keys = dict(chains_to), {}, {}
+
+    def sequent(chain):
+        # the sequent of the chain's first node, from the sets of its end's
+        # sequent by each rule's transfer in place: the last chain to read a
+        # Split's sets takes them, unless ``keep`` and the Split is shared
+        nodes, end = chain
+        if type(end) is Conflict:
+            below = {()}, set(), set(), set()
+        else:
+            unread[id(end)] -= 1
+            if unread[id(end)] or keep and chains_to[id(end)] > 1:
+                below = sequents[id(end)] and tuple(map(set.copy, sequents[id(end)]))
+            else:
+                below = sequents.pop(id(end))
+        if below is None:
+            return None
+        c, p, f, r = below
+        for node in reversed(nodes):
+            lit = node.lit
+            if type(node) is Unit:
+                if (lit,) in c or lit in f:
+                    return None
+                c.add((lit,))
+                p.discard(lit)
+                f.add(-lit)
+                continue
+            clause = node.clause
+            if clause in c or (-lit if type(node) is Red else lit) not in clause:
+                return None
+            if type(node) is Red:
+                k = clause.index(-lit)
+                reduct = clause[:k] + clause[k + 1:]
+                c.discard(reduct)
+                if reducts:
+                    r.add(reduct)
+            c.add(clause)
+            p.add(lit)
+        return below
+
+    for node, left, right in order:
+        lit, left, right = node.lit, sequent(left), sequent(right)
+        if left is None or right is None or lit in left[2] or -lit in right[2]:
+            sequents[id(node)] = None
+            continue
+        left[1].discard(lit)
+        right[1].discard(-lit)
+        # each set of the two sequents joins the larger one
+        sequents[id(node)] = joined = tuple(a.__ior__(b) if len(a) >= len(b) else b.__ior__(a)
+                                            for a, b in zip(left, right))
+        joined[2].update((lit, -lit))
+        if reducts and chains_to[id(node)] > 1:
+            keys[id(node)] = (*joined[0], *joined[3])
+    return sequents, keys, sequent(top)
 
 
 # The walk keeps one frame (kind, node, a, b) per node it is inside.  _UNIT:
-# a is the unit clause's premise, b whether the literal was newly assumed.
-# _ELIM: a is the clause's premise.  _RED: a is the clause's premise, b the
-# reduct if the node added it, else None.  A Split is _LEFT while in its left
-# branch (a: whether the literal was new), then _RIGHT (a: whether its
-# complement was new; b: whether the nodes around the Split are being
-# folded).
-_UNIT, _ELIM, _RED, _LEFT, _RIGHT = range(5)
-
-
-def _one_referrer() -> int:
-    """What ``getrefcount`` gives in ``walk`` for a node that only its
-    parent refers to."""
-    parent = Split(1, Split(2, CONFLICT, CONFLICT), CONFLICT)
-    node = parent.left
-    return getrefcount(node)
-
-
-_ONE_REFERRER = _one_referrer()
+# a is whether the literal was newly assumed, b the unit clause's premise.
+# _RED (a Red or an Elim): a is the clause's premise, b the reduct if the
+# node added it, else None.  A Split is _LEFT while in its left branch, then
+# _RIGHT: a is whether its literal, then its complement, was new, and b its
+# key in the fold's memo, or None.
+_UNIT, _RED, _LEFT, _RIGHT = range(4)
 
 
 def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
          fold=None, limit: Optional[int] = None) -> tuple[CheckReport, Any]:
-    """Check ``proof`` against ``g0 |- d0`` in one depth-first walk, left
-    branch first, and return ``(report, value)``.
+    """Check ``proof`` against ``g0 |- d0`` and return ``(report, value)``.
 
-    The valuation is an insertion-ordered dict of literals.  The formula is
-    a dict from each clause to its premise: the 1-based index in ``d0`` of
-    the clause it was reduced from, a clause of ``d0`` being its own
-    premise.  Each node tests its side conditions, applies its delta on the
-    way down and undoes it on the way up, restoring the premises it
-    replaced, so a reduct re-created inside a subtree names its own premise
-    there and the outer one again after it.  Consistency is tested once at
-    the root and then only for each newly assumed literal.  The first
-    violation ends the walk with a failing report whose context is the
-    violating node's (valuation, formula); the formula lists the clauses of
-    ``d0`` still in it, in ``d0``'s order, then the reducts in the order the
-    Reds on the path to the node last made them.
+    The sequent pass (``_sequents``) first gives the sequent of ``proof`` and
+    of each Split it shares.  Where the root's fits ``g0 |- d0``, the
+    derivation is valid: the report is ``VALID``, and the walk runs only to
+    fold it.  Otherwise the walk runs to the first violation.
 
-    A Split node that the derivation shares is walked once and then taken
-    as a leaf where it would walk alike, not walked once per occurrence.
-    Below a Split, the rules read (clause, premise) pairs of the formula: a
-    Unit, an Elim and a Red pop their clause, and a Conflict reads the empty
-    clause.  They read the valuation only at the Split's reads: the
-    variables of the clauses read that were in the formula when the Split
-    was entered (an Elim's, a Red's and a Unit's literal are in its clause,
-    and a reduct's variables are its clause's) and the split variables at
-    and below the Split.  The context is clean when the valuation holds no
-    variable of the reads.  A shared Split walked to its end in a clean
-    context records under its id the folding, its value, its split
-    literals, its reads, the (clause, premise) pairs it read of the formula
-    it was entered with, and its fresh reducts: those its Reds computed
-    that were not clauses of that formula.  A later occurrence under a
-    formula T that finds the record is a leaf that takes the recorded value
-    and needs no frame when every recorded pair is in T, no fresh reduct is
-    in T, its own context is clean, and the record was folding or the walk
-    is not.  Then every rule below it touches the same clauses with the
-    same premises as where it was recorded, never another clause of T, and
-    reads no literal of the valuation, so it would walk as it did there.
-    Otherwise it is walked again, and its record is replaced when that walk
-    makes one.  Only Splits walked without a violation are recorded, so the
-    walk meets the violations in the preorder of the unfolded tree, and
-    reports the first one with its unfolded path and context, as a walk of
-    the unfolded tree would.  The solver's shared Splits are all met in
-    clean contexts: it opens a Split only where the clauses it has not
-    dropped as satisfied are its clean clauses, which share no variable
-    with the valuation, and a refutation below reads only those; it splits
-    below only on their variables, and reuses a Split only where the clean
-    clauses equal those it was refuted under.  A clause it dropped as
-    satisfied by the literal of a Split it backjumped past is unsatisfied
-    in the derivation's context, but no rule reads it.
+    The walk goes depth-first, left branch first, with one context: the
+    valuation as an insertion-ordered dict of literals, and the formula as a
+    dict from each clause to its premise, the 1-based index in ``d0`` of the
+    clause it was reduced from.  Each node tests its side conditions and
+    applies its delta on the way down, and undoes it on the way up.  The
+    first violation ends the walk with a failing report: the violating
+    node's child-index path and its (valuation, formula), the formula
+    listing the clauses of ``d0`` still in it, in ``d0``'s order, then the
+    reducts in the order the Reds on the path last made them.  A shared
+    Split whose sequent fits is valid there and is taken as a leaf; one that
+    does not fit holds the violation, so the walk never leaves it.  The
+    report is the one a walk of the unfolded tree gives, and the walk steps
+    into no node more often than the derivation's text writes it.
 
-    A Split is shared when something besides its parent refers to it
-    (CPython's ``sys.getrefcount`` tells); one that only its parent refers
-    to is met once and recorded by nothing.  So a tree costs no records, and
-    the split literals, the reducts and the clauses read below a shared
-    Split are collected only while a shared Split is being walked:
-    ``below`` gets each split literal walked, ``reduced`` each reduct a Red
-    computes and ``readc`` each clause a node reads, and all three get
-    those of each Split taken as recorded.  At a shared Split's exit each
-    of its spans is cut to what a Split around it needs of it, and a record
-    keeps: the split literals, the fresh reducts, and the clauses read that
-    are in the formula again, those it was entered with.
-
-    A shared Split met under many formulas that its record does not fit
-    (say, whose subtree reads a clause with another premise at each), or in
-    many unclean contexts, is walked in each, so a short derivation can
-    take time exponential in its size.  ``limit`` bounds the steps: each
-    node stepped into, and each Split met again that finds a record, is one
-    step, and the walk raises ``WalkLimitExceeded`` past ``limit`` steps.
-    With no limit it walks to the end.
-
-    With a ``fold``, the walk also folds the derivation bottom-up into
+    With a ``fold``, the walk folds a valid derivation bottom-up into
     ``value`` (otherwise ``None``): ``fold.conflict(premise)`` at a leaf,
     with the premise of the empty clause; ``fold.unit(node, v, premise)``
     from the child's value and the premise of the unit clause; and for a
     Split, ``fold.needs_right(node, left)`` after the left branch, then
-    ``fold.split(node, left, right)`` when it said so.  Otherwise the Split's
-    value is ``left``, and its right branch is checked but not folded.  An
-    Elim's and a Red's value is its child's.  A Split taken as recorded
-    takes the value it folded to there, the same object, so the value shares
-    it as the derivation does.
+    ``fold.split(node, left, right)`` if it said so; else the Split's value
+    is ``left``, and its right branch is not walked.  An Elim's and a Red's
+    value is its child's.  A shared Split's value depends only on the
+    premises of the clauses of its C and R, so it is memoised by its ``id``
+    and those premises: met again with the same ones, it is a leaf that
+    takes the same value object, so the value shares it as the derivation
+    does.  A shared Split met with many premises is folded at each, which
+    can take time exponential in the derivation's size; ``limit`` bounds
+    the fold's steps (each node stepped into or taken as a leaf), past
+    which it raises ``WalkLimitExceeded``.
     """
     d0 = canonical_formula(d0)
     g = dict.fromkeys(canonical_valuation(g0))
     d = {c: premise for premise, c in enumerate(d0, 1)}
-    frames: list[tuple] = []
-    values: list = []
-    folding = fold is not None
-    # memo: for each shared Split walked to its end in a clean context, by
-    # its id, (formula pairs, fresh reducts, folding, value, split literals,
-    # reads), the pairs a dict from each clause to its premise.  below,
-    # reduced and readc: the split literals, the reducts and the clauses
-    # read, collected while a shared Split is being walked.  opened: for
-    # each Split being walked, where its spans of below, reduced and readc
-    # start, and its id if it is shared, else None; recording: how many of
-    # them have an id.  steps: the walk's steps up to the last leaf; top:
-    # the frames above which the current descent began.
-    memo: dict[int, tuple] = {}
-    below: list[Lit] = []
-    reduced: list[Clause] = []
-    readc: list[Clause] = []
-    opened: list[tuple[int, int, int, Optional[int]]] = []
-    recording = 0
-    steps, top = 0, 0
-    if limit is None:
-        limit = inf
+    frames, values, memo, steps, top, node = [], [], {}, 0, 0, proof
 
     def fail(reason: str) -> tuple[CheckReport, None]:
         # the child index of each node the walk is inside: 1 in a Split's
@@ -383,162 +413,109 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
         formula += [c for c in reversed(made) if c in d]
         return CheckReport(False, path, reason, (tuple(g), tuple(formula))), None
 
+    def fits(sequent: Optional[tuple]) -> bool:
+        return (sequent is not None and d.keys() >= sequent[0] and g.keys() >= sequent[1]
+                and g.keys().isdisjoint(sequent[2]))
+
     if any(-l in g for l in g):
         return fail("inconsistent-context")
-    node = proof
+    sequents, keys, root = _sequents(proof, reducts=fold is not None)
+    if not fits(root):
+        fold, sequents = None, _sequents(proof, keep=True)[0]
+    elif fold is None:
+        return VALID, None
+    limit = inf if fold is None or limit is None else limit
     while True:
         # Down: test the node in its context, apply its delta and step into
-        # its (left) child, until a Conflict or a Split met again in a
-        # recorded context.
+        # its (left) child, until a Conflict or a Split taken as a leaf.
         while True:
             if isinstance(node, Unit):
                 lit = node.lit
                 premise = d.pop((lit,), None)
                 if premise is None:
                     return fail("unit-clause-missing")
-                if recording:
-                    readc.append((lit,))
-                new = lit not in g
-                if new:
-                    g[lit] = None
-                frames.append((_UNIT, node, premise, new))
+                new, g[lit] = lit not in g, None
+                frames.append((_UNIT, node, new, premise))
                 if new and -lit in g:
                     return fail("inconsistent-context")
                 node = node.sub
-            elif isinstance(node, Red):
-                lit, clause = node.lit, node.clause
+            elif isinstance(node, (Red, Elim)):
+                lit, clause, red = node.lit, node.clause, type(node) is Red
+                name = "red" if red else "elim"
                 if lit not in g:
-                    return fail("red-literal-not-in-valuation")
-                if -lit not in clause:
-                    return fail("red-complement-not-in-clause")
+                    return fail(f"{name}-literal-not-in-valuation")
+                if (-lit if red else lit) not in clause:
+                    return fail("red-complement-not-in-clause" if red else "elim-literal-not-in-clause")
                 premise = d.pop(clause, None)
                 if premise is None:
-                    return fail("red-clause-missing")
-                # the clause was just in d, so -lit occurs in it once
-                k = clause.index(-lit)
-                reduct = clause[:k] + clause[k + 1:]
-                if recording:
-                    readc.append(clause)
-                if reduct in d:
-                    reduct = None
-                else:
-                    d[reduct] = premise
-                    if recording:
-                        reduced.append(reduct)
+                    return fail(f"{name}-clause-missing")
+                reduct = None
+                if red:
+                    # the clause was just in d, so -lit occurs in it once
+                    k = clause.index(-lit)
+                    reduct = clause[:k] + clause[k + 1:]
+                    if reduct in d:
+                        reduct = None
+                    else:
+                        d[reduct] = premise
                 frames.append((_RED, node, premise, reduct))
-                node = node.sub
-            elif isinstance(node, Elim):
-                if node.lit not in g:
-                    return fail("elim-literal-not-in-valuation")
-                if node.lit not in node.clause:
-                    return fail("elim-literal-not-in-clause")
-                premise = d.pop(node.clause, None)
-                if premise is None:
-                    return fail("elim-clause-missing")
-                if recording:
-                    readc.append(node.clause)
-                frames.append((_ELIM, node, premise, None))
                 node = node.sub
             elif isinstance(node, Split):
                 key = None
-                if getrefcount(node) > _ONE_REFERRER:
-                    key = id(node)
-                    record = memo.get(key)
-                    if record is not None:
-                        steps += 1
-                        pairs, fresh, was_folding, value, lits, reads = record
-                        if ((was_folding or not folding) and reads.isdisjoint(g)
-                                and d.items() >= pairs.items() and d.keys().isdisjoint(fresh)):
-                            if folding:
-                                values.append(value)
-                            if recording:
-                                below += lits
-                                reduced += fresh
-                                readc += pairs
-                            break
-                    recording += 1
-                opened.append((len(below), len(reduced), len(readc), key))
+                if id(node) in sequents and fits(sequents[id(node)]):
+                    break
+                if id(node) in keys:
+                    key = (id(node), *map(d.get, keys[id(node)]))
+                    if key in memo:
+                        values.append(memo[key])
+                        break
                 lit = node.lit
-                if recording:
-                    below.append(lit)
-                new = lit not in g
-                if new:
-                    g[lit] = None
-                frames.append((_LEFT, node, new, None))
+                new, g[lit] = lit not in g, None
+                frames.append((_LEFT, node, new, key))
                 if new and -lit in g:
                     return fail("inconsistent-context")
                 node = node.left
-            elif isinstance(node, Conflict):
+            else:
                 premise = d.get(())
                 if premise is None:
                     return fail("conflict-empty-clause-missing")
-                if recording:
-                    readc.append(())
-                if folding:
+                if fold is not None:
                     values.append(fold.conflict(premise))
                 break
-            else:
-                raise TypeError(f"not a DPLL derivation node: {node!r}")
         steps += len(frames) - top + 1
         if steps > limit:
-            raise WalkLimitExceeded(f"checking the derivation takes more than {limit} steps")
+            raise WalkLimitExceeded(f"translating the derivation takes more than {limit} steps")
 
         # Up: undo the deltas of finished nodes and fold their values, until
-        # a Split's left branch is done; then step into its right branch.
-        # The valuation's literals leave in the reverse order they joined.
+        # a Split's left branch is done and its right one is needed; then
+        # step into the right branch.  The valuation's literals leave in the
+        # reverse order they joined.
         while frames:
             kind, node, a, b = frames.pop()
+            if kind == _RED:
+                d.pop(b, None)
+                d[node.clause] = a
+                continue
+            if a:
+                g.popitem()
             if kind == _UNIT:
-                if b:
-                    g.popitem()
-                d[(node.lit,)] = a
-                if folding:
-                    values[-1] = fold.unit(node, values[-1], a)
-            elif kind == _RED:
-                if b is not None:
-                    del d[b]
-                d[node.clause] = a
-            elif kind == _ELIM:
-                d[node.clause] = a
-            elif kind == _LEFT:
+                d[(node.lit,)] = b
+                if fold is not None:
+                    values[-1] = fold.unit(node, values[-1], b)
+                continue
+            if kind == _LEFT and (fold is None or fold.needs_right(node, values[-1])):
                 lit = node.lit
-                if a:
-                    g.popitem()
-                new = -lit not in g
-                if new:
-                    g[-lit] = None
-                frames.append((_RIGHT, node, new, folding))
-                folding = folding and fold.needs_right(node, values[-1])
+                new, g[-lit] = -lit not in g, None
+                frames.append((_RIGHT, node, new, b))
                 if new and lit in g:
                     return fail("inconsistent-context")
                 node = node.right
                 top = len(frames)
                 break
-            else:
-                if a:
-                    g.popitem()
-                if folding:
-                    right = values.pop()
-                    values[-1] = fold.split(node, values[-1], right)
-                folding = b
-                start, rstart, cstart, key = opened.pop()
-                if key is not None:
-                    # the context is the Split's again: the clauses read
-                    # below it that are in the formula were there when it
-                    # was entered, and the reducts made below it that are
-                    # not were not.  Each span keeps only those, all an
-                    # enclosing Split needs of it, and the Split is
-                    # recorded with them if its context is clean
-                    recording -= 1
-                    lits = set(below[start:])
-                    fresh = set(reduced[rstart:]).difference(d)
-                    pairs = {c: d[c] for c in readc[cstart:] if c in d}
-                    below[start:], reduced[rstart:], readc[cstart:] = lits, fresh, pairs
-                    reads = lits.union(*pairs)
-                    reads.update([-l for l in reads])
-                    if reads.isdisjoint(g):
-                        memo[key] = (pairs, fresh, folding,
-                                     values[-1] if folding else None, lits, reads)
+            if kind == _RIGHT and fold is not None:
+                values[-2:] = [fold.split(node, *values[-2:])]
+            if b is not None:
+                memo[b] = values[-1]
         else:
             return VALID, (values[0] if values else None)
 

@@ -197,9 +197,9 @@ def parse_dpll(text: str) -> DpllDerivation:
                 if not 0 < leaf <= len(splits):
                     return _read_tokens(text)
                 leaf = splits[leaf - 1]
-            opened = len(frames)
+            depth = len(frames)
             close(frames, leaf, splits)
-            if opened - len(frames) != owed:
+            if depth - len(frames) != owed:
                 return _read_tokens(text)
     # the tree is finished once, at the end: a ')' or a piece after it
     # would have taken the bottom frame, or left a frame above it
@@ -218,9 +218,9 @@ def _read_tokens(text: str) -> DpllDerivation:
     for tok in walk:
         if tok == "conflict" or tok[0] == "#":
             leaf = CONFLICT if tok == "conflict" else _cited(text, walk, tok, splits)
-            opened = len(frames)
+            depth = len(frames)
             node = close(frames, leaf, splits)
-            for _ in range(opened - len(frames)):
+            for _ in range(depth - len(frames)):
                 if (tok := next(walk, None)) != ")":
                     _fail(text, walk, tok, "')'", "expected ')', got {!r}")
             if not frames:

@@ -8,9 +8,8 @@ each distinct node once, and ``res_size`` reads the size the root was built
 with.  ``dpll_to_res`` turns a checker-valid DPLL derivation of ``g |- d0``
 into a resolution derivation from ``d0`` concluding a subset of the negated
 valuation, never larger than the DPLL derivation: it builds the public nodes
-bottom-up, each leaf citing the premise that the checking walk names for its
-clause, and one leaf per premise, which every step citing that premise
-shares.
+bottom-up, each leaf citing the premise that the walk names for its clause,
+and one leaf per premise, which every step citing that premise shares.
 """
 
 from __future__ import annotations
@@ -117,7 +116,7 @@ def _res(pivot: Lit, left: ResDerivation, right: ResDerivation) -> Res:
 
 
 class _Translation:
-    """The DPLL-to-resolution translation as a fold over the checking walk
+    """The DPLL-to-resolution translation as a fold over the walk
     (``dpll_proof.walk``): each method builds a node's translation from its
     children's, whose conclusions are subsets of the negated valuation at
     that node.  Each DPLL node adds at most one resolution step, and a leaf
@@ -131,17 +130,13 @@ class _Translation:
         return self.subs[premise - 1]
 
     def unit(self, node: Unit, r: ResDerivation, premise: int) -> ResDerivation:
-        if -node.lit not in r.conclusion:
-            return r
-        return _res(node.lit, r, self.subs[premise - 1])
+        return _res(node.lit, r, self.subs[premise - 1]) if -node.lit in r.conclusion else r
 
     def needs_right(self, node: Split, left: ResDerivation) -> bool:
         return -node.lit in left.conclusion
 
     def split(self, node: Split, left: ResDerivation, right: ResDerivation) -> ResDerivation:
-        if node.lit not in right.conclusion:
-            return right
-        return _res(node.lit, left, right)
+        return _res(node.lit, left, right) if node.lit in right.conclusion else right
 
 
 @collector_paused
@@ -149,12 +144,12 @@ def dpll_to_res(g: Valuation, d0: Formula, p: DpllDerivation,
                 limit: Optional[int] = None) -> ResDerivation:
     """Translate a valid DPLL derivation of ``g |- d0`` into a resolution
     derivation from ``d0`` whose conclusion is a subset of the negated
-    valuation and whose size never exceeds the DPLL size.  The derivation is
-    checked in the same walk that translates it; an invalid one raises
-    ``InvalidDerivation`` with the report ``check_dpll`` gives.  ``limit``
-    bounds the walk's steps, as ``dpll_proof.walk`` says.  The translation
-    is built bottom-up and holds no reference cycle; the cyclic collector is
-    paused meanwhile."""
+    valuation and whose size never exceeds the DPLL size.  The sequent pass
+    that ``check_dpll`` runs checks the derivation before the walk folds it;
+    an invalid one raises ``InvalidDerivation`` with the report
+    ``check_dpll`` gives.  ``limit`` bounds the fold's steps, as
+    ``dpll_proof.walk`` says.  The translation is built bottom-up and holds
+    no reference cycle; the cyclic collector is paused meanwhile."""
     d0 = canonical_formula(d0)
     report, root = walk(g, d0, p, _Translation(d0), limit)
     if not report.valid:

@@ -15,8 +15,7 @@ control flow with evidence construction elided, and returns a bool.
 Elim drops a clause the valuation satisfies from the working formula, and
 the rule log records it as ``"elim"``, but the derivation gets no node for
 it: the clause stays in the derivation's formula, where no later rule
-reads it, and the checker's walk records a shared Split by the clauses its
-subtree reads.
+reads it, and no sequent of the checker holds it.
 
 A searched step costs the clauses it touches, not the formula.  ``d`` is a
 queue and ``t`` a set.  An occurrence list maps each variable to the
@@ -115,10 +114,10 @@ class Verdict:
     share a refuted Split subtree among several Splits, which ``repr``
     writes as ``...`` and the text as ``#n`` after its first time; ``==``
     reads it unfolded, ``dpll_size`` is the unfolded size each node was
-    built with, and the checker and the translator walk each shared Split
-    about once.  A Split the search backjumped past has no node: its left
-    refutation stands in its place, and is what a Split reusing its clean
-    clauses shares.  The rule log keeps its ``"split"`` and the steps of
+    built with, and the checker and the translator cost each distinct
+    Split about once.  A Split the search backjumped past has no node: its
+    left refutation stands in its place, and is what a Split reusing its
+    clean clauses shares.  The rule log keeps its ``"split"`` and the steps of
     its left branch."""
 
     satisfiable: bool

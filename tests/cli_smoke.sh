@@ -76,7 +76,7 @@ test "$(timeout 60 "${cmd[@]}" convert dpll2res php87.cnf php87.dpll --out php87
     = "dpll_size=108471 res_size=41090"
 test "$(timeout 60 "${cmd[@]}" check res php87.cnf php87.res)" = valid
 # PHP(9,8) end to end: a Split refuted before is reused where its clean
-# clauses come again, and the walk takes its record there
+# clauses come again, and its sequent fits there
 dpllkit gen php 9 8 --out php98.cnf
 rc=0; timeout 60 "${cmd[@]}" solve php98.cnf --out php98.dpll || rc=$?
 test "$rc" -eq 20
@@ -133,4 +133,32 @@ grep -qxF 'invalid: not-a-refutation at path []' shared.err
 # the serializer writes each shared node once, so the trace
 # round-trips byte for byte
 timeout 20 python -c 'import sys; from dpllkit.proof_text import parse_res, serialize_res; text = open(sys.argv[1]).read(); assert serialize_res(parse_res(text)) == text' shared.res
+# 30 nested Splits, each citing the one inside it as its right branch,
+# 2^30 - 1 Splits unfolded.  Split k reduces (-k 30+k) or (k 30+k) to the
+# unit (30+k), and below Split 1 the units 31 .. 60 and then $1 end in the
+# clause $2 (written to $3.cnf and $3.dpll)
+chain() {
+    local n=30 units=$1 text k
+    for k in $(seq $((2 * n)) -1 $((n + 1))); do units="(unit $k $units)"; done
+    text="(split 1 (red [ -1 $((n + 1)) ] 1 $units) (red [ 1 $((n + 1)) ] -1 $units))"
+    for k in $(seq 2 $n); do
+        text="(split $k (red [ -$k $((n + k)) ] $k $text) (red [ $k $((n + k)) ] -$k #$((k - 1))))"
+    done
+    printf '%s' "$text" > "$3.dpll"
+    { echo "p cnf $((2 * n)) $((2 * n + 1))"; echo "$2 0"
+      for k in $(seq 1 $n); do echo "-$k $((n + k)) 0"; echo "$k $((n + k)) 0"; done; } > "$3.cnf"
+}
+# over the empty clause each shared Split's sequent fits wherever it is
+# met, though the premise of the unit it reads differs: check accepts it
+chain conflict "" premise
+test "$(timeout 20 "${cmd[@]}" check dpll premise.cnf premise.dpll)" = valid
+# over the clause (-31 .. -60), which Reds by the units reduce to (), the
+# translation needs every right branch, with other premises each time:
+# convert stops at the text's length in steps
+bottom=conflict
+for k in $(seq 60 -1 31); do bottom="(red [ $(seq -s ' ' -$k -1 -60) ] $k $bottom)"; done
+chain "$bottom" "$(seq -s ' ' -31 -1 -60)" wide
+rc=0; timeout 20 "${cmd[@]}" convert dpll2res wide.cnf wide.dpll 2> wide.err || rc=$?
+test "$rc" -eq 1
+grep -qxF "error: translating the derivation takes more than $(wc -c < wide.dpll) steps" wide.err
 echo "cli smoke: ok"

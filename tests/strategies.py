@@ -9,7 +9,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from dpllkit.cnf import Assignment, canonical_clause, canonical_formula, canonical_valuation
-from dpllkit.dpll_proof import CONFLICT, Conflict, Elim, Split, Unit
+from dpllkit.dpll_proof import CONFLICT, Conflict, Elim, Red, Split, Unit, check_dpll
 from dpllkit.php import PhpSpec, gen_php
 from dpllkit.proof_text import parse_dpll
 from dpllkit.resolution import Res
@@ -104,29 +104,48 @@ def unclean_chain(n):
     """A formula under which ``split_chain(n)`` is valid: each split
     variable k is in (k, n+k) and (-k, 2n+k), and below Split k the
     valuation leaves one of them unsatisfied with k assigned.  No Split
-    reads them, so the walk, which records a Split by the clauses it reads,
-    takes every Split the chain shares as recorded."""
+    reads them, so no sequent holds them."""
     return (((),) + tuple((k, n + k) for k in range(1, n + 1))
             + tuple((-k, 2 * n + k) for k in range(1, n + 1)))
 
 
 def premise_chain(n):
     """(formula, text): a refutation whose text is linear in n and whose
-    Splits the walk cannot take as recorded.  Split k reduces (-k, n+k) in
-    its left branch and (k, n+k) in its right one, to the unit clause
-    (n+k) from either premise, and both branches are Split k-1, the right
-    one citing it as #(k-1).  Split 1's branches take the units n+1 .. 2n
-    and end in the empty clause.  So each Split k-1 reads the clause
-    (n+k) with the premise the sign of k chose: a record of it fits no
-    other occurrence, and its unfolded tree of 2^n - 1 Splits is walked
-    node by node."""
-    units = "conflict"
+    shared Splits each read a clause with another premise at each
+    occurrence.  Split k reduces (-k, n+k) in its left branch and (k, n+k)
+    in its right one, to the unit clause (n+k) from either premise, and
+    both branches are Split k-1, the right one citing it as #(k-1).  Split
+    1's branches take the units n+1 .. 2n and end in the empty clause.  So
+    each Split k-1 reads the clause (n+k) with the premise the sign of k
+    chose, under an unfolded tree of 2^n - 1 Splits; the fold of the
+    translation needs no right branch, since each conflict concludes ()."""
+    return _premise_chain(n, (), "conflict")
+
+
+def wide_chain(n):
+    """(formula, text): ``premise_chain(n)`` with the empty clause replaced
+    by the wide clause (-(n+1) .. -2n), which Reds by the units n+1 .. 2n
+    reduce to () below them.  Each leaf's translation then resolves on the
+    units, and so on the split literals, so the fold needs every right
+    branch and meets each Split with other premises at each occurrence: it
+    takes time exponential in n."""
+    wide = tuple(range(-n - 1, -2 * n - 1, -1))
+    bottom = "conflict"
+    for k in range(2 * n, n, -1):
+        bottom = f"(red [ {' '.join(map(str, wide[k - n - 1:]))} ] {k} {bottom})"
+    return _premise_chain(n, wide, bottom)
+
+
+def _premise_chain(n, empty, bottom):
+    # premise_chain(n) with the clause `empty` in place of () and the
+    # derivation `bottom` in place of its conflicts
+    units = bottom
     for k in range(2 * n, n, -1):
         units = f"(unit {k} {units})"
     text = f"(split 1 (red [ -1 {n + 1} ] 1 {units}) (red [ 1 {n + 1} ] -1 {units}))"
     for k in range(2, n + 1):
         text = f"(split {k} (red [ -{k} {n + k} ] {k} {text}) (red [ {k} {n + k} ] -{k} #{k - 1}))"
-    return ((),) + tuple(c for k in range(1, n + 1) for c in ((-k, n + k), (k, n + k))), text
+    return (empty,) + tuple(c for k in range(1, n + 1) for c in ((-k, n + k), (k, n + k))), text
 
 
 def dpll_put(p, path, new):
@@ -278,3 +297,88 @@ def checker_corpus():
                                  if isinstance(node, Elim)])
         corpus.append((f"{name}~{i}", g, d, dpll_put(p, path, mutate_dpll(node, rng))))
     return corpus
+
+
+@cache
+def dag_grafts():
+    """(name, valuation, formula, derivation) entries, seeded: solver
+    refutations p of small random unsatisfiable CNFs, each with one Split S
+    of p shared under a second context.  The derivation is Split(x, p, G)
+    on a fresh variable x, where G is p with S's occurrence replaced by a
+    node over S that changes S's context in one way:
+
+    - "other-sign": Split(v, S, S), v a split literal at or below S, so S
+      meets its split variable assumed with each sign;
+    - "gone": Split(l, Elim(c, l, S), R), c a clause of S's context that
+      S's subtree reads, l in c, and R the solver's refutation of S's
+      context with -l, so c is gone where S is met again;
+    - "satisfied": Split(l, S, R), the same, with c satisfied where S is
+      met again;
+    - "reduct": Red(r + x, -x, S), r a reduct that S's subtree makes and
+      its context lacks, and r + x a clause added to the CNF, so that r is
+      there with another premise where S is met first; the derivation is
+      Split(-x, G, p), whose fold needs both branches;
+    - "premise": no graft; each clause c of the CNF is written twice, as
+      c + -x and c + x, and each branch of Split(x, ., .) reduces its
+      copies to c before p, so every Split of p reads its clauses with
+      other premises in the second branch.
+
+    The nodes of p off the path to S are shared with G as well."""
+    rng = random.Random(53)
+    entries = []
+    while len(entries) < 400:
+        d0 = canonical_formula(random_3sat(rng, rng.randint(4, 6), rng.randint(16, 30)))
+        verdict = solve(d0)
+        splits = [] if verdict.satisfiable else [
+            path for path, node in dpll_nodes(verdict.proof) if isinstance(node, Split)]
+        if not splits:
+            continue
+        p, path = verdict.proof, rng.choice(splits)
+        s = p
+        for branch in path:
+            s = (s.left, s.right)[branch] if isinstance(s, Split) else s.sub
+        x = 1 + max((abs(l) for c in d0 for l in c), default=0)
+        kind = ("other-sign", "gone", "satisfied", "reduct", "premise")[len(entries) % 5]
+        name, d = f"graft-{kind}-{len(entries)}", d0
+        if kind == "premise":
+            d = canonical_formula([c + (-x,) for c in d0] + [c + (x,) for c in d0])
+            left, right = p, p
+            for c in reversed(d0):
+                left = Red(canonical_clause(c + (-x,)), x, left)
+                right = Red(canonical_clause(c + (x,)), -x, right)
+            entries.append((name, (), d, Split(x, left, right)))
+            continue
+        # S's context, read off the report of a walk that fails at S's
+        # position, and the clauses of it that S's subtree reads
+        g, context = check_dpll((), d0, dpll_put(p, path, Unit(x, CONFLICT))).context
+        read = {(node.lit,) if isinstance(node, Unit) else getattr(node, "clause", ())
+                for _, node in dpll_nodes(s) if not isinstance(node, Split)}
+        if kind == "other-sign":
+            v = rng.choice([node.lit for _, node in dpll_nodes(s) if isinstance(node, Split)])
+            graft = Split(v, s, s)
+        elif kind == "reduct":
+            made = sorted({canonical_clause(set(node.clause) - {-node.lit})
+                           for _, node in dpll_nodes(s) if isinstance(node, Red)} - set(context))
+            if not made:
+                continue
+            r = canonical_clause(rng.choice(made) + (x,))
+            d = canonical_formula(d0 + (r,))
+            # G first: its translation cites r + x, so the fold needs p too
+            entries.append((name, (), d, Split(-x, dpll_put(p, path, Red(r, -x, s)), p)))
+            continue
+        else:
+            # a literal l of such a clause c on no variable of the valuation,
+            # best one whose complement S's subtree does not assume, so that
+            # S does not fail for that reason alone
+            assumed = {lit for _, node in dpll_nodes(s) if isinstance(node, (Unit, Split))
+                       for lit in ((node.lit, -node.lit) if isinstance(node, Split) else (node.lit,))}
+            choices = [(c, l) for c in sorted(set(context) & read) for l in c
+                       if l not in g and -l not in g]
+            if not choices:
+                continue
+            c, l = rng.choice([(c, l) for c, l in choices if -l not in assumed] or choices)
+            other = solve_aux(g + (-l,), context).proof
+            graft = Split(l, Elim(c, l, s) if kind == "gone" else s, other)
+        entries.append((name, (), d, Split(x, p, dpll_put(p, path, graft))))
+    return entries
+

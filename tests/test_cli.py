@@ -10,7 +10,7 @@ from dpllkit.cli import main
 from dpllkit.dimacs import emit_dimacs, parse_dimacs
 from dpllkit.php import PhpSpec, gen_php
 
-from strategies import horn_chain, premise_chain
+from strategies import horn_chain, premise_chain, wide_chain
 
 
 @pytest.fixture
@@ -102,22 +102,33 @@ def test_convert_invalid_proof(php21_file, tmp_path, capsys):
     assert captured.out == ""
 
 
-def test_a_text_met_in_too_many_contexts_is_refused(tmp_path, capsys):
+def test_a_text_met_in_many_contexts_is_checked(tmp_path, capsys):
     # 30 nested Splits, each citing the one inside it as its right branch:
     # 2,209 characters for an unfolded tree of 2^30 - 1 Splits.  Each
     # Split the text shares reads a unit clause whose premise the sign of
-    # the Split above it chose, so none is taken as recorded, and the walk
-    # stops at the text's length in steps.
-    n = 30
-    d, text = premise_chain(n)
+    # the Split above it chose, but its sequent fits every context it is
+    # met in, and check accepts the text at once
+    d, text = premise_chain(30)
     cnf, proof = tmp_path / "chain.cnf", tmp_path / "chain.dpll"
     cnf.write_text(emit_dimacs(d))
     proof.write_text(text)
-    for command in (["check", "dpll"], ["convert", "dpll2res"]):
-        assert main([*command, str(cnf), str(proof)]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == f"error: checking the derivation takes more than {len(text)} steps\n"
-        assert captured.out == ""
+    assert main(["check", "dpll", str(cnf), str(proof)]) == 0
+    assert capsys.readouterr().out == "valid\n"
+
+
+def test_a_text_met_in_too_many_contexts_is_refused(tmp_path, capsys):
+    # the same chain over a wide clause that the units reduce to (): the
+    # translation of each leaf resolves on every split literal, so its
+    # fold meets each shared Split with other premises at each occurrence,
+    # and stops at the text's length in steps
+    d, text = wide_chain(30)
+    cnf, proof = tmp_path / "chain.cnf", tmp_path / "chain.dpll"
+    cnf.write_text(emit_dimacs(d))
+    proof.write_text(text)
+    assert main(["convert", "dpll2res", str(cnf), str(proof)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: translating the derivation takes more than {len(text)} steps\n"
+    assert captured.out == ""
 
 
 def test_check_dpll_failure_gives_context_sizes(php21_file, tmp_path, capsys):

@@ -8,10 +8,12 @@ import sys
 import time
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 
+from dpllkit import dpll_proof
 from dpllkit.cnf import canonical_formula
 from dpllkit.dpll_proof import (
     CONFLICT,
@@ -32,8 +34,8 @@ from dpllkit.resolution import InvalidDerivation, Res, Sub, check_res, dpll_to_r
 from dpllkit.solver import solve
 
 from oracle import compatible
-from strategies import (checker_corpus, dpll_nodes, dpll_put, elim_texts, formulas, premise_chain,
-                        split_chain, unclean_chain, unshared)
+from strategies import (checker_corpus, dag_grafts, dpll_nodes, dpll_put, elim_texts, formulas,
+                        premise_chain, split_chain, unclean_chain, unshared, wide_chain)
 
 PHP21 = gen_php(PhpSpec(2, 1))
 
@@ -319,21 +321,41 @@ def test_valid_refutations_imply_incompatibility(d):
         assert not compatible((), d).satisfiable
 
 
-# The walk against the unfolded walk.  walk records each shared Split it
-# walks in a clean context by the clauses it reads, and takes a Split met
-# again where those clauses are, in a clean context, as a leaf.  unshared(p) holds no Split
-# twice, so its walk never takes one: it is the walk of the unfolded tree,
-# and the DAG's walk must give what it gives.
+# The walk against the unfolded walk.  check_dpll takes a Split as a leaf
+# wherever the sequent the pass computed for it fits the context, and
+# dpll_to_res takes a shared Split as a leaf where its memo holds the
+# premises the Split reads.  unshared(p) holds no Split twice, and with a
+# pass under which no sequent fits, its walk takes none: that is the walk of
+# the unfolded tree, and the DAG's walk must give what it gives.
+
+def unfolded_check(g, d, p):
+    """``check_dpll`` of ``unshared(p)`` by the plain walk, which tests
+    every node in its context."""
+    nothing_fits = ({}, {}, None)
+    with patch.object(dpll_proof, "_sequents", lambda proof, reducts=False, keep=False: nothing_fits):
+        return check_dpll(g, d, unshared(p))
+
+
+def sequent_verdict(g, d, p):
+    """Whether the sequent the pass computes for ``p`` fits ``g |- d``."""
+    root = dpll_proof._sequents(p)[2]
+    return (root is not None and root[0] <= set(canonical_formula(d)) and root[1] <= set(g)
+            and root[2].isdisjoint(g))
+
 
 def walk_both(g, d, p):
-    """Require the same report from ``p`` and ``unshared(p)``, and for a
-    valid derivation ``==`` translations of one size; return the DAG's
-    translation, or its report when invalid.  Each walk runs with its
-    text's length as its limit, as the CLI runs it."""
+    """Require the same report from ``p``, ``unshared(p)`` and the unfolded
+    walk, the pass's verdict on ``p`` from the unfolded walk where the
+    valuation is consistent, and for a valid derivation ``==``
+    translations of one size; return the DAG's translation, or its report
+    when invalid.  Each translation runs with its text's length as its
+    limit, as the CLI runs it."""
     q = unshared(p)
+    report = check_dpll(g, d, p)
+    assert report == check_dpll(g, d, q) == unfolded_check(g, d, p)
+    if report.reason != "inconsistent-context" or report.path:
+        assert sequent_verdict(g, d, p) == report.valid
     limits = {id(p): len(serialize_dpll(p)), id(q): len(serialize_dpll(q))}
-    report = check_dpll(g, d, p, limit=limits[id(p)])
-    assert report == check_dpll(g, d, q, limit=limits[id(q)])
     if not report.valid:
         for proof in (p, q):
             with pytest.raises(InvalidDerivation) as err:
@@ -346,16 +368,35 @@ def walk_both(g, d, p):
 
 
 def test_walk_of_the_dag_is_the_walk_of_the_unfolded_tree():
-    php = [(f"php-{k + 1}-{k}", (), d, solve(d).proof)
-           for k in (5, 6, 7) for d in [gen_php(PhpSpec(k + 1, k))]]
+    php = [(f"php-{k + 1}-{k}", (), d, proof)
+           for k in (5, 6, 7) for d in [gen_php(PhpSpec(k + 1, k))] for p in [solve(d).proof]
+           for proof in (p, parse_dpll(serialize_dpll(p)))]
     for name, g, d, p in checker_corpus() + php:
         walk_both(g, d, p)
 
 
+def test_a_split_grafted_under_a_second_context_walks_as_unfolded():
+    # dag_grafts shares one Split of a solver refutation under a second
+    # context that differs in a split literal's sign, a clause it reads
+    # gone or satisfied, a reduct it makes there with another premise, or
+    # the premises of the clauses it reads
+    outcomes = {}
+    for name, g, d, p in dag_grafts():
+        report = walk_both(g, d, p)
+        kind = name.split("-")[1]
+        valid = not isinstance(report, CheckReport)
+        outcomes[kind, valid] = outcomes.get((kind, valid), 0) + 1
+    assert outcomes[("premise", True)] == outcomes[("reduct", True)] == 80
+    for kind in ("other", "gone", "satisfied"):
+        assert outcomes.get((kind, False), 0) >= 10, outcomes
+    assert outcomes.get(("satisfied", True), 0) >= 10, outcomes
+
+
 # DAGs that share one Split S, valid where it first occurs, under a second
-# context that differs from the first in one thing the walk's record of S
-# must tell apart: the sign of a split variable below S (also where the walk
-# took the Split below S as recorded), a clause S reduces, the premise of
+# context that differs from the first in one thing S's sequent, or the
+# fold's memo key, must tell apart: the sign of a split variable below S
+# (also where it is below S only through another shared Split; the ids
+# name the record the walk once kept), a clause S reduces, the premise of
 # the clause S's conflicts cite, whether the fold needs S's value, and a
 # clause S does not read.  The three "more-clauses" ones hold every clause
 # of the first formula and more, as where a text reuses a Split refuted
@@ -364,7 +405,7 @@ def test_walk_of_the_dag_is_the_walk_of_the_unfolded_tree():
 # S.  In the four "satisfied-clause"
 # ones S's subtree reads a clause that S's valuation satisfies, which is
 # gone or has another premise in the second context.  A walk that took S
-# there as recorded would report a valid derivation, or translate it
+# there as a leaf would report a valid derivation, or translate it
 # otherwise than the unfolded walk.
 SPLIT_BELOW = Split(3, Split(2, CONFLICT, CONFLICT), CONFLICT)
 REDUCES = Split(2, Red((-2, 6), 2, CONFLICT), CONFLICT)
@@ -383,7 +424,7 @@ DAG_ADVERSARIES = [
                  CheckReport(False, (1, 0, 0, 0), "inconsistent-context", ((-1, -2, 3, 2), ((),))),
                  id="split-variable-other-sign"),
     # the same, where the split variable is below the shared ABOVE only
-    # through CITES, which ABOVE's first walk takes as recorded
+    # through CITES, whose sequent fits where ABOVE is first walked
     pytest.param(((),), Split(1, CITES, Split(4, ABOVE, Split(-2, ABOVE, CONFLICT))),
                  CheckReport(False, (1, 1, 0, 0, 0), "inconsistent-context",
                              ((-1, -4, -2, 3, 2), ((),))),
@@ -443,11 +484,9 @@ DAG_ADVERSARIES = [
                  CheckReport(False, (1, 0, 0, 0), "inconsistent-context",
                              ((-4, -2, 3, 2), ((), (4, 5)))),
                  id="more-clauses-split-variable-other-sign"),
-    # A record of S holds the clauses its subtree reads, and is made only
-    # where the valuation holds none of their variables.  Here S's subtree
-    # reads a clause that S's valuation satisfies, so S is not recorded: S
-    # first walked where 1 makes (1, 5) true and S's Elim drops it, then
-    # where (1, 5) is gone
+    # S's subtree reads a clause that S's valuation satisfies: S first
+    # walked where 1 makes (1, 5) true and S's Elim drops it, then where
+    # (1, 5) is gone
     pytest.param(((), (1, 5)),
                  Split(1, Split(2, ELIMS, Elim((1, 5), 1, ELIMS)), CONFLICT),
                  CheckReport(False, (0, 1, 0, 0), "elim-clause-missing", ((1, -2, 3), ((),))),
@@ -469,16 +508,16 @@ DAG_ADVERSARIES = [
                             (-1,)),
                      Sub(1, (1,)), ()),
                  id="satisfied-clause-unit-other-premise"),
-    # the Elim of the first case two shared Splits below the Split met again:
-    # both have 1 in their valuation, so neither is recorded
+    # the Elim of the first case two shared Splits below the Split met
+    # again, both with 1 in their valuation
     pytest.param(((), (1, 5)),
                  Split(1, Split(2, ELIMS_BELOW, Elim((1, 5), 1, ELIMS_BELOW)), CONFLICT),
                  CheckReport(False, (0, 1, 0, 0, 0), "elim-clause-missing",
                              ((1, -2, 4, 3), ((),))),
                  id="satisfied-clause-two-splits-deep"),
     # S = CITES_TWICE first walked where CITES, walked before it, is taken
-    # as recorded at both its occurrences, so that S reads () only through
-    # CITES's record; then where () is gone
+    # as a leaf at both its occurrences, so that S reads () only through
+    # CITES's sequent; then where () is gone
     pytest.param(((-5,),), Split(5, Red((-5,), 5, Split(1, CITES, CITES_TWICE)), CITES_TWICE),
                  CheckReport(False, (1, 0, 0), "conflict-empty-clause-missing",
                              ((-5, 3, 2), ((-5,),))),
@@ -491,21 +530,6 @@ def test_shared_split_in_a_second_context_is_walked_there(d, p, expected):
     assert walk_both((), d, p) == expected
     if isinstance(expected, Res):
         assert check_res(d, expected).valid
-
-
-def test_a_read_blocks_only_the_splits_whose_valuation_satisfies_the_clause():
-    # in the shared Split OUTER, the Split on 1 puts 1 into the valuation
-    # before the shared Split INNER, whose Elim drops (1, 5): INNER is not
-    # recorded, but OUTER, whose valuation holds no variable of (1, 5) and
-    # whose record holds it, is, so its second occurrence is one step: 16
-    # steps where the unfolded tree takes 27
-    inner = Split(3, Elim((1, 5), 1, CONFLICT), CONFLICT)
-    outer = Split(2, Split(1, inner, CONFLICT), Split(1, inner, CONFLICT))
-    d, p = ((), (1, 5)), Split(4, outer, outer)
-    walk_both((), d, p)
-    assert check_dpll((), d, p, limit=16).valid
-    with pytest.raises(WalkLimitExceeded):
-        check_dpll((), d, p, limit=15)
 
 
 # Split 1 reduces (-1 2) in its left branch, which reads 1, takes the unit
@@ -529,34 +553,39 @@ SUPERSET_TEXT = (
 
 
 def test_a_split_refuted_under_fewer_clauses_is_reused_under_more():
-    # The walk records the shared Split 5 by the clauses it reads, the eight,
-    # which the right branch holds with the same premises: it takes the
-    # second occurrence as one leaf and one step, 41 steps for the 69 nodes
-    # of the unfolded tree, and gives what the unfolded walk gives
+    # Shared Split 5 reads the eight clauses, which the right branch holds
+    # with the same premises, and the fold's memo holds their premises: the
+    # fold takes the second occurrence as one leaf, 34 steps for the 69
+    # nodes of the unfolded tree, and gives what the unfolded walk gives
     p = parse_dpll(SUPERSET_TEXT)
     shared = p.left.sub.sub
     assert isinstance(shared, Split) and p.right.sub.sub.sub.sub is shared
     assert count_nodes(p) == 69
-    assert check_dpll((), SUPERSET, p, limit=41).valid
+    assert check_dpll((), SUPERSET, p).valid
+    assert dpll_to_res((), SUPERSET, p, limit=34) == dpll_to_res((), SUPERSET, p)
     with pytest.raises(WalkLimitExceeded):
-        check_dpll((), SUPERSET, p, limit=40)
+        dpll_to_res((), SUPERSET, p, limit=33)
     walk_both((), SUPERSET, p)
 
 
 def test_a_shared_node_that_is_not_a_split_is_written_and_walked_at_each_occurrence():
-    # the text cites only Splits, and the walk records only Splits: a Unit
+    # the text cites only Splits, and the fold memoises only Splits: a Unit
     # the derivation shares is written in full, read back as two nodes,
-    # and walked and translated at each occurrence, as the unfolded tree is
-    d, shared = ((2,), (-2,)), Unit(2, Red((-2,), 2, CONFLICT))
-    p = Split(1, shared, shared)
+    # and folded at each occurrence, as the unfolded tree is; its unit
+    # clause (2) is reduced from (-1 2) in one and from (1 2) in the other
+    d, shared = ((-1, 2), (1, 2), (-2,)), Unit(2, Red((-2,), 2, CONFLICT))
+    p = Split(1, Red((-1, 2), 1, shared), Red((1, 2), -1, shared))
     text = serialize_dpll(p)
-    assert text == "(split 1 (unit 2 (red [ -2 ] 2 conflict)) (unit 2 (red [ -2 ] 2 conflict)))"
+    assert text == ("(split 1 (red [ -1 2 ] 1 (unit 2 (red [ -2 ] 2 conflict)))"
+                    " (red [ 1 2 ] -1 (unit 2 (red [ -2 ] 2 conflict))))")
     q = parse_dpll(text)
-    assert q == p and q.left is not q.right
-    assert check_dpll((), d, p, limit=count_nodes(p)).valid
+    assert q == p and q.left.sub is not q.right.sub
+    assert check_dpll((), d, p).valid
+    assert dpll_to_res((), d, p, limit=count_nodes(p)) == dpll_to_res((), d, p)
     with pytest.raises(WalkLimitExceeded):
-        check_dpll((), d, p, limit=count_nodes(p) - 1)
-    assert walk_both((), d, p) == Res(2, Sub(2, (-2,)), Sub(1, (2,)), ())
+        dpll_to_res((), d, p, limit=count_nodes(p) - 1)
+    assert walk_both((), d, p) == Res(1, Res(2, Sub(3, (-2,)), Sub(1, (-1, 2)), (-1,)),
+                                      Res(2, Sub(3, (-2,)), Sub(2, (1, 2)), (1,)), ())
 
 
 def count_nodes(p):
@@ -573,112 +602,130 @@ def count_nodes(p):
 
 
 def test_limit_counts_the_nodes_of_a_tree():
-    # a tree's walk steps into each node once and compares no context
+    # a tree's fold steps into each node it folds once and looks up no
+    # memo; each right branch of PHP(4,3)'s refutation is needed, so that
+    # is every node
     d = gen_php(PhpSpec(4, 3))
     p = unshared(solve(d).proof)
     n = count_nodes(p)
-    assert check_dpll((), d, p, limit=n).valid
+    assert n == 116
     assert dpll_to_res((), d, p, limit=n) == dpll_to_res((), d, p)
-    with pytest.raises(WalkLimitExceeded):
-        check_dpll((), d, p, limit=n - 1)
     with pytest.raises(WalkLimitExceeded):
         dpll_to_res((), d, p, limit=n - 1)
 
 
 def test_a_shared_derivation_is_walked_at_its_distinct_size():
     # PHP(6,5)'s derivation: 2,559 rule applications unfolded, 940
-    # distinct nodes.  The walk steps into 989 nodes and takes each Split
-    # met again where its record fits (30) as one leaf and one step; the
-    # parse of its text is walked alike.  Every Split the solver shares is
-    # met in a clean context, under the clean clauses it was refuted
-    # under, and a record holds only the clauses its subtree reads.  So a
-    # Split walked again where it was recorded under fewer clauses, or in
-    # an unclean context, would raise these counts
-    for k, steps in ((3, 116), (4, 363), (5, 1_019), (6, 2_708)):
+    # distinct nodes.  The fold steps into 989 nodes: it takes each shared
+    # Split met again with the premises it was folded under as one leaf,
+    # and walks no right branch whose translation the left one does not
+    # need.  The parse of its text is folded alike.  check_dpll walks none
+    # of it: the sequent pass accepts it at the root
+    for k, steps in ((3, 116), (4, 357), (5, 989), (6, 2_608)):
         d = gen_php(PhpSpec(k + 1, k))
         p = solve(d).proof
         for proof in (p, parse_dpll(serialize_dpll(p))):
-            assert check_dpll((), d, proof, limit=steps).valid
-            with pytest.raises(WalkLimitExceeded):
-                check_dpll((), d, proof, limit=steps - 1)
+            assert check_dpll((), d, proof).valid
             dpll_to_res((), d, proof, limit=steps)
+            with pytest.raises(WalkLimitExceeded):
+                dpll_to_res((), d, proof, limit=steps - 1)
+
+
+def test_a_split_met_in_many_contexts_is_checked_by_its_sequent():
+    # each Split the chain shares reads a clause whose premise differs from
+    # one occurrence to the next: its sequent fits each, and check_dpll
+    # accepts the chain at the root, 2^60 - 1 unfolded Splits, at once; so
+    # does dpll_to_res, whose fold needs no right branch
+    for n in (8, 60):
+        d, text = premise_chain(n)
+        p = parse_dpll(text)
+        start = time.perf_counter()
+        assert check_dpll((), d, p) == VALID
+        assert dpll_to_res((), d, p, limit=3 * n + 1).conclusion == ()
+        assert time.perf_counter() - start < 1.0
+        if n == 8:
+            assert check_dpll((), d, unshared(p)) == VALID
+            assert dpll_to_res((), d, p) == dpll_to_res((), d, unshared(p))
 
 
 def test_a_split_met_in_too_many_contexts_stops_the_walk_at_its_limit():
-    # each Split the chain shares reads a clause whose premise differs from
-    # one occurrence to the next, so none is taken as recorded: without a
-    # limit the walk covers the unfolded tree, as the walk of unshared(p)
-    # does
+    # the wide chain's fold needs every right branch, and meets each shared
+    # Split with other premises: without a limit it folds the unfolded
+    # tree, as the fold of unshared(p) does; check_dpll accepts it at once
     for n in (8, 40):
-        d, text = premise_chain(n)
+        d, text = wide_chain(n)
         p = parse_dpll(text)
+        assert check_dpll((), d, p) == VALID
         if n == 8:
-            assert check_dpll((), d, p) == check_dpll((), d, unshared(p)) == VALID
             assert dpll_to_res((), d, p) == dpll_to_res((), d, unshared(p))
-        with pytest.raises(WalkLimitExceeded):
-            check_dpll((), d, p, limit=len(text))
         with pytest.raises(WalkLimitExceeded):
             dpll_to_res((), d, p, limit=len(text))
 
 
 def test_an_unlimited_walk_of_a_split_chain_steps_into_each_unfolded_node_once():
-    # the chain's unfolded tree: 2^12 - 1 occurrences of its 12 Splits, and
-    # 2^12 leaves below 12 Units each.  Each Split met again finds a record
-    # that does not fit, one step, and is walked again, so the walk takes
-    # one step per node and one per Split met again
-    n = 12
-    d, text = premise_chain(n)
+    # the wide chain's unfolded tree: 2^10 - 1 occurrences of its 10
+    # Splits, and 2^10 leaves below 10 Units and 10 Reds each.  No shared
+    # Split is met again with the premises it was folded under, so the fold
+    # steps into each node once
+    n = 10
+    d, text = wide_chain(n)
     p = parse_dpll(text)
-    nodes = count_nodes(p)
-    assert nodes == 65_533
-    steps = nodes + 2**n - 1 - n
-    assert check_dpll((), d, p, limit=steps).valid
+    steps = count_nodes(p)
+    assert steps == 24_573
     dpll_to_res((), d, p, limit=steps)
-    with pytest.raises(WalkLimitExceeded):
-        check_dpll((), d, p, limit=steps - 1)
     with pytest.raises(WalkLimitExceeded):
         dpll_to_res((), d, p, limit=steps - 1)
 
 
 def test_a_split_chain_under_clauses_it_never_reads_is_walked_at_its_distinct_size():
     # under unclean_chain(n), the valuation below Split k leaves a clause on
-    # k unsatisfied, but no Split reads one: a record holds () alone, and
-    # the #n in each right branch takes it, so 3n steps cover the 2^(n+1) - 1
-    # unfolded nodes
-    for n in (16, 40):
+    # k unsatisfied, but no Split reads one, and each conflict concludes ():
+    # check_dpll accepts the 2^(n+1) - 1 unfolded nodes at the root, and
+    # the fold steps down the n Splits of the left branches, n + 1 steps
+    for n in (16, 40, 60):
         d, p = unclean_chain(n), parse_dpll(split_chain(n))
-        assert check_dpll((), d, p, limit=3 * n).valid
-        assert dpll_to_res((), d, p, limit=3 * n) == dpll_to_res((), d, p)
+        assert check_dpll((), d, p).valid
+        assert dpll_to_res((), d, p, limit=n + 1) == dpll_to_res((), d, p)
         with pytest.raises(WalkLimitExceeded):
-            check_dpll((), d, p, limit=3 * n - 1)
+            dpll_to_res((), d, p, limit=n)
         if n == 16:
             assert dpll_to_res((), d, p) == dpll_to_res((), d, unshared(p))
 
 
 def test_a_split_chain_under_a_satisfied_clause_is_walked_at_its_distinct_size():
-    # under the clause (1 .. n), each Split the chain shares is first met in
-    # the left branch of the Split above it, whose literal satisfies that
-    # clause: its record holds () alone, and the #n in the right branch
-    # takes it, so 48 steps cover the 2^17 - 1 unfolded nodes
-    n, steps = 16, 48
+    # under the clause (1 .. n), which the left branch of each Split
+    # satisfies, the chain is accepted at the root, and its fold takes
+    # n + 1 = 17 steps for the 2^17 - 1 unfolded nodes
+    n = 16
     d, p = [(), tuple(range(1, n + 1))], parse_dpll(split_chain(n))
-    for limit in (steps, None):
-        assert check_dpll((), d, p, limit=limit).valid
+    assert check_dpll((), d, p).valid
+    for limit in (n + 1, None):
         assert dpll_to_res((), d, p, limit=limit) == dpll_to_res((), d, unshared(p))
     with pytest.raises(WalkLimitExceeded):
-        check_dpll((), d, p, limit=steps - 1)
+        dpll_to_res((), d, p, limit=n)
+
+
+def test_a_deep_split_chain_checks_and_folds_without_recursion():
+    # 10,000 nested Splits: the sequent pass visits them in postorder, and
+    # the fold steps down all of their left branches
+    assert sys.getrecursionlimit() <= 1000
+    n = 10_000
+    d, p = unclean_chain(n), parse_dpll(split_chain(n))
+    assert check_dpll((), d, p).valid
+    assert dpll_to_res((), d, p).conclusion == ()
 
 
 def test_texts_with_elims_walk_as_before_and_translate_as_the_search_now_does():
     # the solver's texts of PHP(4,3) and PHP(5,4) from when it wrote an Elim
-    # for each clause the valuation satisfies: the walk checks them in the
-    # steps it took then, and translates them to the translations of the
-    # search's Elim-free refutations of the same formulas
-    for (name, d, text), steps in zip(elim_texts(), (224, 854)):
+    # for each clause the valuation satisfies: check_dpll accepts them, the
+    # fold takes 160 and 556 steps, and they translate to the translations
+    # of the search's Elim-free refutations of the same formulas
+    for (name, d, text), steps in zip(elim_texts(), (160, 556)):
         p = parse_dpll(text)
-        assert check_dpll((), d, p, limit=steps).valid, name
+        assert check_dpll((), d, p).valid, name
+        dpll_to_res((), d, p, limit=steps)
         with pytest.raises(WalkLimitExceeded):
-            check_dpll((), d, p, limit=steps - 1)
+            dpll_to_res((), d, p, limit=steps - 1)
         now = solve(d).proof
         assert dpll_size(p) > dpll_size(now)
         assert serialize_res(dpll_to_res((), d, p)) == serialize_res(dpll_to_res((), d, now)), name
