@@ -18,7 +18,7 @@ from .dimacs import DimacsError, emit_dimacs, parse_dimacs
 from .dpll_proof import CheckReport, check_dpll, dpll_size
 from .php import PhpSpec, gen_php, php_comment_lines
 from .proof_text import ProofParseError, parse_dpll, parse_res, serialize_dpll, serialize_res
-from .resolution import InvalidDerivation, check_res, dpll_to_res, res_size
+from .resolution import check_res, dpll_to_res, res_size
 from .solver import SolverConfig, solve
 
 EXIT_SAT = 10
@@ -111,7 +111,8 @@ def _cmd_solve(args) -> int:
 def _cmd_check(args) -> int:
     formula = parse_dimacs(_read(args.input))
     if args.system == "dpll":
-        report = check_dpll((), formula, parse_dpll(_read(args.proof)))
+        text = _read(args.proof)
+        report = check_dpll((), formula, parse_dpll(text), limit=len(text))
     else:
         proof = parse_res(_read(args.proof))
         report = check_res(formula, proof)
@@ -140,10 +141,10 @@ def _cmd_convert(args) -> int:
     formula = parse_dimacs(_read(args.input))
     text = _read(args.proof)
     proof = parse_dpll(text)
-    try:
-        res_proof = dpll_to_res((), formula, proof, limit=len(text))
-    except InvalidDerivation as e:
-        return _invalid(e.report, sizes=True)
+    report = check_dpll((), formula, proof, limit=len(text))
+    if not report.valid:
+        return _invalid(report, sizes=True)
+    res_proof = dpll_to_res((), formula, proof, limit=len(text))
     n, m = dpll_size(proof), res_size(res_proof)
     if m > n:
         print(f"error: translation grew the proof: {m} > {n}", file=sys.stderr)

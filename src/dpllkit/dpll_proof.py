@@ -5,10 +5,9 @@ never the running valuation or formula.  A derivation proves a sequent: the
 clauses it needs in the formula, the literals it needs in the valuation and
 the literals the valuation must miss.  One postorder pass over the distinct
 Splits computes the sequents, and a derivation is valid in a context exactly
-where its sequent fits, so ``check_dpll`` of a valid derivation costs its
-distinct nodes.  One iterative walk, ``walk``, finds the first violation of
-an invalid derivation, and folds a valid one for the resolution translator.
-Nothing here imports the search code.
+where its sequent fits.  One iterative walk, ``walk``, finds the first
+violation of an invalid derivation, and folds a valid one for the resolution
+translator.  Nothing here imports the search code.
 """
 
 from __future__ import annotations
@@ -221,21 +220,23 @@ class CheckReport:
 VALID = CheckReport(True)
 
 
-def check_dpll(g0: Valuation, d0: Formula, proof: DpllDerivation) -> CheckReport:
+def check_dpll(g0: Valuation, d0: Formula, proof: DpllDerivation,
+               limit: Optional[int] = None) -> CheckReport:
     """Validate ``proof`` as a derivation of the sequent ``g0 |- d0``.
 
     Contexts are rebuilt per rule: Unit extends the valuation and drops the
     unit clause, Elim drops the subsumed clause, Red replaces the clause by
     its reduct, Split branches on a literal and its complement.  Failures name
-    the leftmost violating node by its child-index path.
+    the leftmost violating node by its child-index path.  ``limit`` bounds
+    the set entries the sequents hold at once, as ``walk`` says.
     """
-    return walk(g0, d0, proof)[0]
+    return walk(g0, d0, proof, limit=limit)[0]
 
 
 class WalkLimitExceeded(ValueError):
-    """Raised by ``walk`` when folding a derivation takes more steps than
-    its ``limit``: the derivation shares Splits that it meets with too many
-    premises."""
+    """Raised by ``walk`` past its ``limit``: when the sequents it holds at
+    once hold more set entries, or folding the derivation takes more
+    steps."""
 
 
 def _chain(node: DpllDerivation) -> tuple[list, DpllDerivation]:
@@ -250,13 +251,11 @@ def _chain(node: DpllDerivation) -> tuple[list, DpllDerivation]:
     return nodes, node
 
 
-def _sequents(proof: DpllDerivation, reducts: bool = False,
-              keep: bool = False) -> tuple[dict, dict, Optional[tuple]]:
-    """The sequent pass: the sequents of the Splits that ``proof`` shares
-    (ones that two chains end at) by ``id``, their keys in the fold's memo
-    (the clauses of C and R) by ``id``, and the sequent of ``proof``.  The
-    keys are made only with ``reducts``, and the shared Splits' sequents are
-    kept only with ``keep``; otherwise that dict is left empty.
+class _Sequents:
+    """The sequents of the Splits at and below a Split or Conflict ``end``,
+    by ``id``, each built when ``seal`` is called on it: the sequent pass
+    (``_sequents``) calls it on every Split in ``order``, and the walk of an
+    invalid derivation on each Split it leaves.
 
     A sequent is (C, P, F, R): the clauses a derivation needs in its formula,
     the literals it needs in its valuation, the literals its valuation must
@@ -277,37 +276,52 @@ def _sequents(proof: DpllDerivation, reducts: bool = False,
     a derivation: a derivation is valid under a consistent valuation exactly
     where its formula holds C, and its valuation holds P and misses F.
 
-    A depth-first pass lists the distinct Splits in postorder, each with the
+    The constructor lists the distinct Splits in postorder, each with the
     nodes of its branches down to the next Split or Conflict (their chains),
-    and counts the chains that end at each Split.  Each sequent is then built
-    in place from its chains' ends: a Split hands its sets over to the last
-    chain that reads them, and the others (all, with ``keep``) copy them."""
-    top = _chain(proof)
-    order, chains_to, stack = [], {}, [top[1]]
-    while stack:
-        node = stack.pop()
-        if type(node) is tuple:
-            order.append(node)
-        elif type(node) is Split:
-            chains_to[id(node)] = chains_to.get(id(node), 0) + 1
-            if chains_to[id(node)] == 1:
-                left, right = _chain(node.left), _chain(node.right)
-                stack += ((node, left, right), right[1], left[1])
-    unread, sequents, keys = dict(chains_to), {}, {}
+    and counts the chains that end at each Split.  ``seal`` builds a Split's
+    sequent in place from its chains' ends: the last chain to read a
+    Split's sets takes them, and the others copy them.  A shared Split's
+    memo key clauses, its C and R, go to ``keys`` with ``reducts``.
 
-    def sequent(chain):
-        # the sequent of the chain's first node, from the sets of its end's
-        # sequent by each rule's transfer in place: the last chain to read a
-        # Split's sets takes them, unless ``keep`` and the Split is shared
+    A valuation met at a Split holds only literals of ``g`` and those that
+    the Splits and Units around it assume, all later in the postorder, so a
+    shared Split's F keeps only those: a chain of shared Splits keeps none
+    of its split literals.  ``seal`` raises ``WalkLimitExceeded`` when the
+    sequents sealed and not yet taken hold more than ``limit`` set
+    entries."""
+
+    def __init__(self, end: DpllDerivation, g, reducts: bool = False, limit=inf):
+        self.g, self.reducts, self.limit, self.held = g, reducts, limit, 0
+        self.order, self.readers, self.index, self.last, stack = [], {}, {}, {}, [end]
+        while stack:
+            node = stack.pop()
+            if type(node) is tuple:
+                split, left, right = node
+                i = self.index[id(split)] = len(self.order)
+                self.last[split.lit] = self.last[-split.lit] = i
+                self.last.update((n.lit, i) for n in left[0] + right[0] if type(n) is Unit)
+                self.order.append(node)
+            elif type(node) is Split:
+                self.readers[id(node)] = self.readers.get(id(node), 0) + 1
+                if self.readers[id(node)] == 1:
+                    left, right = _chain(node.left), _chain(node.right)
+                    stack += ((node, left, right), right[1], left[1])
+        self.unread, self.sequents, self.keys = dict(self.readers), {}, {}
+
+    def read(self, chain: tuple[list, DpllDerivation]) -> Optional[tuple]:
+        """The sequent of the chain's first node, from the sets of its
+        end's sequent by each rule's transfer in place."""
         nodes, end = chain
         if type(end) is Conflict:
             below = {()}, set(), set(), set()
         else:
-            unread[id(end)] -= 1
-            if unread[id(end)] or keep and chains_to[id(end)] > 1:
-                below = sequents[id(end)] and tuple(map(set.copy, sequents[id(end)]))
+            self.unread[id(end)] -= 1
+            if self.unread[id(end)]:
+                below = self.sequents[id(end)] and tuple(map(set.copy, self.sequents[id(end)]))
             else:
-                below = sequents.pop(id(end))
+                below = self.sequents.pop(id(end))
+                if below is not None:
+                    self.held -= sum(map(len, below))
         if below is None:
             return None
         c, p, f, r = below
@@ -327,32 +341,54 @@ def _sequents(proof: DpllDerivation, reducts: bool = False,
                 k = clause.index(-lit)
                 reduct = clause[:k] + clause[k + 1:]
                 c.discard(reduct)
-                if reducts:
+                if self.reducts:
                     r.add(reduct)
             c.add(clause)
             p.add(lit)
         return below
 
-    for node, left, right in order:
-        lit, left, right = node.lit, sequent(left), sequent(right)
+    def seal(self, node: Split, left: tuple, right: tuple) -> None:
+        """Build the sequent of ``node`` from those of its chains, and keep
+        it until the last of them is read."""
+        lit, left, right = node.lit, self.read(left), self.read(right)
         if left is None or right is None or lit in left[2] or -lit in right[2]:
-            sequents[id(node)] = None
-            continue
+            self.sequents[id(node)] = None
+            return
         left[1].discard(lit)
         right[1].discard(-lit)
         # each set of the two sequents joins the larger one
-        sequents[id(node)] = joined = tuple(a.__ior__(b) if len(a) >= len(b) else b.__ior__(a)
-                                            for a, b in zip(left, right))
+        self.sequents[id(node)] = joined = tuple(a.__ior__(b) if len(a) >= len(b) else b.__ior__(a)
+                                                 for a, b in zip(left, right))
         joined[2].update((lit, -lit))
-        if reducts and chains_to[id(node)] > 1:
-            keys[id(node)] = (*joined[0], *joined[3])
-    return sequents, keys, sequent(top)
+        if self.readers[id(node)] > 1:
+            # a shared Split's sets are copied and may be held: keep in F
+            # what a valuation here can hold, a literal of g or one that a
+            # Split or Unit later in the postorder (the last to assume it)
+            # assumes
+            f, g, last, i = joined[2], self.g, self.last, self.index[id(node)]
+            f.difference_update([x for x in f if x not in g and last.get(x, -1) <= i])
+            if self.reducts:
+                self.keys[id(node)] = (*joined[0], *joined[3])
+        self.held += sum(map(len, joined))
+        if self.held > self.limit:
+            raise WalkLimitExceeded(f"the sequents of the derivation hold more than {self.limit} entries")
+
+
+def _sequents(proof: DpllDerivation, g, reducts: bool = False,
+              limit=inf) -> tuple[_Sequents, Optional[tuple]]:
+    """The sequent pass: seal every Split of ``proof`` under the valuation
+    ``g``, and return the sequents and the sequent of ``proof``."""
+    top = _chain(proof)
+    sequents = _Sequents(top[1], {*g, *(n.lit for n in top[0] if type(n) is Unit)}, reducts, limit)
+    for split in sequents.order:
+        sequents.seal(*split)
+    return sequents, sequents.read(top)
 
 
 # The walk keeps one frame (kind, node, a, b) per node it is inside.  _UNIT:
 # a is whether the literal was newly assumed, b the unit clause's premise.
-# _RED (a Red or an Elim): a is the clause's premise, b the reduct if the
-# node added it, else None.  A Split is _LEFT while in its left branch, then
+# _RED (a Red or an Elim): a is the clause's premise, b the reduct if a Red
+# added it, else None.  A Split is _LEFT while in its left branch, then
 # _RIGHT: a is whether its literal, then its complement, was new, and b its
 # key in the fold's memo, or None.
 _UNIT, _RED, _LEFT, _RIGHT = range(4)
@@ -362,10 +398,10 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
          fold=None, limit: Optional[int] = None) -> tuple[CheckReport, Any]:
     """Check ``proof`` against ``g0 |- d0`` and return ``(report, value)``.
 
-    The sequent pass (``_sequents``) first gives the sequent of ``proof`` and
-    of each Split it shares.  Where the root's fits ``g0 |- d0``, the
-    derivation is valid: the report is ``VALID``, and the walk runs only to
-    fold it.  Otherwise the walk runs to the first violation.
+    The sequent pass (``_sequents``) first gives the sequent of ``proof``.
+    Where it fits ``g0 |- d0``, the derivation is valid: the report is
+    ``VALID``, and the walk runs only to fold it.  Otherwise the walk runs
+    to the first violation.
 
     The walk goes depth-first, left branch first, with one context: the
     valuation as an insertion-ordered dict of literals, and the formula as a
@@ -375,11 +411,23 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
     first violation ends the walk with a failing report: the violating
     node's child-index path and its (valuation, formula), the formula
     listing the clauses of ``d0`` still in it, in ``d0``'s order, then the
-    reducts in the order the Reds on the path last made them.  A shared
-    Split whose sequent fits is valid there and is taken as a leaf; one that
-    does not fit holds the violation, so the walk never leaves it.  The
-    report is the one a walk of the unfolded tree gives, and the walk steps
-    into no node more often than the derivation's text writes it.
+    reducts in the order the Reds on the path last made them.
+
+    To find the violation, the walk enters a Split where it first meets it
+    and seals its sequent (``_Sequents.seal``) as it leaves it.  A Split met
+    again is a leaf where its sequent fits; where it does not, it holds the
+    violation, and the walk enters it again, never to leave it.  A sequent
+    does not depend on where it is met, so the report is the one a walk of
+    the unfolded tree gives.  Inside a Split entered again, a Split whose
+    sequent its last reader took is entered and sealed again, and then kept:
+    the walk enters a Split at most three times, and steps into a node at
+    most three times as often as the text writes it.
+
+    Without a fold, ``limit`` bounds the set entries the sequents hold at
+    once: the pass and the walk raise ``WalkLimitExceeded`` past it.  The
+    sequents of shared Splits whose readers are far apart can hold entries
+    quadratic in the text's length, which is why the command line checks a
+    text with its length as the limit.
 
     With a ``fold``, the walk folds a valid derivation bottom-up into
     ``value`` (otherwise ``None``): ``fold.conflict(premise)`` at a leaf,
@@ -393,9 +441,9 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
     and those premises: met again with the same ones, it is a leaf that
     takes the same value object, so the value shares it as the derivation
     does.  A shared Split met with many premises is folded at each, which
-    can take time exponential in the derivation's size; ``limit`` bounds
-    the fold's steps (each node stepped into or taken as a leaf), past
-    which it raises ``WalkLimitExceeded``.
+    can take time exponential in the derivation's size; with a fold,
+    ``limit`` bounds its steps (each node stepped into or taken as a leaf)
+    instead, past which it raises ``WalkLimitExceeded``.
     """
     d0 = canonical_formula(d0)
     g = dict.fromkeys(canonical_valuation(g0))
@@ -419,12 +467,19 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
 
     if any(-l in g for l in g):
         return fail("inconsistent-context")
-    sequents, keys, root = _sequents(proof, reducts=fold is not None)
+    # a check bounds the entries its sequents hold, a fold its steps
+    limit = inf if limit is None else limit
+    entries = limit if fold is None else inf
+    sequents, root = _sequents(proof, g, fold is not None, entries)
     if not fits(root):
-        fold, sequents = None, _sequents(proof, keep=True)[0]
+        # the walk seals the sequents itself, and folds nothing
+        fold, sequents = None, _Sequents(_chain(proof)[1], g, limit=entries)
     elif fold is None:
         return VALID, None
-    limit = inf if fold is None or limit is None else limit
+    # the memo keys of the shared Splits, none when checking; the pass has
+    # read every sequent it sealed, so a Split met again finds one only
+    # where the walk sealed it
+    keys = sequents.keys
     while True:
         # Down: test the node in its context, apply its delta and step into
         # its (left) child, until a Conflict or a Split taken as a leaf.
@@ -434,43 +489,54 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                 premise = d.pop((lit,), None)
                 if premise is None:
                     return fail("unit-clause-missing")
-                new, g[lit] = lit not in g, None
+                new = lit not in g
+                g[lit] = None
                 frames.append((_UNIT, node, new, premise))
                 if new and -lit in g:
                     return fail("inconsistent-context")
                 node = node.sub
-            elif isinstance(node, (Red, Elim)):
-                lit, clause, red = node.lit, node.clause, type(node) is Red
-                name = "red" if red else "elim"
+            elif isinstance(node, Red):
+                lit, clause = node.lit, node.clause
                 if lit not in g:
-                    return fail(f"{name}-literal-not-in-valuation")
-                if (-lit if red else lit) not in clause:
-                    return fail("red-complement-not-in-clause" if red else "elim-literal-not-in-clause")
+                    return fail("red-literal-not-in-valuation")
+                if -lit not in clause:
+                    return fail("red-complement-not-in-clause")
                 premise = d.pop(clause, None)
                 if premise is None:
-                    return fail(f"{name}-clause-missing")
-                reduct = None
-                if red:
-                    # the clause was just in d, so -lit occurs in it once
-                    k = clause.index(-lit)
-                    reduct = clause[:k] + clause[k + 1:]
-                    if reduct in d:
-                        reduct = None
-                    else:
-                        d[reduct] = premise
+                    return fail("red-clause-missing")
+                # the clause was just in d, so -lit occurs in it once
+                k = clause.index(-lit)
+                reduct = clause[:k] + clause[k + 1:]
+                if reduct in d:
+                    reduct = None
+                else:
+                    d[reduct] = premise
                 frames.append((_RED, node, premise, reduct))
+                node = node.sub
+            elif isinstance(node, Elim):
+                if node.lit not in g:
+                    return fail("elim-literal-not-in-valuation")
+                if node.lit not in node.clause:
+                    return fail("elim-literal-not-in-clause")
+                premise = d.pop(node.clause, None)
+                if premise is None:
+                    return fail("elim-clause-missing")
+                frames.append((_RED, node, premise, None))
                 node = node.sub
             elif isinstance(node, Split):
                 key = None
-                if id(node) in sequents and fits(sequents[id(node)]):
-                    break
-                if id(node) in keys:
+                if id(node) in sequents.sequents:
+                    # met before, so walked and sealed
+                    if fits(sequents.sequents[id(node)]):
+                        break
+                elif id(node) in keys:
                     key = (id(node), *map(d.get, keys[id(node)]))
                     if key in memo:
                         values.append(memo[key])
                         break
                 lit = node.lit
-                new, g[lit] = lit not in g, None
+                new = lit not in g
+                g[lit] = None
                 frames.append((_LEFT, node, new, key))
                 if new and -lit in g:
                     return fail("inconsistent-context")
@@ -483,7 +549,7 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                     values.append(fold.conflict(premise))
                 break
         steps += len(frames) - top + 1
-        if steps > limit:
+        if steps > limit and fold is not None:
             raise WalkLimitExceeded(f"translating the derivation takes more than {limit} steps")
 
         # Up: undo the deltas of finished nodes and fold their values, until
@@ -505,14 +571,17 @@ def walk(g0: Valuation, d0: Formula, proof: DpllDerivation,
                 continue
             if kind == _LEFT and (fold is None or fold.needs_right(node, values[-1])):
                 lit = node.lit
-                new, g[-lit] = -lit not in g, None
+                new = -lit not in g
+                g[-lit] = None
                 frames.append((_RIGHT, node, new, b))
                 if new and lit in g:
                     return fail("inconsistent-context")
                 node = node.right
                 top = len(frames)
                 break
-            if kind == _RIGHT and fold is not None:
+            if fold is None:
+                sequents.seal(node, _chain(node.left), _chain(node.right))
+            elif kind == _RIGHT:
                 values[-2:] = [fold.split(node, *values[-2:])]
             if b is not None:
                 memo[b] = values[-1]

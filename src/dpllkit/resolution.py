@@ -130,13 +130,17 @@ class _Translation:
         return self.subs[premise - 1]
 
     def unit(self, node: Unit, r: ResDerivation, premise: int) -> ResDerivation:
-        return _res(node.lit, r, self.subs[premise - 1]) if -node.lit in r.conclusion else r
+        if -node.lit not in r.conclusion:
+            return r
+        return _res(node.lit, r, self.subs[premise - 1])
 
     def needs_right(self, node: Split, left: ResDerivation) -> bool:
         return -node.lit in left.conclusion
 
     def split(self, node: Split, left: ResDerivation, right: ResDerivation) -> ResDerivation:
-        return _res(node.lit, left, right) if node.lit in right.conclusion else right
+        if node.lit not in right.conclusion:
+            return right
+        return _res(node.lit, left, right)
 
 
 @collector_paused

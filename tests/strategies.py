@@ -136,6 +136,22 @@ def wide_chain(n):
     return _premise_chain(n, wide, bottom)
 
 
+def cited_late(n):
+    """(formula, text): ``premise_chain(n)`` as the left branch of a Split
+    whose right branch cites each Split of the chain but the outermost once
+    more, innermost first.  Split k of the chain needs the n - k unit
+    clauses that the Reds above it make, and its last reader comes after
+    the whole chain, so a pass that keeps each Split's sequent until its
+    last reader holds about 1.5 n^2 clauses at once, for a text linear in
+    n.  No citation's context holds those units: the derivation is
+    invalid at the first."""
+    d, text = premise_chain(n)
+    late = "conflict"
+    for k in range(n - 1, 0, -1):
+        late = f"(split {3 * n + k} #{k} {late})"
+    return d, f"(split {5 * n} {text} {late})"
+
+
 def _premise_chain(n, empty, bottom):
     # premise_chain(n) with the clause `empty` in place of () and the
     # derivation `bottom` in place of its conflicts

@@ -10,7 +10,7 @@ from dpllkit.cli import main
 from dpllkit.dimacs import emit_dimacs, parse_dimacs
 from dpllkit.php import PhpSpec, gen_php
 
-from strategies import horn_chain, premise_chain, wide_chain
+from strategies import cited_late, horn_chain, premise_chain, wide_chain
 
 
 @pytest.fixture
@@ -129,6 +129,22 @@ def test_a_text_met_in_too_many_contexts_is_refused(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: translating the derivation takes more than {len(text)} steps\n"
     assert captured.out == ""
+
+
+def test_a_text_whose_sequents_outgrow_it_is_refused(tmp_path, capsys):
+    # 200 Splits, each cited once more after the whole chain and needing
+    # the units made above it: check keeps about 1.5 * 200^2 clauses in
+    # their sequents at once, more than the text's length, so check and
+    # convert stop there
+    d, text = cited_late(200)
+    cnf, proof = tmp_path / "late.cnf", tmp_path / "late.dpll"
+    cnf.write_text(emit_dimacs(d))
+    proof.write_text(text)
+    for command in (["check", "dpll"], ["convert", "dpll2res"]):
+        assert main([*command, str(cnf), str(proof)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: the sequents of the derivation hold more than {len(text)} entries\n"
+        assert captured.out == ""
 
 
 def test_check_dpll_failure_gives_context_sizes(php21_file, tmp_path, capsys):

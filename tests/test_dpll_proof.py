@@ -34,8 +34,8 @@ from dpllkit.resolution import InvalidDerivation, Res, Sub, check_res, dpll_to_r
 from dpllkit.solver import solve
 
 from oracle import compatible
-from strategies import (checker_corpus, dag_grafts, dpll_nodes, dpll_put, elim_texts, formulas,
-                        premise_chain, split_chain, unclean_chain, unshared, wide_chain)
+from strategies import (checker_corpus, cited_late, dag_grafts, dpll_nodes, dpll_put, elim_texts,
+                        formulas, premise_chain, split_chain, unclean_chain, unshared, wide_chain)
 
 PHP21 = gen_php(PhpSpec(2, 1))
 
@@ -321,24 +321,23 @@ def test_valid_refutations_imply_incompatibility(d):
         assert not compatible((), d).satisfiable
 
 
-# The walk against the unfolded walk.  check_dpll takes a Split as a leaf
-# wherever the sequent the pass computed for it fits the context, and
-# dpll_to_res takes a shared Split as a leaf where its memo holds the
-# premises the Split reads.  unshared(p) holds no Split twice, and with a
-# pass under which no sequent fits, its walk takes none: that is the walk of
-# the unfolded tree, and the DAG's walk must give what it gives.
+# The walk against the unfolded walk.  check_dpll takes a Split met again
+# as a leaf wherever its sequent fits the context, and dpll_to_res takes a
+# shared Split as a leaf where its memo holds the premises the Split reads.
+# unshared(p) holds no Split twice, and with a pass whose root sequent never
+# fits, its walk takes none: that is the walk of the unfolded tree, and the
+# DAG's walk must give what it gives.
 
 def unfolded_check(g, d, p):
     """``check_dpll`` of ``unshared(p)`` by the plain walk, which tests
     every node in its context."""
-    nothing_fits = ({}, {}, None)
-    with patch.object(dpll_proof, "_sequents", lambda proof, reducts=False, keep=False: nothing_fits):
+    with patch.object(dpll_proof, "_sequents", lambda proof, g, reducts, limit: (None, None)):
         return check_dpll(g, d, unshared(p))
 
 
 def sequent_verdict(g, d, p):
     """Whether the sequent the pass computes for ``p`` fits ``g |- d``."""
-    root = dpll_proof._sequents(p)[2]
+    root = dpll_proof._sequents(p, g)[1]
     return (root is not None and root[0] <= set(canonical_formula(d)) and root[1] <= set(g)
             and root[2].isdisjoint(g))
 
@@ -532,6 +531,26 @@ def test_shared_split_in_a_second_context_is_walked_there(d, p, expected):
         assert check_res(d, expected).valid
 
 
+# A shared Split's F keeps only the literals that a valuation where it is
+# met can hold: those of the initial valuation, and those that a Unit or a
+# Split around it assumes, in the chain above the root too.  Each DAG
+# shares UNIT_BRANCHES under a valuation that holds 1 or -5, which it must
+# miss; a pass that dropped them would accept the DAG at its root.
+UNIT_BRANCHES = Split(1, Unit(5, CONFLICT), Unit(5, CONFLICT))
+
+
+@pytest.mark.parametrize("g, p, expected", [
+    ((1,), Split(2, UNIT_BRANCHES, UNIT_BRANCHES),
+     CheckReport(False, (0, 1), "inconsistent-context", ((1, 2, -1), ((), (5,), (-5,))))),
+    ((), Split(2, Unit(-5, UNIT_BRANCHES), UNIT_BRANCHES),
+     CheckReport(False, (0, 0, 0, 0), "inconsistent-context", ((2, -5, 1, 5), ((),)))),
+    ((), Unit(-5, Split(2, UNIT_BRANCHES, UNIT_BRANCHES)),
+     CheckReport(False, (0, 0, 0, 0), "inconsistent-context", ((-5, 2, 1, 5), ((),)))),
+], ids=["initial-valuation", "unit-above", "unit-above-the-root"])
+def test_a_shared_split_misses_what_a_valuation_where_it_is_met_holds(g, p, expected):
+    assert walk_both(g, ((), (5,), (-5,)), p) == expected
+
+
 # Split 1 reduces (-1 2) in its left branch, which reads 1, takes the unit
 # 2 and refutes the eight clauses on 5, 6 and 7 below Split 5.  Its right
 # branch reduces the four clauses (1 +-3 +-4) to four on 3 and 4, and keeps
@@ -707,12 +726,53 @@ def test_a_split_chain_under_a_satisfied_clause_is_walked_at_its_distinct_size()
 
 def test_a_deep_split_chain_checks_and_folds_without_recursion():
     # 10,000 nested Splits: the sequent pass visits them in postorder, and
-    # the fold steps down all of their left branches
+    # the fold steps down all of their left branches.  A shared Split's F
+    # keeps no split literal, and its last reader takes the sequent below
+    # it, so the sequents held at once hold three entries: () and the
+    # literals of the root, which no Split shares
     assert sys.getrecursionlimit() <= 1000
     n = 10_000
     d, p = unclean_chain(n), parse_dpll(split_chain(n))
-    assert check_dpll((), d, p).valid
+    assert check_dpll((), d, p, limit=3).valid
+    with pytest.raises(WalkLimitExceeded):
+        check_dpll((), d, p, limit=2)
     assert dpll_to_res((), d, p).conclusion == ()
+
+
+def test_a_deep_split_chain_fails_where_the_unfolded_walk_does_at_once():
+    # the sequents of the chain keep no split literal, since none is
+    # assumed above where it is split.  Without (), the walk fails at the
+    # first Conflict, 10,000 left branches down; under a Split whose right
+    # branch needs a unit clause missing from the formula, it seals each
+    # Split of the chain as it leaves it and takes the Split met again as a
+    # leaf, and fails in the right branch
+    n = 10_000
+    chain = split_chain(n)
+    start = time.perf_counter()
+    report = check_dpll((), unclean_chain(n)[1:], parse_dpll(chain))
+    assert (report.reason, report.path) == ("conflict-empty-clause-missing", (0,) * n)
+    p = parse_dpll(f"(split {3 * n + 1} {chain} (unit {3 * n + 2} conflict))")
+    report = check_dpll((), unclean_chain(n), p)
+    assert (report.reason, report.path) == ("unit-clause-missing", (1,))
+    assert time.perf_counter() - start < 5.0
+
+
+def test_sequents_held_past_the_limit_stop_the_check():
+    # each Split of the chain keeps its sequent until the late citations
+    # read it: at n = 200, more clauses than the text has characters.
+    # check_dpll with the text's length as its limit, as the CLI runs it,
+    # stops there; without a limit it reports the first citation, whose
+    # context lacks the units the Reds above the chain make
+    for n in (8, 200):
+        d, text = cited_late(n)
+        p = parse_dpll(text)
+        report = check_dpll((), d, p)
+        assert (report.reason, report.path) == ("unit-clause-missing", (1, 0, 0, 0, 0))
+        if n == 8:
+            assert walk_both((), d, p) == report
+            assert check_dpll((), d, p, limit=len(text)) == report
+    with pytest.raises(WalkLimitExceeded):
+        check_dpll((), d, p, limit=len(text))
 
 
 def test_texts_with_elims_walk_as_before_and_translate_as_the_search_now_does():
