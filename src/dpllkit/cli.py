@@ -2,9 +2,11 @@
 
 Exit codes: 10 satisfiable, 20 unsatisfiable (solve); 0 valid / 2 invalid
 (check, convert); 0 success (gen); 1 usage or input errors.  A DPLL proof
-text whose check takes more steps than the text has characters is an input
-error: the text shares Splits that it meets in too many contexts.  A text
-that shares none is never one, since each node takes several characters.
+text is an input error where its check holds more set entries in sequents
+at once than the text has characters (``check dpll``, ``convert dpll2res``),
+or where its translation takes more fold steps than that (``convert
+dpll2res``): the text shares Splits that it reads again too far apart or
+in too many contexts.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ Below a Split the rules read only the clean clauses, so a refutation of
 clean clauses S refutes every state whose clean clauses are S (formula
 caching, Beame et al., CCC 2003).  A Split whose set of clean clauses was
 refuted before is refuted by what the earlier Split produced: the
-derivation shares that node, and the rule log repeats its span.
+derivation shares that node, and the rule log records one "reuse".
 
 A Split whose left branch is refuted without a Red on its literal (the
 Red of a unit clause before a Conflict counts) is backjumped: its left
@@ -117,8 +117,8 @@ class Verdict:
     built with, and the checker and the translator cost each distinct
     Split about once.  A Split the search backjumped past has no node: its
     left refutation stands in its place, and is what a Split reusing its
-    clean clauses shares.  The rule log keeps its ``"split"`` and the steps of
-    its left branch."""
+    clean clauses shares.  The rule log keeps the backjumped Split's
+    ``"split"`` and left branch, and one ``"reuse"`` for a reusing Split."""
 
     satisfiable: bool
     model: Optional[Assignment] = None
@@ -282,12 +282,11 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
     # outermost first, as dpll_proof.close reads them: (rule, first, second)
     # for each Unit, Red and Split step on the path to the current state.
     # splits holds, for each open Split, (lit, (key, scores), valuation,
-    # measure, start) while it is in its left branch, and (None, (key,
-    # scores), start) while it is in its right branch.  key is the frozenset
-    # of its clean clauses, from which with the valuation its right branch
-    # restarts, scores their Jeroslow-Wang entries, from which the next
-    # Split inside it carries its own (_jw_choose), and start the length of
-    # the log before its "split".  table holds the literal order and the
+    # measure) while it is in its left branch, and (None, (key, scores))
+    # while it is in its right branch.  key is the frozenset of its clean
+    # clauses, from which with the valuation its right branch restarts, and
+    # scores their Jeroslow-Wang entries, from which the next Split inside
+    # it carries its own (_jw_choose).  table holds the literal order and the
     # clause-length weights of the entries (_jw_table), made at the first
     # searched Split.  unread holds the literals of the Splits in their left
     # branch that no Red has read.  At a Split d is empty and the clean
@@ -295,9 +294,8 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
     # them, and a refutation below it refutes every state with the same
     # clean clauses.  refuted maps the key of each refuted Split to what it
     # produced: its Split node in witness mode, or its left refutation if
-    # backjumped, True in decide mode, and with a log that and the span
-    # (start, end) of its steps in the log.  A Split whose key is in refuted
-    # is refuted by what it maps to, in place of a search.
+    # backjumped, and True in decide mode.  A Split whose key is in refuted
+    # is refuted by what it maps to, in place of a search, and logs "reuse".
     gset = set(g0)
     known = dict.fromkeys((*d0, *t0))
     occ: dict[int, list] = {}
@@ -381,18 +379,16 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
             return Verdict(True, complete_model(gset)) if witness else True
         else:
             key = frozenset(t)
-            found = refuted.get(key)
-            if found is None:
-                start = None
+            node = refuted.get(key)
+            if node is None:
                 if log is not None:
-                    start = len(log)
                     log.append("split")
                 if table is None:
                     table = _jw_table(known)
                 lit, scores = _jw_choose(key, splits[-1][1] if splits else None, table)
                 if check:
                     _check_split(key, lit)
-                splits.append((lit, (key, scores), frozenset(gset), prev, start))
+                splits.append((lit, (key, scores), frozenset(gset), prev))
                 unread.add(lit)
                 if witness:
                     frames.append((Split, lit, None))
@@ -401,9 +397,7 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
             # a Split on these clean clauses was refuted before, and the
             # search below it would repeat every step: take what it produced
             if log is not None:
-                found, start, end = found
-                log.extend(log[start:end])
-            node = found
+                log.append("reuse")
 
         # The branch is refuted by node: close the nodes around it up to the
         # innermost Split still in its left branch, record each Split in its
@@ -418,21 +412,20 @@ def _search(g0: Valuation, d0: Formula, t0: Formula, witness: bool, check: bool,
                 proof = close(frames, node, built)
                 built.reverse()
             while splits and splits[-1][0] is None:
-                _, (key, _), start = splits.pop()
-                node = built.pop() if witness else True
-                refuted[key] = node if log is None else (node, start, len(log))
+                _, (key, _) = splits.pop()
+                refuted[key] = built.pop() if witness else True
             if not splits:
                 return Verdict(False, proof=proof) if witness else False
-            lit, pair, g, prev, start = splits[-1]
+            lit, pair, g, prev = splits[-1]
             if lit not in unread:
                 break
             unread.remove(lit)
-            splits[-1] = (None, pair, start)
+            splits[-1] = (None, pair)
             if witness:
                 frames.pop()
                 node = proof
                 built.append(proof)
-        splits[-1] = (None, pair, start)
+        splits[-1] = (None, pair)
         gset, t = set(g), set(pair[0])
         d, live = deque(), set()
         _take(-lit, gset, occ, t, d, live)

@@ -4,6 +4,7 @@ import random
 import sys
 import time
 from collections import Counter, deque
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -482,6 +483,17 @@ def test_a_unit_moves_only_the_clean_clauses_holding_its_variable():
     assert Counter(v.trace) == {"move": 548, "unit": 50, "red": 50, "conflict": 1}
 
 
+def test_the_rule_log_holds_the_searched_steps():
+    # a Split on clean clauses refuted before logs one "reuse", not the
+    # earlier Split's steps again: PHP(6,5) searches the 94 Splits counted
+    # in SCORINGS, and PHP(10,9) logs 102,513 steps, where a log repeating
+    # each reused Split's steps held 13,419,015
+    v = solve(gen_php(PhpSpec(6, 5)), SolverConfig(trace=True))
+    assert Counter(v.trace) == {"move": 299, "split": 94, "red": 579, "elim": 664, "unit": 311,
+                                "conflict": 20, "reuse": 30}
+    assert len(solve(gen_php(PhpSpec(10, 9)), SolverConfig(trace=True)).trace) == 102_513
+
+
 def test_precondition_violations_raise_in_debug_mode():
     cfg = SolverConfig(assert_measure=True)
     with pytest.raises(InvariantViolation):
@@ -562,11 +574,16 @@ def answer(v):
 
 
 def test_debug_mode_matches_plain_mode():
-    # checking every state changes nothing the search does
+    # checking every state changes nothing the search does, and neither
+    # does keeping the rule log
     for name, d in digest_corpus():
         plain = solve(d, SolverConfig(trace=True))
         debug = solve(d, SolverConfig(trace=True, assert_measure=True))
         assert answer(plain) == answer(debug), name
+        untraced = solve(d)
+        assert untraced == replace(plain, trace=None), name
+        if not plain.satisfiable:
+            assert serialize_dpll(untraced.proof) == serialize_dpll(plain.proof), name
 
 
 # Search from intermediate states.  tests/data/solver_aux_digests.json records
